@@ -14,6 +14,10 @@ class InvalidSpec(ModunitsError):
         self.reason = message
 
 
+class InvalidConfig(ModunitsError, ValueError):
+    """A config-file line is malformed, has an unknown key or an unparsable value."""
+
+
 class ClosureExceedsCap(ModunitsError):
     """Generating a group blew past the configured order cap."""
 
@@ -36,6 +40,10 @@ class NotCentral(ModunitsError):
 
 class NotAUnit(ModunitsError):
     """An element that must be invertible is not."""
+
+
+class NotUnitary(ModunitsError):
+    """A witness construction produced a unit that is not unitary."""
 
 
 class PreconditionViolated(ModunitsError):

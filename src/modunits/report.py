@@ -20,7 +20,7 @@ import numpy as np
 from . import groups as gr
 from .algebra import GroupAlgebra
 from .catalog import DEFAULT_CATALOG, build_group, parse_group_spec
-from .errors import ModunitsError
+from .errors import InvalidConfig, ModunitsError
 from .theorem import (
     Budgets,
     EquivalenceVerdict,
@@ -84,38 +84,48 @@ class VerificationReport:
         return all(v.consistent for v in self.verdicts)
 
 
+# config key -> (RunConfig field, parser of the value text)
+_CONFIG_KEYS = {
+    "primes": ("primes", lambda v: tuple(int(x) for x in v.split(",") if x.strip())),
+    **{key: (key, int) for key in ("enumeration_cap", "abstract_cap", "engel_budget",
+                                   "seed", "workers", "group_order_cap")},
+    "time_budget_s": ("time_budget_s", float),
+    "format": ("output_format", str),
+    "emit_timings": ("emit_timings",
+                     lambda v: ("0", "false", "no", "1", "true", "yes").index(v.lower()) > 2),
+}
+
+
 def parse_config_file(text: str) -> RunConfig:
-    """Key-value config: 'key = value' lines, '#' comments, 'spec' repeatable."""
-    values: dict[str, str] = {}
+    """Key-value config: 'key = value' lines, '#' comments, 'spec' repeatable.
+
+    Raises InvalidConfig, naming the line, for a bad line, key or value.
+    """
+    kwargs = {}
     specs: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
+            raise InvalidConfig(f"config line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key == "spec":
             specs.append(value)
-        else:
-            values[key] = value
-    kwargs = {}
+            continue
+        if key not in _CONFIG_KEYS:
+            raise InvalidConfig(f"config line {lineno}: unknown key {key!r}")
+        field_name, parse = _CONFIG_KEYS[key]
+        try:
+            kwargs[field_name] = parse(value)
+            RunConfig(**kwargs)  # rejects out-of-range values
+        except ValueError:
+            raise InvalidConfig(
+                f"config line {lineno}: bad value {value!r} for {key}") from None
     if specs:
         kwargs["specs"] = tuple(specs)
-    if "primes" in values:
-        kwargs["primes"] = tuple(int(x) for x in values["primes"].split(",") if x.strip())
-    for key in ("enumeration_cap", "abstract_cap", "engel_budget", "seed",
-                "workers", "group_order_cap"):
-        if key in values:
-            kwargs[key] = int(values[key])
-    if "time_budget_s" in values:
-        kwargs["time_budget_s"] = float(values["time_budget_s"])
-    if "format" in values:
-        kwargs["output_format"] = values["format"]
-    if "emit_timings" in values:
-        kwargs["emit_timings"] = values["emit_timings"].lower() in ("1", "true", "yes")
     return RunConfig(**kwargs)
 
 

@@ -8,17 +8,20 @@ the enumerated normalized unit group and of its unitary subgroup.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 
 from . import groups as gr
 from .algebra import AlgebraElement, GroupAlgebra
-from .errors import BudgetExceeded, PreconditionViolated, PredicateNotSatisfied, NotCentral
+from .errors import (BudgetExceeded, NotCentral, NotUnitary, PreconditionViolated,
+                     PredicateNotSatisfied)
 from .units import (
     UnitGroup,
     as_abstract_group,
     closure_subgroup,
+    engel_orbit,
     enumerate_units,
     filter_unitary,
     find_non_engel_pair,
@@ -124,7 +127,8 @@ def witness_skew(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
     h = ctx.hat(c)  # raises OrderMismatch unless |c| = p
     G = ctx.group
     w = ctx.one() + (ctx.embed(g) - ctx.embed(int(G.inv[g]))) * h
-    assert w.is_unitary()
+    if not w.is_unitary():
+        raise NotUnitary(f"skew witness {w.to_text()} is not unitary")
     return w
 
 
@@ -144,7 +148,8 @@ def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
     if gsq not in (G.identity, c):
         raise PreconditionViolated("g^2 must lie in <c>")
     w = ctx.one() + ctx.embed(g) * ctx.hat(c)
-    assert w.is_unitary()
+    if not w.is_unitary():
+        raise NotUnitary(f"char-2 witness {w.to_text()} is not unitary")
     return w
 
 
@@ -284,32 +289,13 @@ def centralizer_power_property(G: gr.FiniteGroup, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # the equivalence verdict
 
-def _table_engel(A: gr.FiniteGroup, x: int, y: int, n_max: int = 512) -> bool | None:
-    """Engel iteration on a Cayley table; True = stabilizes, False = cycles."""
-    z = x
-    visited = {z}
-    for _ in range(n_max):
-        z = gr.commutator(A, z, y)
-        if z == A.identity:
-            return True
-        if z in visited:
-            return False
-        visited.add(z)
-    return None
-
-
 def _scan_non_engel(A: gr.FiniteGroup, U: UnitGroup, step_budget: int = 200_000
                     ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Deterministic lex-order backstop for witness extraction."""
-    m = A.order
-    spent = 0
-    for i in range(m):
-        for j in range(m):
-            if spent >= step_budget:
-                return None
-            spent += 1
-            if _table_engel(A, i, j) is False:
-                return U.element(i), U.element(j)
+    for i, j in itertools.islice(itertools.product(range(A.order), repeat=2), step_budget):
+        outcome = engel_orbit(i, lambda z: gr.commutator(A, z, j), A.identity, 512)
+        if outcome is not None and outcome.nontrivial:
+            return U.element(i), U.element(j)
     return None
 
 
@@ -360,7 +346,7 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     v_order = vstar_order = None
     try:
         V = enumerate_units(algebra, cap=budgets.enumeration_cap,
-                            workers=budgets.workers, seed=budgets.seed)
+                            workers=budgets.workers)
     except BudgetExceeded as e:
         reason = f"enumeration budget exceeded (needs {e.required})"
         v_status = vstar_status = VStatus("skipped", reason=reason)
@@ -370,7 +356,7 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
         if budgets.out_of_time():
             vstar_status = VStatus("skipped", reason="time budget exceeded")
         else:
-            Vstar = filter_unitary(V, seed=budgets.seed)
+            Vstar = filter_unitary(V)
             vstar_order = len(Vstar)
             vstar_status = _nilpotency_status(Vstar, budgets)
 

@@ -6,6 +6,9 @@ oracle everything else is checked against.  filter_unitary carves out the
 units fixed into inverses by the classical involution.  as_abstract_group
 turns a unit set into a Cayley-table group so the nilpotency machinery from
 ``groups`` applies to it.
+
+Those constructors yield groups, so a UnitGroup is not checked when built;
+closure is proven by the product-table loop _product_rows.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,8 +28,6 @@ from .errors import BudgetExceeded, EngelInconclusive, NotAUnit
 ENUMERATION_CAP = 2**20
 ABSTRACT_GROUP_CAP = 4096
 _CHUNK = 1 << 14
-_EXHAUSTIVE_CHECK_CAP = 1 << 12
-_SAMPLE_PAIRS = 10_000
 
 
 def _lex_sorted(vectors: np.ndarray) -> np.ndarray:
@@ -39,12 +40,12 @@ def _lex_sorted(vectors: np.ndarray) -> np.ndarray:
 class UnitGroup:
     """An explicit finite set of units, stored lexicographically sorted.
 
-    Closure under multiplication and inverses is verified at construction:
-    exhaustively up to 2^12 members, by seeded sampling above that.
+    Construction checks only that the vectors are distinct and contain 1.
+    Closure is proven exhaustively from the product table, by
+    as_abstract_group and by verify_closure.
     """
 
-    def __init__(self, algebra: GroupAlgebra, vectors: np.ndarray,
-                 verify: bool = True, seed: int = 0):
+    def __init__(self, algebra: GroupAlgebra, vectors: np.ndarray):
         vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.int64) % algebra.p)
         self.algebra = algebra
         self.vectors = _lex_sorted(vectors)
@@ -66,14 +67,10 @@ class UnitGroup:
                                 for i in range(self.vectors.shape[0])}
             if len(self._byte_index) != self.vectors.shape[0]:
                 raise ValueError("unit set contains duplicates")
-        one = np.zeros(n, dtype=np.int64)
-        one[algebra.group.identity] = 1
-        pos = self.position_of_vector(one)
+        pos = self.position_of_vector(algebra._one_vec)
         if pos < 0:
             raise ValueError("unit set does not contain 1")
         self.one_position = pos
-        if verify:
-            self.verify_closure(seed)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -136,33 +133,27 @@ class UnitGroup:
         prods = rmat @ self._float_t()
         return (prods % alg.p).astype(np.int64).T
 
-    def inverse_position(self, i: int) -> int:
-        u = self.element(i)
-        inv = u.involution() if u.is_unitary() else u.try_inverse()
-        if inv is None or not (u * inv).is_one() or not (inv * u).is_one():
-            raise NotAUnit(f"member {i} has no inverse")
-        return self.index_of(inv)
+    def verify_closure(self) -> None:
+        """Raise ValueError unless the set is a group: exhaustive, one table pass."""
+        for _ in _product_rows(self):
+            pass
 
-    def verify_closure(self, seed: int = 0) -> None:
-        m = len(self)
-        if m <= _EXHAUSTIVE_CHECK_CAP:
-            for i in range(m):
-                if (self.positions_of(self._products_of(i)) < 0).any():
-                    raise ValueError("unit set not closed under multiplication")
-            for i in range(m):
-                if self.inverse_position(i) < 0:
-                    raise ValueError("unit set not closed under inverses")
-        else:
-            rng = np.random.default_rng(seed)
-            ii = rng.integers(0, m, size=_SAMPLE_PAIRS)
-            jj = rng.integers(0, m, size=_SAMPLE_PAIRS)
-            for i, j in zip(ii, jj):
-                prod = self.element(int(i)) * self.element(int(j))
-                if self.index_of(prod) < 0:
-                    raise ValueError("unit set not closed under multiplication")
-            for i in rng.integers(0, m, size=1000):
-                if self.inverse_position(int(i)) < 0:
-                    raise ValueError("unit set not closed under inverses")
+
+def _product_rows(U: UnitGroup) -> Iterator[np.ndarray]:
+    """Row i of the Cayley table: the positions of element(i) * element(j).
+
+    Raises ValueError when a product is not a member, or when a row lacks 1
+    (element(i) has no right inverse in U).  A right inverse inside a set
+    closed under products is two-sided (ab = bc = 1 gives a = abc = c), so a
+    set whose rows all pass is a group.
+    """
+    for i in range(len(U)):
+        pos = U.positions_of(U._products_of(i))
+        if (pos < 0).any():
+            raise ValueError("unit set not closed under multiplication")
+        if not (pos == U.one_position).any():
+            raise ValueError("unit set not closed under inverses")
+        yield pos
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +188,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     Candidates are split into fixed-size chunks whose union is merged in
     canonical order, so the result is identical for any worker count.
     Raises BudgetExceeded (carrying the required count) when p^(dim-1) > cap.
+    ``seed`` is unused.
     """
     n = algebra.dim
     p = algebra.p
@@ -212,29 +204,26 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     else:
         parts = [_unit_chunk(t) for t in tasks]
     vectors = np.concatenate(parts, axis=0)
-    return UnitGroup(algebra, vectors, seed=seed)
+    return UnitGroup(algebra, vectors)
 
 
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
-    """The members with involution * u = 1; forms a subgroup of V."""
+    """The members with u* u = 1, a subgroup of V.  Members of V are normalized,
+    so augmentation needs no test.  ``seed`` is unused."""
     alg = V.algebra
-    n = alg.dim
-    p = alg.p
     vec = V.vectors
     star = vec[:, alg.group.inv]
     prod = np.zeros_like(vec)
     mul = alg.group.mul
-    for g in range(n):
+    for g in range(alg.dim):
         prod[:, mul[g]] += star[:, g, None] * vec
-    prod %= p
-    one = np.zeros(n, dtype=np.int64)
-    one[alg.group.identity] = 1
-    mask = (prod == one).all(axis=1) & (vec.sum(axis=1) % p == 1)
-    return UnitGroup(alg, vec[mask], seed=seed)
+    prod %= alg.p
+    mask = (prod == alg._one_vec).all(axis=1)
+    return UnitGroup(alg, vec[mask])
 
 
-def closure_subgroup(units: Iterable[AlgebraElement], cap: int = ABSTRACT_GROUP_CAP,
-                     seed: int = 0) -> UnitGroup:
+def closure_subgroup(units: Iterable[AlgebraElement],
+                     cap: int = ABSTRACT_GROUP_CAP) -> UnitGroup:
     """Multiplicative closure of the given units (inverses included)."""
     units = list(units)
     if not units:
@@ -266,20 +255,17 @@ def closure_subgroup(units: Iterable[AlgebraElement], cap: int = ABSTRACT_GROUP_
                     nxt.append(y)
         frontier = nxt
     vectors = np.stack([u.coeffs for u in seen.values()])
-    return UnitGroup(alg, vectors, seed=seed)
+    return UnitGroup(alg, vectors)
 
 
 def as_abstract_group(U: UnitGroup, cap: int = ABSTRACT_GROUP_CAP) -> gr.FiniteGroup:
-    """Cayley-table view of a unit group, for the group-theoretic machinery."""
+    """Cayley-table view of a unit group; raises ValueError unless U is a group."""
     m = len(U)
     if m > cap:
         raise BudgetExceeded(f"abstract group needs {m} elements, cap is {cap}", m)
     table = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        pos = U.positions_of(U._products_of(i))
-        if (pos < 0).any():
-            raise ValueError("unit set is not closed; cannot build a group table")
-        table[i] = pos
+    for i, row in enumerate(_product_rows(U)):
+        table[i] = row
     labels = [U.element(i).to_text() for i in range(m)]
     name = f"V<{U.algebra.group.name},p={U.algebra.p},{m}>"
     return gr.FiniteGroup(name, table, identity=U.one_position, labels=labels)
@@ -300,33 +286,41 @@ class EngelOutcome:
         return not self.stabilizes
 
 
-def engel_test(x: AlgebraElement, y: AlgebraElement, n_max: int = 256) -> EngelOutcome:
-    """Iterate the left-normed commutator of two units.
+def engel_orbit(x: Hashable, step: Callable[[Hashable], Hashable], one: Hashable,
+                n_max: int) -> EngelOutcome | None:
+    """Iterate z <- step(z) = (z, y) from z = x, for units or table indices.
 
-    Returns StabilizesAtOne-style outcome with the first n such that
-    (x, y, n) = 1, or a nontrivial outcome when a non-identity state repeats
-    (the orbit is then periodic and can never reach 1).  Raises
-    EngelInconclusive when n_max is hit first.
+    Stabilizes with the first n at which z is one; is nontrivial when a
+    non-identity state repeats (the orbit is then periodic and can never
+    reach one); None when n_max steps give neither.
     """
-    if x.is_one():
-        return EngelOutcome(True, 0)
+    z, n, visited = x, 0, set()
+    while z != one:
+        if z in visited:
+            return EngelOutcome(False, n)
+        if n == n_max:
+            return None
+        visited.add(z)
+        z, n = step(z), n + 1
+    return EngelOutcome(True, n)
+
+
+def engel_test(x: AlgebraElement, y: AlgebraElement, n_max: int = 256) -> EngelOutcome:
+    """The engel_orbit of two units; raises EngelInconclusive at n_max."""
     y_inv = y.try_inverse()
     if y_inv is None:
         raise NotAUnit("y is not a unit")
-    z = x
-    visited = {z.coeffs.tobytes()}
-    for n in range(1, n_max + 1):
+
+    def step(z: AlgebraElement) -> AlgebraElement:
         z_inv = z.try_inverse()
         if z_inv is None:
             raise NotAUnit("commutator chain left the unit group")
-        z = z_inv * y_inv * z * y
-        if z.is_one():
-            return EngelOutcome(True, n)
-        key = z.coeffs.tobytes()
-        if key in visited:
-            return EngelOutcome(False, n)
-        visited.add(key)
-    raise EngelInconclusive(f"no verdict after {n_max} steps")
+        return z_inv * y_inv * z * y
+
+    outcome = engel_orbit(x, step, x.algebra.one(), n_max)
+    if outcome is None:
+        raise EngelInconclusive(f"no verdict after {n_max} steps")
+    return outcome
 
 
 def find_non_engel_pair(U: UnitGroup, budget: int = 400, seed: int = 0,

@@ -7,6 +7,7 @@ import pytest
 
 import modunits as m
 from modunits import cli
+from modunits.errors import InvalidConfig
 from modunits.report import (
     RunConfig,
     emit_report,
@@ -144,6 +145,19 @@ def test_parse_config_file_bad_line():
         parse_config_file("primes = 2\nnot a config line\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("enumeraton_cap = 1", "unknown key 'enumeraton_cap'"),
+    ("seed = x", "bad value 'x' for seed"),
+    ("primes = 2,x", "bad value '2,x' for primes"),
+    ("format = xml", "bad value 'xml' for format"),
+    ("emit_timings = maybe", "bad value 'maybe' for emit_timings"),
+    ("abstract_cap = 0", "bad value '0' for abstract_cap"),
+])
+def test_parse_config_file_rejects_unknown_key_and_bad_value(line, message):
+    with pytest.raises(InvalidConfig, match=f"line 2: {message}"):
+        parse_config_file(f"primes = 2\n{line}\n")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -161,6 +175,17 @@ def test_cli_catalog_with_config_file(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert len(doc["verdicts"]) == 2
+
+
+@pytest.mark.parametrize("line", ["enumeraton_cap = 1", "seed = x"])
+def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"spec = catalog:C,2\n{line}\n")
+    rc = cli.main(["catalog", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: config line 2: ")
 
 
 def test_cli_catalog_out_file(tmp_path):
@@ -217,6 +242,25 @@ def test_cli_enumerate_error(capsys):
     rc = cli.main(["enumerate-units", "--spec", "catalog:NOPE", "--p", "2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_report_bytes_do_not_depend_on_optimize_flag():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(m.__file__).parents[1]), env.get("PYTHONPATH")]))
+    args = ["-m", "modunits.cli", "verify", "--spec", "catalog:S3", "--p", "3"]
+    plain, optimized = (subprocess.run([sys.executable, *flags, *args],
+                                       capture_output=True, env=env)
+                        for flags in ([], ["-O"]))
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == plain.returncode, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout
 
 
 def test_workers_env_var(monkeypatch):

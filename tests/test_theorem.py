@@ -8,6 +8,7 @@ import pytest
 import modunits as m
 from modunits.errors import (
     NotCentral,
+    NotUnitary,
     OrderMismatch,
     PreconditionViolated,
     PredicateNotSatisfied,
@@ -112,6 +113,15 @@ def test_witness_char2_c4():
     c = int(A.group.mul[g, g])  # g^2
     w = m.witness_char2(A, g, c)
     assert w.is_unitary()
+
+
+def test_witness_constructions_raise_typed_error_when_not_unitary(monkeypatch):
+    # a typed error, not an assert that `python -O` would strip
+    monkeypatch.setattr(m.AlgebraElement, "is_unitary", lambda self: False)
+    with pytest.raises(NotUnitary):
+        m.witness_skew(F3_S3xC3, 0, CENTRALS[0])
+    with pytest.raises(NotUnitary):
+        m.witness_char2(alg("catalog:C,2", 2), 0, 1)
 
 
 def test_witness_char2_guards():

@@ -96,10 +96,42 @@ def test_unit_group_contains_one_and_membership():
 
 def test_unit_group_rejects_non_closed_set():
     A = alg("catalog:C,3", 3)
-    one = A.one().coeffs
-    g = A.embed(1).coeffs
-    with pytest.raises(ValueError):
-        un.UnitGroup(A, np.stack([one, g]))  # missing g^2
+    # {1, g} misses g^2; {1, 0} is closed under products, but 0 has no inverse
+    for u, message in ((A.embed(1), "multiplication"), (A.zero(), "inverses")):
+        U = un.UnitGroup(A, np.stack([A.one().coeffs, u.coeffs]))
+        with pytest.raises(ValueError, match=message):
+            U.verify_closure()
+        with pytest.raises(ValueError, match=message):
+            m.as_abstract_group(U)
+
+
+def test_verify_closure_on_catalog_unit_groups():
+    # the exhaustive table check passes on V and V* of every default-catalog
+    # entry with |V| <= 1536, and on every witness_dihedral closure
+    checked = closures = 0
+    for _, spec in m.DEFAULT_CATALOG:
+        for p in (2, 3):
+            A = alg(spec, p)
+            G = A.group
+            involutions = [x for x in G.elements() if m.element_order(G, x) == 2]
+            for c in m.central_order_p_elements(G, p) if p > 2 else ():
+                for a in involutions:
+                    for b in involutions:
+                        ab = int(G.mul[a, b])
+                        if m.commutator(G, a, b) == G.identity or m.element_order(G, ab) <= 2:
+                            continue
+                        w = m.witness_skew(A, ab, c)
+                        m.closure_subgroup([w, A.embed(a)]).verify_closure()
+                        closures += 1
+            try:
+                V = m.enumerate_units(A)
+            except BudgetExceeded:
+                continue
+            if len(V) <= 1536:
+                V.verify_closure()
+                m.filter_unitary(V).verify_closure()
+                checked += 1
+    assert checked == 21 and closures > 0
 
 
 # ---------------------------------------------------------------------------
