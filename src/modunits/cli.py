@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from .algebra import GroupAlgebra
 from .catalog import build_group, parse_group_spec
-from .errors import ModunitsError
+from .errors import InvalidConfig, ModunitsError
 from .report import (
     RunConfig,
     VerificationReport,
@@ -130,8 +130,13 @@ def main(argv=None) -> int:
             return _emit_and_exit(report, args)
         if args.command == "catalog":
             if args.config:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config = parse_config_file(fh.read())
+                try:
+                    with open(args.config, "r", encoding="utf-8") as fh:
+                        text = fh.read()
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise InvalidConfig(
+                        f"cannot read config file {args.config}: {exc}") from exc
+                config = parse_config_file(text)
                 if args.workers is not None:
                     config = replace(config, workers=args.workers)
             else:

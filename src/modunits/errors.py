@@ -15,7 +15,8 @@ class InvalidSpec(ModunitsError):
 
 
 class InvalidConfig(ModunitsError, ValueError):
-    """A config-file line is malformed, has an unknown key or an unparsable value."""
+    """A config file cannot be read, or a line is malformed, has an unknown key or an
+    unparsable value."""
 
 
 class ClosureExceedsCap(ModunitsError):

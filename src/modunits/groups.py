@@ -308,3 +308,39 @@ def is_p_group(H: GroupLike, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
+
+
+def p_core(G: FiniteGroup, p: int) -> Subgroup:
+    """O_p(G), the largest normal p-subgroup: the elements whose normal closure is a p-group.
+
+    The normal closure of x is a normal subgroup, so it is a p-group exactly
+    when it lies in O_p(G); the qualifying elements therefore form O_p(G).
+    """
+    _require_prime(p)
+    ar = np.arange(G.order)
+    members = [x for x in G.elements()
+               if is_p_group(Subgroup(G, _closure(G, G.mul[G.mul[G.inv, x], ar])), p)]
+    return Subgroup(G, tuple(members))
+
+
+def quotient(N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+    """G/N for a normal subgroup N of G, and the coset index of each element of G.
+
+    Cosets are numbered by their least member, so G/1 is G with the same
+    indices.  Raises ValueError when N is not normal.
+    """
+    G = N.parent
+    coset = np.full(G.order, -1, dtype=np.int32)
+    reps = []
+    for g in G.elements():
+        if coset[g] < 0:
+            coset[G.mul[g, list(N.members)]] = len(reps)
+            reps.append(g)
+    mul = coset[G.mul[np.ix_(reps, reps)]]
+    # gN * hN = ghN for every pair, not only the representatives, iff N is normal
+    if not (coset[G.mul] == mul[coset[:, None], coset[None, :]]).all():
+        raise ValueError("quotient needs a normal subgroup")
+    coset.setflags(write=False)
+    Q = FiniteGroup(f"{G.name}/{N.order}", mul, identity=int(coset[G.identity]),
+                    labels=[f"{G.labels[g]}N" for g in reps])
+    return Q, coset

@@ -2,10 +2,12 @@
 
 enumerate_units walks every augmentation-1 coefficient vector and keeps the
 invertible ones; that set is the group of normalized units, the independent
-oracle everything else is checked against.  filter_unitary carves out the
-units fixed into inverses by the classical involution.  as_abstract_group
-turns a unit set into a Cayley-table group so the nilpotency machinery from
-``groups`` applies to it.
+oracle everything else is checked against.  Invertibility is decided by
+Gaussian elimination in F[G/O_p(G)], whose augmentation-1 vectors are far
+fewer, and lifted to FG through the coset-sum map.  filter_unitary carves
+out the units fixed into inverses by the classical involution.
+as_abstract_group turns a unit set into a Cayley-table group so the
+nilpotency machinery from ``groups`` applies to it.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -173,20 +175,23 @@ def _candidate_vectors(p: int, n: int, identity: int, lo: int, hi: int) -> np.nd
     return vec
 
 
-def _unit_chunk(args) -> np.ndarray:
+def _unit_mask_chunk(args) -> np.ndarray:
     div, p, identity, lo, hi = args
-    n = div.shape[0]
-    vec = _candidate_vectors(p, n, identity, lo, hi)
-    mats = vec[:, div]
-    return vec[batch_invertible_mask(mats, p)]
+    vec = _candidate_vectors(p, div.shape[0], identity, lo, hi)
+    return batch_invertible_mask(vec[:, div], p)
 
 
 def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
                     workers: int = 1, seed: int = 0) -> UnitGroup:
     """All normalized units, by exhaustive scan of the aug-1 coefficient vectors.
 
-    Candidates are split into fixed-size chunks whose union is merged in
-    canonical order, so the result is identical for any worker count.
+    Invertibility is decided in F[G/N] for N = O_p(G): the kernel of
+    FG -> F[G/N] is the nilpotent ideal w(N)FG, so a candidate is a unit
+    exactly when its coset-sum image is (Passman 1977).  The elimination runs
+    once, on the aug-1 candidates of F[G/N], in fixed-size chunks merged in
+    canonical order, so the result is identical for any worker count; each
+    candidate of FG is then kept when its image is a unit.  For N = 1 the
+    quotient is G itself.
     Raises BudgetExceeded (carrying the required count) when p^(dim-1) > cap.
     ``seed`` is unused.
     """
@@ -196,30 +201,45 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     if required > cap:
         raise BudgetExceeded(
             f"enumeration needs {required} candidates, cap is {cap}", required)
-    tasks = [(algebra.div, p, algebra.group.identity, lo, min(lo + _CHUNK, required))
-             for lo in range(0, required, _CHUNK)]
+    G = algebra.group
+    Q, coset = gr.quotient(gr.p_core(G, p))
+    m = Q.order
+    q_required = p ** (m - 1)
+    q_div = GroupAlgebra(Q, p).div
+    tasks = [(q_div, p, Q.identity, lo, min(lo + _CHUNK, q_required))
+             for lo in range(0, q_required, _CHUNK)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_unit_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            q_units = np.concatenate(list(pool.map(_unit_mask_chunk, tasks)))
     else:
-        parts = [_unit_chunk(t) for t in tasks]
-    vectors = np.concatenate(parts, axis=0)
-    return UnitGroup(algebra, vectors)
+        q_units = np.concatenate([_unit_mask_chunk(t) for t in tasks])
+    # an image's position among the quotient candidates: its non-identity digits
+    weights = np.zeros(m, dtype=np.int64)
+    weights[np.arange(m) != Q.identity] = p ** np.arange(m - 1, dtype=np.int64)
+    cosets = np.argsort(coset, kind="stable").reshape(m, -1)  # row c: the members of coset c
+    parts = []
+    for lo in range(0, required, _CHUNK):
+        vec = _candidate_vectors(p, n, G.identity, lo, min(lo + _CHUNK, required))
+        parts.append(vec[q_units[vec[:, cosets].sum(axis=2) % p @ weights]])
+    return UnitGroup(algebra, np.concatenate(parts, axis=0))
 
 
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
     """The members with u* u = 1, a subgroup of V.  Members of V are normalized,
-    so augmentation needs no test.  ``seed`` is unused."""
+    so augmentation needs no test.  Rows are tested in blocks of _CHUNK, which
+    bounds the temporaries.  ``seed`` is unused."""
     alg = V.algebra
-    vec = V.vectors
-    star = vec[:, alg.group.inv]
-    prod = np.zeros_like(vec)
     mul = alg.group.mul
-    for g in range(alg.dim):
-        prod[:, mul[g]] += star[:, g, None] * vec
-    prod %= alg.p
-    mask = (prod == alg._one_vec).all(axis=1)
-    return UnitGroup(alg, vec[mask])
+    mask = np.empty(len(V), dtype=bool)
+    for lo in range(0, len(V), _CHUNK):
+        vec = V.vectors[lo:lo + _CHUNK]
+        star = vec[:, alg.group.inv]
+        prod = np.zeros_like(vec)
+        for g in range(alg.dim):
+            prod[:, mul[g]] += star[:, g, None] * vec
+        prod %= alg.p
+        mask[lo:lo + _CHUNK] = (prod == alg._one_vec).all(axis=1)
+    return UnitGroup(alg, V.vectors[mask])
 
 
 def closure_subgroup(units: Iterable[AlgebraElement],

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import modunits as m
 from modunits.errors import NotPrime
+from modunits import groups as gr
 from modunits.groups import NOT_NILPOTENT
 
 
@@ -269,3 +270,74 @@ def test_power():
     i = find_label(Q8, "i")
     assert Q8.power(i, 2) == find_label(Q8, "-1")
     assert Q8.power(i, 4) == Q8.identity
+
+
+# ---------------------------------------------------------------------------
+# O_p(G) and quotients
+
+V4_LABELS = {"()", "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"}
+
+
+@pytest.mark.parametrize("spec,p,labels", [
+    ("catalog:S4", 2, V4_LABELS),
+    ("catalog:S4", 3, {"()"}),
+    ("catalog:A4", 2, V4_LABELS),
+    ("catalog:A4", 3, {"()"}),
+    ("catalog:D,6", 3, {"e", "r2", "r4"}),
+])
+def test_p_core_known_groups(spec, p, labels):
+    G = m.build_group(m.parse_group_spec(spec))
+    N = gr.p_core(G, p)
+    assert {G.labels[x] for x in N.members} == labels
+    assert N.is_normal()
+
+
+def test_p_core_of_d10_at_2_is_its_center():
+    G = m.build_group(m.parse_group_spec("catalog:D,10"))
+    N = gr.p_core(G, 2)
+    assert N == m.center(G)
+    assert {G.labels[x] for x in N.members} == {"e", "r5"}
+
+
+@pytest.mark.parametrize("name,p", [("C2", 2), ("C4", 2), ("C2xC2", 2), ("C4xC2", 2),
+                                    ("D4", 2), ("Q8", 2), ("C3", 3), ("C3xC3", 3)])
+def test_p_core_of_p_group_is_whole_group(name, p):
+    G = GROUPS[name]
+    assert gr.p_core(G, p).order == G.order
+
+
+@pytest.mark.parametrize("name,p", [("C3", 2), ("C4", 3), ("S3", 5), ("A4", 5),
+                                    ("C3xC3", 2), ("D4", 3)])
+def test_p_core_trivial_when_p_does_not_divide_order(name, p):
+    G = GROUPS[name]
+    assert G.order % p
+    assert gr.p_core(G, p).is_trivial()
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@pytest.mark.parametrize("p", [2, 3])
+def test_coset_map_is_homomorphism_onto_quotient(name, p):
+    G = GROUPS[name]
+    N = gr.p_core(G, p)
+    Q, coset = gr.quotient(N)
+    assert Q.order * N.order == G.order
+    assert sorted(set(coset.tolist())) == list(range(Q.order))  # onto
+    assert (coset[G.mul] == Q.mul[coset[:, None], coset[None, :]]).all()
+    assert coset[G.identity] == Q.identity
+    assert [int(x) for x in np.nonzero(coset == Q.identity)[0]] == list(N.members)
+    Q.check_axioms()
+
+
+def test_quotient_by_trivial_subgroup_keeps_table():
+    G = GROUPS["S3"]
+    Q, coset = gr.quotient(m.subgroup_generated(G, [G.identity]))
+    assert (Q.mul == G.mul).all()
+    assert (coset == np.arange(G.order)).all()
+
+
+def test_quotient_rejects_non_normal_subgroup():
+    G = GROUPS["S3"]
+    H = m.subgroup_generated(G, [find_label(G, "(1 2)")])
+    assert not H.is_normal()
+    with pytest.raises(ValueError, match="normal"):
+        gr.quotient(H)

@@ -188,6 +188,15 @@ def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
     assert captured.err.startswith("error: config line 2: ")
 
 
+def test_cli_catalog_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    rc = cli.main(["catalog", "--config", str(missing)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config file {missing}: ")
+
+
 def test_cli_catalog_out_file(tmp_path):
     out = tmp_path / "report.json"
     rc = cli.main(["catalog", "--primes", "2", "--cap", "16", "--out", str(out)])

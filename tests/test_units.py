@@ -27,7 +27,7 @@ def test_enumerate_f2_klein():
 
 @pytest.mark.parametrize("spec,p", [
     ("catalog:C,4", 2), ("prod:catalog:C,2|catalog:C,2", 2),
-    ("catalog:Q8", 2), ("catalog:C,3", 3),
+    ("catalog:Q8", 2), ("catalog:C,3", 3), ("catalog:D,8", 2),
 ])
 def test_p_group_unit_count_law(spec, p):
     A = alg(spec, p)
@@ -53,10 +53,72 @@ def test_enumeration_deterministic_and_lex_sorted():
 
 def test_enumeration_worker_count_does_not_change_result(monkeypatch):
     monkeypatch.setattr(un, "_CHUNK", 8)  # force multiple chunks
-    A = alg("catalog:S3", 2)
-    V1 = m.enumerate_units(A, workers=1)
-    V2 = m.enumerate_units(A, workers=4)
-    assert (V1.vectors == V2.vectors).all()
+    # O_3(D6) = C3, so D6@3 eliminates on the 27 candidates of F[D6/C3]
+    for spec, p in (("catalog:S3", 2), ("catalog:D,6", 3)):
+        A = alg(spec, p)
+        V1 = m.enumerate_units(A, workers=1)
+        V2 = m.enumerate_units(A, workers=4)
+        assert (V1.vectors == V2.vectors).all(), spec
+
+
+def test_pool_size_is_capped_by_chunk_count(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(un, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(un, "_CHUNK", 8)
+    A = alg("catalog:S3", 2)  # O_2(S3) = 1: 2^5 candidates in 4 chunks
+    V = m.enumerate_units(A, workers=5000)
+    assert sizes == [4]
+    assert (V.vectors == m.enumerate_units(A).vectors).all()
+
+
+def _reference_units(A):
+    """The direct oracle: elimination on the regular matrix of every aug-1 candidate of FG."""
+    from modunits._gflinalg import batch_invertible_mask
+
+    n, p = A.dim, A.p
+    total = p ** (n - 1)
+    parts = []
+    for lo in range(0, total, un._CHUNK):
+        vec = un._candidate_vectors(p, n, A.group.identity, lo, min(lo + un._CHUNK, total))
+        parts.append(vec[batch_invertible_mask(vec[:, A.div], p)])
+    return un.UnitGroup(A, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("spec,p", [
+    (spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3)
+    if p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= 2**18])
+def test_quotient_lift_matches_direct_elimination(spec, p):
+    A = alg(spec, p)
+    assert (m.enumerate_units(A).vectors == _reference_units(A).vectors).all()
+
+
+def test_quotient_lift_agrees_with_try_inverse_on_d10():
+    # O_2(D10) has order 2: the elimination runs on F2[D5], not on the
+    # 20x20 regular matrices of F2[D10]
+    A = alg("catalog:D,10", 2)
+    V = m.enumerate_units(A)
+    rng = np.random.default_rng(2024)
+    units = 0
+    for i in rng.integers(0, 2 ** (A.dim - 1), size=200):
+        vec = un._candidate_vectors(2, A.dim, A.group.identity, int(i), int(i) + 1)[0]
+        is_unit = A.from_coeffs(vec).try_inverse() is not None
+        assert (V.position_of_vector(vec) >= 0) == is_unit, int(i)
+        units += is_unit
+    assert 0 < units < 200
 
 
 def test_batch_invertibility_matches_per_element_inverse():
@@ -152,6 +214,14 @@ def test_filter_unitary_contains_group_elements():
     for u in Vs:
         assert u.is_unitary()
         assert u.involution() == u.try_inverse()
+
+
+def test_filter_unitary_row_blocks_do_not_change_result(monkeypatch):
+    V = m.enumerate_units(alg("catalog:Q8", 3))
+    whole = m.filter_unitary(V)
+    monkeypatch.setattr(un, "_CHUNK", 7)  # 384 rows in 55 blocks, the last one short
+    assert (m.filter_unitary(V).vectors == whole.vectors).all()
+    assert len(whole) == 192
 
 
 def test_filter_unitary_f3s3_is_embedded_group_only():
