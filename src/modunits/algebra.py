@@ -3,7 +3,8 @@
 An element is a dense vector of residues indexed by group-element index.
 The classical involution sends a group element to its inverse; a unit is
 *unitary* when its involution is its inverse.  Only prime fields are
-supported.
+supported.  Every product in GF(p)[G] goes through GroupAlgebra.multiply, an
+exact int64 kernel; an algebra whose sums could overflow it is refused.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ import numpy as np
 
 from . import groups as gr
 from ._gflinalg import solve_mod_p
-from .errors import ContextMismatch, NotAUnit, NotPrime, OrderMismatch
+from .errors import AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch
 
 
 class GroupAlgebra:
     """Context object: the group, the characteristic, and cached index tables."""
 
-    __slots__ = ("group", "p", "div", "_one_vec")
+    __slots__ = ("group", "p", "div", "_ldiv", "_one_vec")
 
     def __init__(self, group: gr.FiniteGroup, p: int):
+        # first, so that a huge p is refused before a primality test on it
+        if group.order * (p - 1) ** 2 >= 2**63:
+            raise AlgebraTooLarge(
+                f"GF({p})[{group.name}]: |G|*(p-1)^2 must stay below 2^63 "
+                f"for exact int64 products")
         if not gr.is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.group = group
@@ -29,6 +35,10 @@ class GroupAlgebra:
         div = group.mul[:, group.inv]
         div.setflags(write=False)
         self.div = div
+        # _ldiv[g, k] = g^-1 * k, the h with g*h = k
+        ldiv = np.ascontiguousarray(group.mul[group.inv])
+        ldiv.setflags(write=False)
+        self._ldiv = ldiv
         one = np.zeros(group.order, dtype=np.int64)
         one[group.identity] = 1
         one.setflags(write=False)
@@ -86,6 +96,20 @@ class GroupAlgebra:
             x = int(self.group.mul[x, c])
         return AlgebraElement(self, vec % self.p)
 
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product a*b of int64 residue arrays whose first axis is the group.
+
+        Trailing axes broadcast: (n,) x (n,) multiplies two elements,
+        (n, 1) x (n, m) one element by m, (n, m) x (n, m) m pairs.  Summing
+        a[g] * b[g^-1 k] over the support of a keeps every partial sum below
+        dim * (p-1)^2 < 2^63, so the result is exact.
+        """
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for g in np.flatnonzero(a.reshape(a.shape[0], -1).any(axis=1)):
+            out += a[g] * b[self._ldiv[g]]
+        out %= self.p
+        return out
+
     def random_element(self, rng) -> "AlgebraElement":
         return AlgebraElement(self, rng.integers(0, self.p, size=self.dim).astype(np.int64))
 
@@ -117,17 +141,11 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, (-self.coeffs) % self.algebra.p)
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer)):
-            return AlgebraElement(self.algebra, (self.coeffs * int(other)) % self.algebra.p)
-        self._check(other)
         alg = self.algebra
-        out = np.zeros(alg.dim, dtype=np.int64)
-        mul = alg.group.mul
-        b = other.coeffs
-        for g in np.nonzero(self.coeffs)[0]:
-            # a row of the Cayley table is a permutation, so indices are unique
-            out[mul[g]] += int(self.coeffs[g]) * b
-        return AlgebraElement(alg, out % alg.p)
+        if isinstance(other, (int, np.integer)):
+            return AlgebraElement(alg, (self.coeffs * (int(other) % alg.p)) % alg.p)
+        self._check(other)
+        return AlgebraElement(alg, alg.multiply(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, np.integer)):

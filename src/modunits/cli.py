@@ -26,6 +26,7 @@ from .report import (
     VerificationReport,
     emit_report,
     parse_config_file,
+    parse_primes,
     run_catalog,
     run_single,
     _run_witnesses,
@@ -141,8 +142,7 @@ def main(argv=None) -> int:
                     config = replace(config, workers=args.workers)
             else:
                 config = _config_from_args(args)
-                primes = tuple(int(x) for x in args.primes.split(",") if x.strip())
-                config = replace(config, primes=primes)
+                config = replace(config, primes=parse_primes(args.primes))
             report = run_catalog(config)
             return _emit_and_exit(report, args)
         if args.command == "witness":

@@ -16,7 +16,7 @@ class InvalidSpec(ModunitsError):
 
 class InvalidConfig(ModunitsError, ValueError):
     """A config file cannot be read, or a line is malformed, has an unknown key or an
-    unparsable value."""
+    unparsable value; or a run setting, from a file or a flag, is out of range."""
 
 
 class ClosureExceedsCap(ModunitsError):
@@ -25,6 +25,10 @@ class ClosureExceedsCap(ModunitsError):
 
 class NotPrime(ModunitsError):
     """A parameter that must be prime is not."""
+
+
+class AlgebraTooLarge(ModunitsError):
+    """|G| * (p-1)^2 reaches 2^63, so int64 products in GF(p)[G] could overflow."""
 
 
 class ContextMismatch(ModunitsError):

@@ -57,9 +57,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.enumeration_cap <= 0 or self.abstract_cap <= 0:
-            raise ValueError("caps must be positive")
+            raise InvalidConfig("caps must be positive")
         if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+            raise InvalidConfig(f"unknown output format {self.output_format!r}")
 
 
 @dataclass
@@ -84,9 +84,17 @@ class VerificationReport:
         return all(v.consistent for v in self.verdicts)
 
 
+def parse_primes(text: str) -> tuple[int, ...]:
+    """A comma-separated prime list, as in '2,3'; raises InvalidConfig."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise InvalidConfig(f"bad prime list {text!r}") from None
+
+
 # config key -> (RunConfig field, parser of the value text)
 _CONFIG_KEYS = {
-    "primes": ("primes", lambda v: tuple(int(x) for x in v.split(",") if x.strip())),
+    "primes": ("primes", parse_primes),
     **{key: (key, int) for key in ("enumeration_cap", "abstract_cap", "engel_budget",
                                    "seed", "workers", "group_order_cap")},
     "time_budget_s": ("time_budget_s", float),

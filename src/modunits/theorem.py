@@ -34,7 +34,6 @@ class Budgets:
 
     enumeration_cap: int = 2**20
     abstract_cap: int = 4096
-    commutative_scan_cap: int = 8192
     engel_budget: int = 400
     engel_n_max: int = 256
     seed: int = 0
@@ -299,19 +298,14 @@ def _scan_non_engel(A: gr.FiniteGroup, U: UnitGroup, step_budget: int = 200_000
     return None
 
 
-def _all_commute(U: UnitGroup) -> bool:
-    if U.algebra.group.is_abelian():
-        return True  # the whole algebra is commutative
-    for i in range(len(U)):
-        if not (U._products_of(i) == U._right_products_of(i)).all():
-            return False
-    return True
-
-
 def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
+    """Status of U, which is V or V*.  Since G <= V* <= V, U is abelian exactly
+    when G is, and then it has class 1 (class 0 when trivial)."""
+    m = len(U)
+    if U.algebra.group.is_abelian():
+        return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
     if budgets.out_of_time():
         return VStatus("skipped", reason="time budget exceeded")
-    m = len(U)
     if m <= budgets.abstract_cap:
         A = as_abstract_group(U, cap=budgets.abstract_cap)
         klass = gr.nilpotency_class(A)
@@ -324,8 +318,6 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
         if pair is None:
             return VStatus("skipped", reason="witness search exhausted")
         return VStatus("non_nilpotent", witness=pair)
-    if m <= budgets.commutative_scan_cap and _all_commute(U):
-        return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
     pair = find_non_engel_pair(U, budget=budgets.engel_budget,
                                seed=budgets.seed, n_max=budgets.engel_n_max)
     if pair is None:
@@ -340,8 +332,8 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     All failure modes land in skipped statuses; a skipped status never makes
     the verdict inconsistent.
     """
-    criterion = group_criterion(G, p)
     algebra = GroupAlgebra(G, p)
+    criterion = group_criterion(G, p)
     v_status = vstar_status = None
     v_order = vstar_order = None
     try:

@@ -32,13 +32,6 @@ ABSTRACT_GROUP_CAP = 4096
 _CHUNK = 1 << 14
 
 
-def _lex_sorted(vectors: np.ndarray) -> np.ndarray:
-    if vectors.shape[0] <= 1:
-        return vectors
-    order = np.lexsort(vectors[:, ::-1].T)
-    return vectors[order]
-
-
 class UnitGroup:
     """An explicit finite set of units, stored lexicographically sorted.
 
@@ -48,11 +41,12 @@ class UnitGroup:
     """
 
     def __init__(self, algebra: GroupAlgebra, vectors: np.ndarray):
-        vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.int64) % algebra.p)
+        vectors = np.asarray(vectors, dtype=np.int64)
+        if vectors.size and (vectors.min() < 0 or vectors.max() >= algebra.p):
+            vectors = vectors % algebra.p
         self.algebra = algebra
-        self.vectors = _lex_sorted(vectors)
+        self.vectors = vectors[np.lexsort(vectors[:, ::-1].T)]  # a sorted copy
         self.vectors.setflags(write=False)
-        self._vt = None  # cached float transpose for batched products
         n = algebra.dim
         p = algebra.p
         # mixed-radix codes (most significant first) preserve lexicographic order
@@ -111,30 +105,6 @@ class UnitGroup:
             out[i] = self._byte_index.get(np.ascontiguousarray(mat[i]).tobytes(), -1)
         return out
 
-    def _float_t(self) -> np.ndarray:
-        if self._vt is None:
-            self._vt = self.vectors.T.astype(np.float64)
-        return self._vt
-
-    def _products_of(self, i: int) -> np.ndarray:
-        """All products element(i) * element(j), as a (m, n) residue matrix.
-
-        Entries of the float matmul are bounded by dim * (p-1)^2, far below
-        2^53, so the computation is exact.
-        """
-        alg = self.algebra
-        M = self.vectors[i][alg.div].astype(np.float64)
-        prods = M @ self._float_t()
-        return (prods % alg.p).astype(np.int64).T
-
-    def _right_products_of(self, i: int) -> np.ndarray:
-        """All products element(j) * element(i), same layout as _products_of."""
-        alg = self.algebra
-        G = alg.group
-        rmat = self.vectors[i][G.mul[G.inv]].T.astype(np.float64)
-        prods = rmat @ self._float_t()
-        return (prods % alg.p).astype(np.int64).T
-
     def verify_closure(self) -> None:
         """Raise ValueError unless the set is a group: exhaustive, one table pass."""
         for _ in _product_rows(self):
@@ -149,8 +119,9 @@ def _product_rows(U: UnitGroup) -> Iterator[np.ndarray]:
     closed under products is two-sided (ab = bc = 1 gives a = abc = c), so a
     set whose rows all pass is a group.
     """
+    members = np.ascontiguousarray(U.vectors.T)  # group axis first, for multiply
     for i in range(len(U)):
-        pos = U.positions_of(U._products_of(i))
+        pos = U.positions_of(U.algebra.multiply(members[:, i, None], members).T)
         if (pos < 0).any():
             raise ValueError("unit set not closed under multiplication")
         if not (pos == U.one_position).any():
@@ -221,7 +192,9 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     for lo in range(0, required, _CHUNK):
         vec = _candidate_vectors(p, n, G.identity, lo, min(lo + _CHUNK, required))
         parts.append(vec[q_units[vec[:, cosets].sum(axis=2) % p @ weights]])
-    return UnitGroup(algebra, np.concatenate(parts, axis=0))
+    units = np.concatenate(parts, axis=0)
+    del parts  # so the sorted copy UnitGroup makes is the only other one alive
+    return UnitGroup(algebra, units)
 
 
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
@@ -229,16 +202,11 @@ def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
     so augmentation needs no test.  Rows are tested in blocks of _CHUNK, which
     bounds the temporaries.  ``seed`` is unused."""
     alg = V.algebra
-    mul = alg.group.mul
     mask = np.empty(len(V), dtype=bool)
     for lo in range(0, len(V), _CHUNK):
-        vec = V.vectors[lo:lo + _CHUNK]
-        star = vec[:, alg.group.inv]
-        prod = np.zeros_like(vec)
-        for g in range(alg.dim):
-            prod[:, mul[g]] += star[:, g, None] * vec
-        prod %= alg.p
-        mask[lo:lo + _CHUNK] = (prod == alg._one_vec).all(axis=1)
+        block = np.ascontiguousarray(V.vectors[lo:lo + _CHUNK].T)  # group axis first
+        prod = alg.multiply(block[alg.group.inv], block)
+        mask[lo:lo + _CHUNK] = (prod == alg._one_vec[:, None]).all(axis=0)
     return UnitGroup(alg, V.vectors[mask])
 
 

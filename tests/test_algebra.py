@@ -70,6 +70,50 @@ def test_mul_matches_regular_matrix_oracle():
             assert ((a * b).coeffs == expected).all()
 
 
+@pytest.mark.parametrize("spec,p", [
+    ("catalog:C,2", 2), ("catalog:Q8", 2), ("catalog:S3", 3), ("catalog:S3", 5),
+    ("catalog:D,4", 7),
+])
+def test_multiply_matches_regular_matrix_oracle_in_every_shape(spec, p):
+    algebra = alg(spec, p)
+    rng = np.random.default_rng(5)
+    elems = [algebra.random_element(rng) for _ in range(9)]
+    many = np.stack([e.coeffs for e in elems], axis=1)  # (n, 9), group axis first
+    oracles = [regular_matrix_oracle(e) for e in elems]
+    # element x element
+    for a, M in zip(elems, oracles):
+        for b in elems:
+            assert (algebra.multiply(a.coeffs, b.coeffs) == M @ b.coeffs % p).all()
+    # one x many: an (n, 1) element against every column
+    for a, M in zip(elems, oracles):
+        assert (algebra.multiply(a.coeffs[:, None], many) == M @ many % p).all()
+    # pairwise row block: column j is elems[j] * elems[8 - j]
+    got = algebra.multiply(many, many[:, ::-1])
+    for j, M in enumerate(oracles):
+        assert (got[:, j] == M @ elems[8 - j].coeffs % p).all()
+
+
+# the primes either side of the kernel's bound |G|*(p-1)^2 < 2^63 at |G| = 4
+P_BELOW, P_ABOVE = 1518500213, 1518500279
+
+
+def test_products_stay_exact_up_to_the_int64_bound():
+    assert 4 * (P_BELOW - 1) ** 2 < 2**63 <= 4 * (P_ABOVE - 1) ** 2
+    F = alg("catalog:C,4", P_BELOW)
+    a = F.from_coeffs([P_BELOW - 1] * 4)  # -(1 + g + g^2 + g^3)
+    assert (a * a).coeffs.tolist() == [4] * 4
+    big = 2**64 + 3  # reduced mod p before it multiplies
+    assert (a * big).coeffs.tolist() == [(P_BELOW - 1) * big % P_BELOW] * 4
+    assert big * a == a * (big % P_BELOW)
+
+
+@pytest.mark.parametrize("p", [P_ABOVE, 2147483647])
+def test_algebra_refuses_primes_past_the_int64_bound(p):
+    with pytest.raises(m.errors.AlgebraTooLarge, match="2\\^63"):
+        alg("catalog:C,4", p)
+    assert issubclass(m.errors.AlgebraTooLarge, m.errors.ModunitsError)
+
+
 def test_regular_matrix_property_matches_oracle():
     rng = np.random.default_rng(4)
     for _ in range(20):

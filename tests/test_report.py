@@ -188,6 +188,43 @@ def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
     assert captured.err.startswith("error: config line 2: ")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["catalog", "--primes", "2,x"], "error: bad prime list '2,x'\n"),
+    (["verify", "--spec", "catalog:S3", "--p", "2", "--cap", "0"],
+     "error: caps must be positive\n"),
+    (["verify", "--spec", "catalog:S3", "--p", "2", "--abstract-cap", "0"],
+     "error: caps must be positive\n"),
+])
+def test_cli_bad_flag_value_exits_2(capsys, argv, message):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_prime_past_the_int64_bound_fails_the_entry_and_exits_2(capsys):
+    report = run_single("catalog:C,4", 2147483647, RunConfig())
+    assert not report.passed
+    assert report.verdicts[0].v_status.reason.startswith(
+        "entry failed: GF(2147483647)[C4]: |G|*(p-1)^2 must stay below 2^63")
+    assert "ring_associativity" not in report.properties
+    # refused before a primality test, which would take ~10^10 steps here
+    huge = run_single("catalog:C,4", 10**20 + 39, RunConfig())
+    assert huge.verdicts[0].v_status.reason.startswith("entry failed: GF(100000000000000000039)")
+    rc = cli.main(["enumerate-units", "--spec", "catalog:C,4", "--p", "2147483647"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: GF(2147483647)[C4]: ")
+
+
+def test_prime_just_below_the_int64_bound_passes():
+    report = run_single("catalog:C,4", 1518500213, RunConfig())
+    assert report.passed
+    assert report.properties["ring_associativity"] == [20, 0]
+
+
 def test_cli_catalog_missing_config_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     rc = cli.main(["catalog", "--config", str(missing)])

@@ -13,7 +13,7 @@ from modunits.errors import (
     PreconditionViolated,
     PredicateNotSatisfied,
 )
-from modunits.theorem import Budgets
+from modunits.theorem import Budgets, VStatus
 
 
 def group(spec):
@@ -289,12 +289,21 @@ def test_verify_equivalence_honest_skip_when_class_path_unavailable():
     # tiny abstract cap: V(F2D4) is nilpotent, so falsification finds nothing
     # and the status degrades to an explicit skip instead of a wrong verdict
     G = group("catalog:D,4")
-    v = m.verify_equivalence(G, 2, Budgets(abstract_cap=16, commutative_scan_cap=16,
-                                           engel_budget=50))
+    v = m.verify_equivalence(G, 2, Budgets(abstract_cap=16, engel_budget=50))
     assert v.criterion
     assert v.v_status.skipped
     assert v.v_status.reason == "falsification inconclusive"
     assert v.consistent
+
+
+@pytest.mark.parametrize("spec,v_order,klass", [("catalog:C,16", 2**15, 1),
+                                                  ("catalog:C,1", 1, 0)])
+def test_abelian_unit_groups_are_decided_from_g(spec, v_order, klass):
+    # V(F2 C16) exceeds abstract_cap, and is abelian because C16 is
+    v = m.verify_equivalence(group(spec), 2)
+    assert v.v_order == v_order
+    assert v.v_status == v.vstar_status == VStatus("nilpotent", nilpotency_class=klass)
+    assert v.criterion and v.consistent
 
 
 def test_order_60_perfect_group_machinery():

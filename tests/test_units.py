@@ -1,5 +1,7 @@
 """Unit enumeration oracles: counts, closure, abstract views, Engel tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,45 @@ def test_verify_closure_on_catalog_unit_groups():
                 m.filter_unitary(V).verify_closure()
                 checked += 1
     assert checked == 21 and closures > 0
+
+
+def test_enumeration_holds_few_copies_of_the_unit_set():
+    A = alg("catalog:D,10", 2)
+    tracemalloc.start()
+    try:
+        V = m.enumerate_units(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(V) == 368_640
+    assert peak <= 2.5 * V.vectors.nbytes
+
+
+def test_byte_keyed_lookup_in_witness_closure():
+    # n log2 p = 42 log2 3 >= 62, so UnitGroup keys its rows by their bytes
+    A = alg("prod:catalog:D,7|catalog:C,3", 3)
+    G = A.group
+    assert A.dim == 42 and A.dim * np.log2(3) >= 62
+    involutions = [x for x in G.elements() if m.element_order(G, x) == 2]
+    a, b = next((a, b) for a in involutions for b in involutions
+                if m.commutator(G, a, b) != G.identity
+                and m.element_order(G, int(G.mul[a, b])) > 2)
+    c = m.central_order_p_elements(G, 3)[0]
+    w = m.witness_skew(A, int(G.mul[a, b]), c)
+    U = m.closure_subgroup([w, A.embed(a)])
+    assert U._weights is None
+    rows = {U.vectors[i].tobytes(): i for i in range(len(U))}
+    outsider = A.embed(b)  # an involution outside the closure
+    assert outsider.coeffs.tobytes() not in rows
+    probe = np.vstack([U.vectors[::-1], outsider.coeffs])
+    expected = [rows.get(row.tobytes(), -1) for row in probe]
+    assert U.positions_of(probe).tolist() == expected
+    assert [U.index_of(u) for u in U] == list(range(len(U)))
+    assert U.index_of(outsider) == -1
+    U.verify_closure()
+    table = m.as_abstract_group(U)
+    assert table.order == 6
+    assert m.nilpotency_class(table) is m.NOT_NILPOTENT
 
 
 # ---------------------------------------------------------------------------
