@@ -65,6 +65,8 @@ from .units import (
     enumerate_units,
     filter_unitary,
     find_non_engel_pair,
+    lower_central_series_of_units,
+    non_engel_scan,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +110,9 @@ __all__ = [
     "is_p_group",
     "left_normed_commutator",
     "lower_central_series",
+    "lower_central_series_of_units",
     "nilpotency_class",
+    "non_engel_scan",
     "parse_config_file",
     "parse_group_spec",
     "quaternion8",

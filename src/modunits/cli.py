@@ -48,7 +48,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=2**20,
                         help="enumeration cap on candidate count (default 2^20)")
     parser.add_argument("--abstract-cap", type=int, default=4096,
-                        help="largest unit group materialized as a Cayley table")
+                        help="largest unit group whose lower central series is "
+                             "computed, and the bound of the lex witness scan")
     parser.add_argument("--engel-budget", type=int, default=400,
                         help="random pair attempts in the falsification search")
     parser.add_argument("--seed", type=int, default=0)
@@ -127,6 +128,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             config = _config_from_args(args)
+            _check_prime(args.spec, args.p, config)
             report = run_single(args.spec, args.p, config)
             return _emit_and_exit(report, args)
         if args.command == "catalog":
@@ -153,6 +155,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
+
+
+def _check_prime(spec_text: str, p: int, config: RunConfig) -> None:
+    """Raise NotPrime or AlgebraTooLarge for a p that GF(p)[G] refuses, so that
+    `verify` treats a bad prime as bad input, as `witness` and
+    `enumerate-units` do.  A bad spec is left to fail its report entry."""
+    try:
+        G = build_group(parse_group_spec(spec_text), cap=config.group_order_cap)
+    except (ModunitsError, ValueError):
+        return
+    GroupAlgebra(G, p)
 
 
 def _cmd_witness(args) -> int:

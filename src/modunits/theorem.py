@@ -8,7 +8,6 @@ the enumerated normalized unit group and of its unitary subgroup.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,10 +20,11 @@ from .units import (
     UnitGroup,
     as_abstract_group,
     closure_subgroup,
-    engel_orbit,
     enumerate_units,
     filter_unitary,
     find_non_engel_pair,
+    lower_central_series_of_units,
+    non_engel_scan,
 )
 
 
@@ -288,35 +288,26 @@ def centralizer_power_property(G: gr.FiniteGroup, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # the equivalence verdict
 
-def _scan_non_engel(A: gr.FiniteGroup, U: UnitGroup, step_budget: int = 200_000
-                    ) -> tuple[AlgebraElement, AlgebraElement] | None:
-    """Deterministic lex-order backstop for witness extraction."""
-    for i, j in itertools.islice(itertools.product(range(A.order), repeat=2), step_budget):
-        outcome = engel_orbit(i, lambda z: gr.commutator(A, z, j), A.identity, 512)
-        if outcome is not None and outcome.nontrivial:
-            return U.element(i), U.element(j)
-    return None
-
-
 def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     """Status of U, which is V or V*.  Since G <= V* <= V, U is abelian exactly
-    when G is, and then it has class 1 (class 0 when trivial)."""
+    when G is, and then it has class 1 (class 0 when trivial).
+
+    Up to abstract_cap elements the lower central series, computed from
+    generators, decides U; a non-nilpotent U gets the first non-Engel pair of
+    the lex scan, or else one from the seeded search.  A larger U gets only
+    the seeded search, which can prove non-nilpotency but never nilpotency.
+    """
     m = len(U)
     if U.algebra.group.is_abelian():
         return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
     if budgets.out_of_time():
         return VStatus("skipped", reason="time budget exceeded")
     if m <= budgets.abstract_cap:
-        A = as_abstract_group(U, cap=budgets.abstract_cap)
-        klass = gr.nilpotency_class(A)
-        if klass is not gr.NOT_NILPOTENT:
-            return VStatus("nilpotent", nilpotency_class=int(klass))
-        pair = _scan_non_engel(A, U)
-        if pair is None:
-            pair = find_non_engel_pair(U, budget=budgets.engel_budget,
-                                       seed=budgets.seed, n_max=budgets.engel_n_max)
-        if pair is None:
-            return VStatus("skipped", reason="witness search exhausted")
+        series = lower_central_series_of_units(U, seed=budgets.seed)
+        if series[-1].size == 1:
+            return VStatus("nilpotent", nilpotency_class=len(series) - 1)
+        pair = non_engel_scan(U) or find_non_engel_pair(
+            U, budget=budgets.engel_budget, seed=budgets.seed, n_max=budgets.engel_n_max)
         return VStatus("non_nilpotent", witness=pair)
     pair = find_non_engel_pair(U, budget=budgets.engel_budget,
                                seed=budgets.seed, n_max=budgets.engel_n_max)

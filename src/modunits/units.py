@@ -6,8 +6,14 @@ oracle everything else is checked against.  Invertibility is decided by
 Gaussian elimination in F[G/O_p(G)], whose augmentation-1 vectors are far
 fewer, and lifted to FG through the coset-sum map.  filter_unitary carves
 out the units fixed into inverses by the classical involution.
-as_abstract_group turns a unit set into a Cayley-table group so the
-nilpotency machinery from ``groups`` applies to it.
+
+lower_central_series_of_units computes the lower central series of a unit
+group from a generating set, with no Cayley table.  non_engel_scan (the
+lex-first pair) and find_non_engel_pair (seeded pairs) look for a non-Engel
+pair with batched Engel orbits.  All of them move through U by batched
+products, each checked to be a member.  as_abstract_group still turns a unit
+set into a Cayley-table group, so that the machinery of ``groups`` can check
+them.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -90,8 +96,11 @@ class UnitGroup:
         return self.index_of(u) >= 0
 
     def positions_of(self, mat: np.ndarray) -> np.ndarray:
-        """Batch lookup; -1 marks vectors that are not members."""
-        mat = np.asarray(mat, dtype=np.int64) % self.algebra.p
+        """Batch lookup; -1 marks vectors that are not members.  Entries are
+        reduced mod p only when some entry is out of range."""
+        mat = np.asarray(mat, dtype=np.int64)
+        if mat.size and (mat.min() < 0 or mat.max() >= self.algebra.p):
+            mat = mat % self.algebra.p
         if len(self) == 0:
             return np.full(mat.shape[0], -1, dtype=np.int64)
         if self._weights is not None:
@@ -260,6 +269,126 @@ def as_abstract_group(U: UnitGroup, cap: int = ABSTRACT_GROUP_CAP) -> gr.FiniteG
 
 
 # ---------------------------------------------------------------------------
+# the lower central series from generators
+
+def _products(U: UnitGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Positions of the products U[a[k]] * U[b[k]] (a and b broadcast).
+
+    Computed in row blocks of _CHUNK.  Raises ValueError when a product is
+    not a member, so a fault cannot carry a computation outside U.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    out = np.empty(a.shape, dtype=np.int64)
+    for lo in range(0, a.size, _CHUNK):
+        prod = U.algebra.multiply(U.vectors[a[lo:lo + _CHUNK]].T,
+                                  U.vectors[b[lo:lo + _CHUNK]].T)
+        pos = U.positions_of(prod.T)
+        if (pos < 0).any():
+            raise ValueError("unit set not closed under multiplication")
+        out[lo:lo + _CHUNK] = pos
+    return out
+
+
+def _inverses(U: UnitGroup, a: np.ndarray) -> np.ndarray:
+    """Positions of the inverses, as x^(|U|-1): x^|U| = 1 by Lagrange."""
+    acc = np.full(len(a), U.one_position, dtype=np.int64)
+    base, k = np.asarray(a, dtype=np.int64), len(U) - 1
+    while k:
+        if k & 1:
+            acc = _products(U, acc, base)
+        k >>= 1
+        if k:
+            base = _products(U, base, base)
+    return acc
+
+
+class _Closure:
+    """The subgroup of U generated by ``gens``, grown one generator at a time.
+
+    With conjugators S = ``conj`` it is the normal closure of ``gens`` in
+    <S>: the least set holding 1 that is closed under right multiplication
+    by each generator and conjugation by each s in S.  That set also absorbs
+    right multiplication by every conjugate of a generator (x c^s =
+    (x^(s^-1) c)^s, and s^-1 is a power of s), so it is a subgroup, and
+    normal.  A new generator x extends the set breadth-first from H*x, so
+    each member meets each move once.
+    """
+
+    def __init__(self, U: UnitGroup, conj=(), conj_inv=()):
+        self.U = U
+        self.inside = np.zeros(len(U), dtype=bool)
+        self.inside[U.one_position] = True
+        self.members = [np.array([U.one_position], dtype=np.int64)]
+        self.size = 1
+        self.gens: list[int] = []
+        self.conj = np.asarray(conj, dtype=np.int64)
+        self.conj_inv = np.asarray(conj_inv, dtype=np.int64)
+
+    def add(self, x: int) -> None:
+        """Extend by the generator x; does nothing when x is already inside."""
+        if self.inside[x]:
+            return
+        self.gens.append(int(x))
+        U, gens = self.U, np.array(self.gens, dtype=np.int64)
+        frontier = self._keep_new(_products(U, np.concatenate(self.members), x))
+        while frontier.size:
+            f, k = frontier.size, self.conj.size
+            conjugated = _products(U, _products(U, np.tile(self.conj_inv, f),
+                                                np.repeat(frontier, k)),
+                                   np.tile(self.conj, f))
+            moved = _products(U, np.repeat(frontier, gens.size), np.tile(gens, f))
+            frontier = self._keep_new(np.concatenate([moved, conjugated]))
+
+    def _keep_new(self, pos: np.ndarray) -> np.ndarray:
+        new = np.unique(pos)
+        new = new[~self.inside[new]]
+        self.inside[new] = True
+        self.members.append(new)
+        self.size += new.size
+        return new
+
+
+def lower_central_series_of_units(U: UnitGroup, seed: int = 0) -> list[np.ndarray]:
+    """gamma_1 >= gamma_2 >= ... of U as sorted position arrays, computed from
+    generators until a term is trivial or repeats.
+
+    S is a greedy generating set: members of U in a seeded random order, each
+    kept when it lies outside the closure of those kept before, until the
+    closure has |U| elements.  With gens(gamma_1) = S, gamma_(i+1) = [gamma_i, U]
+    is the normal closure in U of {(t, s) : t in gens(gamma_i), s in S}
+    (Robinson, A Course in the Theory of Groups, 5.1), and its generators
+    are the commutators that the normal closure kept.  A normal closure of
+    gens(gamma_i) suffices: modulo [gens, S] each generator is central, so
+    each of its conjugates commutes with U as well.  The terms agree with
+    groups.lower_central_series on the Cayley table of U.
+    """
+    m = len(U)
+    H = _Closure(U)
+    for x in np.random.default_rng(seed).permutation(m):
+        if H.size == m:
+            break
+        H.add(x)
+    S = np.array(H.gens, dtype=np.int64)
+    S_inv = _inverses(U, S)
+    terms = [np.arange(m, dtype=np.int64)]
+    T, T_inv = S, S_inv
+    while terms[-1].size > 1:
+        # (t, s) = t^-1 s^-1 t s for every t in T and s in S
+        k = S.size
+        commutators = _products(U, _products(U, np.repeat(T_inv, k), np.tile(S_inv, T.size)),
+                                _products(U, np.repeat(T, k), np.tile(S, T.size)))
+        N = _Closure(U, S, S_inv)
+        for c in commutators:
+            N.add(c)
+        terms.append(np.sort(np.concatenate(N.members)))
+        if N.size == terms[-2].size:
+            break
+        T = np.array(N.gens, dtype=np.int64)
+        T_inv = _inverses(U, T)
+    return terms
+
+
+# ---------------------------------------------------------------------------
 # Engel machinery
 
 @dataclass(frozen=True)
@@ -311,22 +440,78 @@ def engel_test(x: AlgebraElement, y: AlgebraElement, n_max: int = 256) -> EngelO
     return outcome
 
 
+def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarray,
+                     y_inv: np.ndarray, n_max: int) -> int:
+    """Index of the first pair (x[k], y[k]) whose orbit z <- (z, y) from z = x
+    repeats a state other than 1 within n_max steps, the pairs engel_orbit
+    calls nontrivial; len(x) when there is none.
+
+    The orbits run together.  Each carries z^-1 along, since
+    (z, y)^-1 = y^-1 z^-1 y z, so a step is six products and no elimination.
+    Once a pair repeats, only the pairs before it keep running.
+    """
+    one = U.one_position
+    visited = np.zeros((x.size, len(U)), dtype=bool)
+    row, z, z_inv = np.arange(x.size), x.copy(), x_inv.copy()
+    first = x.size
+    for n in range(n_max + 1):
+        seen, moving = visited[row, z], z != one
+        if (seen & moving).any():
+            first = min(first, int(row[seen & moving].min()))
+        live = moving & ~seen & (row < first)
+        if n == n_max or not live.any():
+            break
+        row, z, z_inv = row[live], z[live], z_inv[live]
+        visited[row, z] = True
+        yr, yr_inv = y[row], y_inv[row]
+        z, z_inv = (_products(U, _products(U, z_inv, yr_inv), _products(U, z, yr)),
+                    _products(U, _products(U, yr_inv, z_inv), _products(U, yr, z)))
+    return first
+
+
+def _pair_block(U: UnitGroup) -> int:
+    """Pairs per batch of _first_non_engel: bounds its visited flags at 4 MiB."""
+    return max(1, (1 << 22) // len(U))
+
+
+def non_engel_scan(U: UnitGroup, max_pairs: int = 200_000, n_max: int = 512
+                   ) -> tuple[AlgebraElement, AlgebraElement] | None:
+    """The first pair (x, y) of positions in row-major order, among the first
+    max_pairs, whose orbit z <- (z, y) from z = x repeats a state other than 1
+    within n_max steps: the first pair engel_orbit calls nontrivial.
+
+    The inverses come from one table of x^(|U|-1) over U.
+    """
+    m = len(U)
+    inv = _inverses(U, np.arange(m))
+    total = min(max_pairs, m * m)
+    block = min(m, _pair_block(U))  # at most a row: the first witness is usually in row 0
+    for lo in range(0, total, block):
+        idx = np.arange(lo, min(lo + block, total), dtype=np.int64)
+        x, y = idx // m, idx % m
+        k = _first_non_engel(U, x, y, inv[x], inv[y], n_max)
+        if k < idx.size:
+            return U.element(int(x[k])), U.element(int(y[k]))
+    return None
+
+
 def find_non_engel_pair(U: UnitGroup, budget: int = 400, seed: int = 0,
                         n_max: int = 256) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Seeded random search for a pair witnessing non-nilpotency.
 
-    None means the search found nothing within its budget; it is not a proof
-    that every pair is Engel.
+    Draws ``budget`` pairs (x, y) uniformly from U and returns the first whose
+    engel_test is nontrivial; the orbits run batched through
+    _first_non_engel, with inverses x^(|U|-1).  None means the search found
+    nothing within its budget; it is not a proof that every pair is Engel.
     """
     rng = random.Random(seed)
     m = len(U)
-    for _ in range(budget):
-        x = U.element(rng.randrange(m))
-        y = U.element(rng.randrange(m))
-        try:
-            outcome = engel_test(x, y, n_max=n_max)
-        except EngelInconclusive:
-            continue
-        if outcome.nontrivial:
-            return x, y
+    draws = np.array([rng.randrange(m) for _ in range(2 * budget)], dtype=np.int64)
+    pairs = draws.reshape(-1, 2)  # drawn x, then y, for each attempt
+    block = _pair_block(U)
+    for lo in range(0, budget, block):
+        x, y = pairs[lo:lo + block, 0], pairs[lo:lo + block, 1]
+        k = _first_non_engel(U, x, y, _inverses(U, x), _inverses(U, y), n_max)
+        if k < x.size:
+            return U.element(int(x[k])), U.element(int(y[k]))
     return None

@@ -219,6 +219,19 @@ def test_prime_past_the_int64_bound_fails_the_entry_and_exits_2(capsys):
     assert captured.err.startswith("error: GF(2147483647)[C4]: ")
 
 
+@pytest.mark.parametrize("p,message", [
+    ("4", "error: 4 is not prime\n"),
+    ("2147483647", "error: GF(2147483647)[C4]: |G|*(p-1)^2 must stay below 2^63 "
+                   "for exact int64 products\n"),
+])
+def test_cli_verify_bad_prime_exits_2(capsys, p, message):
+    rc = cli.main(["verify", "--spec", "catalog:C,4", "--p", p])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_prime_just_below_the_int64_bound_passes():
     report = run_single("catalog:C,4", 1518500213, RunConfig())
     assert report.passed

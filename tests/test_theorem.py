@@ -13,6 +13,7 @@ from modunits.errors import (
     PreconditionViolated,
     PredicateNotSatisfied,
 )
+from modunits import theorem as th
 from modunits.theorem import Budgets, VStatus
 
 
@@ -293,6 +294,48 @@ def test_verify_equivalence_honest_skip_when_class_path_unavailable():
     assert v.criterion
     assert v.v_status.skipped
     assert v.v_status.reason == "falsification inconclusive"
+    assert v.consistent
+
+
+def test_verify_equivalence_skips_explicitly_over_the_enumeration_cap():
+    v = m.verify_equivalence(group("catalog:D,4"), 2, Budgets(enumeration_cap=64))
+    reason = "enumeration budget exceeded (needs 128)"
+    assert v.v_status == v.vstar_status == VStatus("skipped", reason=reason)
+    assert v.v_order is None and v.consistent
+
+
+@pytest.mark.parametrize("spec,v_class,vstar_class", [
+    ("catalog:D,8", 4, 3),
+    ("prod:catalog:D,4|catalog:C,2", 2, 2),
+    ("prod:catalog:Q8|catalog:C,2", 2, 2),
+])
+def test_series_decides_unit_groups_beyond_the_default_cap(spec, v_class, vstar_class):
+    # V has 2^15 elements; at the default abstract_cap only the Engel search
+    # runs on it, and that cannot prove nilpotency
+    G = group(spec)
+    v = m.verify_equivalence(G, 2, Budgets(abstract_cap=2**15))
+    assert v.v_order == 2**15 and m.group_criterion(G, 2)
+    assert v.v_status == VStatus("nilpotent", nilpotency_class=v_class)
+    assert v.vstar_status == VStatus("nilpotent", nilpotency_class=vstar_class)
+    assert v.consistent
+
+
+def test_nilpotency_status_builds_no_cayley_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Cayley table was built")
+
+    monkeypatch.setattr(th, "as_abstract_group", refuse)
+    monkeypatch.setattr(m.units, "_product_rows", refuse)
+    for spec, p in (("catalog:D,4", 2), ("catalog:D,6", 2), ("catalog:A4", 2)):
+        v = m.verify_equivalence(group(spec), p)
+        assert v.consistent and not v.v_status.skipped and not v.vstar_status.skipped
+
+
+def test_series_proves_non_nilpotency_without_a_witness(monkeypatch):
+    monkeypatch.setattr(th, "non_engel_scan", lambda U: None)
+    monkeypatch.setattr(th, "find_non_engel_pair", lambda U, **kwargs: None)
+    v = m.verify_equivalence(group("catalog:S3"), 2)
+    assert v.v_status == v.vstar_status == VStatus("non_nilpotent")
     assert v.consistent
 
 

@@ -1,5 +1,9 @@
-"""Unit enumeration oracles: counts, closure, abstract views, Engel tests."""
+"""Unit enumeration oracles: counts, closure, abstract views, Engel tests,
+the lower central series from generators and the batched witness scan."""
 
+import functools
+import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -428,6 +432,42 @@ def test_find_non_engel_pair_f2d4_none():
     assert m.find_non_engel_pair(V, budget=150, seed=0) is None
 
 
+def _find_non_engel_pair_reference(U, budget, seed, n_max):
+    """The element-at-a-time search: engel_test, with try_inverse at each step,
+    on the seeded pairs in draw order."""
+    rng = random.Random(seed)
+    for _ in range(budget):
+        x = U.element(rng.randrange(len(U)))
+        y = U.element(rng.randrange(len(U)))
+        try:
+            if m.engel_test(x, y, n_max=n_max).nontrivial:
+                return x, y
+        except EngelInconclusive:
+            continue
+    return None
+
+
+@pytest.mark.parametrize("spec,p,which,budget,n_max", [
+    ("catalog:S3", 2, "V", 40, 256), ("catalog:S3", 2, "V", 40, 1),
+    ("catalog:D,4", 2, "V", 60, 256), ("catalog:D,6", 2, "V", 30, 256),
+    ("catalog:A4", 2, "V*", 30, 3), ("catalog:Q8", 3, "V*", 30, 256),
+    ("catalog:D,6", 3, "V", 4, 256),
+])
+def test_batched_search_matches_element_search(spec, p, which, budget, n_max):
+    U = _unit_group(spec, p, which)
+    for seed in range(4):
+        got = m.find_non_engel_pair(U, budget=budget, seed=seed, n_max=n_max)
+        assert got == _find_non_engel_pair_reference(U, budget, seed, n_max)
+
+
+def test_batched_search_runs_in_blocks(monkeypatch):
+    U = _unit_group("catalog:D,6", 2, "V")
+    monkeypatch.setattr(un, "_pair_block", lambda U: 3)
+    for seed in range(6):
+        got = m.find_non_engel_pair(U, budget=20, seed=seed, n_max=4)
+        assert got == _find_non_engel_pair_reference(U, 20, seed, 4)
+
+
 def _table_engel_oracle(G, x, y, n_max=128):
     """Independent table-level Engel iteration with cycle detection."""
     z = x
@@ -452,3 +492,104 @@ def test_class_exists_iff_no_non_engel_pair():
         pair_free = all(_table_engel_oracle(A, i, j)
                         for i in range(A.order) for j in range(A.order))
         assert (klass is not m.NOT_NILPOTENT) == pair_free
+
+
+# ---------------------------------------------------------------------------
+# the lower central series from generators, and the batched witness scan
+
+def _scan_non_engel(A, U, step_budget=200_000):
+    """Reference witness scan on the Cayley table: the first pair (i, j) in
+    row-major order whose Engel orbit repeats a non-identity state."""
+    pairs = itertools.islice(itertools.product(range(A.order), repeat=2), step_budget)
+    for i, j in pairs:
+        outcome = un.engel_orbit(i, lambda z: m.commutator(A, z, j), A.identity, 512)
+        if outcome is not None and outcome.nontrivial:
+            return U.element(i), U.element(j)
+    return None
+
+
+# the 21 non-abelian unit groups with a Cayley table: V and V* of the
+# enumerable non-abelian catalog entries wherever |U| <= 4096, and V* of D8@2
+# and Q8xC2@2
+TABLED = [(spec, p, which) for spec, p, whiches in (
+    ("catalog:S3", 2, "V V*"), ("catalog:S3", 3, "V V*"), ("catalog:D,4", 2, "V V*"),
+    ("catalog:D,4", 3, "V V*"), ("catalog:Q8", 2, "V V*"), ("catalog:Q8", 3, "V V*"),
+    ("catalog:D,6", 2, "V V*"), ("catalog:D,6", 3, "V*"), ("catalog:A4", 2, "V V*"),
+    ("catalog:A4", 3, "V*"), ("prod:catalog:S3|catalog:C,3", 2, "V*"),
+    ("catalog:D,8", 2, "V*"), ("prod:catalog:Q8|catalog:C,2", 2, "V*"))
+    for which in whiches.split()]
+TABLED_IDS = [f"{spec}@{p}:{which}" for spec, p, which in TABLED]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_group(spec, p, which):
+    V = m.enumerate_units(alg(spec, p))
+    return V if which == "V" else m.filter_unitary(V)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(spec, p, which):
+    return m.as_abstract_group(_unit_group(spec, p, which))
+
+
+@pytest.mark.parametrize("spec,p,which", TABLED, ids=TABLED_IDS)
+def test_series_from_generators_matches_table_series(spec, p, which):
+    U = _unit_group(spec, p, which)
+    assert len(TABLED) == 21 and len(U) <= 4096
+    series = m.lower_central_series_of_units(U, seed=3)
+    reference = m.lower_central_series(_table(spec, p, which))
+    assert [term.tolist() for term in series] == [list(t.members) for t in reference]
+
+
+@pytest.mark.parametrize("spec,p,which", TABLED, ids=TABLED_IDS)
+def test_batched_witness_matches_reference_scan(spec, p, which):
+    U = _unit_group(spec, p, which)
+    reference = _scan_non_engel(_table(spec, p, which), U)
+    pair = m.non_engel_scan(U)
+    if reference is None:
+        assert pair is None
+    else:
+        assert (pair[0], pair[1]) == reference
+        assert m.engel_test(*pair, n_max=512).nontrivial
+
+
+def test_non_engel_scan_honours_its_pair_budget():
+    U = _unit_group("catalog:S3", 2, "V")
+    x, y = _scan_non_engel(_table("catalog:S3", 2, "V"), U)
+    k = U.index_of(x) * len(U) + U.index_of(y)  # row-major index of the first witness
+    assert m.non_engel_scan(U, max_pairs=k) is None
+    assert m.non_engel_scan(U, max_pairs=k + 1) == (x, y)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_series_does_not_depend_on_the_generating_set(seed):
+    U = _unit_group("catalog:D,6", 2, "V")
+    assert [t.size for t in m.lower_central_series_of_units(U, seed=seed)] == [768, 24, 12, 12]
+
+
+def test_series_of_abelian_and_trivial_unit_groups():
+    V = m.enumerate_units(alg("catalog:C,4", 2))
+    assert [t.size for t in m.lower_central_series_of_units(V)] == [8, 1]
+    one = m.enumerate_units(alg("catalog:C,1", 2))
+    assert [t.tolist() for t in m.lower_central_series_of_units(one)] == [[0]]
+
+
+def test_series_raises_when_a_product_leaves_the_unit_set():
+    A = alg("catalog:C,3", 3)
+    U = un.UnitGroup(A, np.stack([A.one().coeffs, A.embed(1).coeffs]))  # misses g^2
+    with pytest.raises(ValueError, match="not closed"):
+        m.lower_central_series_of_units(U)
+
+
+def test_positions_of_resolves_unreduced_and_negative_input():
+    V = m.enumerate_units(alg("catalog:S3", 3))
+    p, rows = 3, np.arange(len(V))
+    assert V.positions_of(V.vectors).tolist() == rows.tolist()
+    assert V.positions_of(V.vectors + p).tolist() == rows.tolist()
+    assert V.positions_of(V.vectors - 2 * p).tolist() == rows.tolist()
+    at_p = np.where(V.vectors == 0, p, V.vectors)  # largest entry exactly p
+    assert V.positions_of(at_p).tolist() == rows.tolist()
+    mixed = V.vectors.copy()
+    mixed[::2] -= p
+    assert V.positions_of(mixed).tolist() == rows.tolist()
+    assert V.positions_of(np.zeros((1, 6), dtype=np.int64) - p).tolist() == [-1]
