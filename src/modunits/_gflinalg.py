@@ -1,7 +1,8 @@
 """Dense exact linear algebra over the prime field GF(p).
 
-Plain Gaussian elimination, plus a batched variant that decides invertibility
-for many small matrices at once (the unit-enumeration hot path).
+One reduced row-echelon routine, which also solves linear systems, plus a
+batched elimination that decides invertibility for many small matrices at
+once (the unit-enumeration hot path).
 """
 
 from __future__ import annotations
@@ -22,40 +23,47 @@ def inverse_table(p: int) -> np.ndarray:
     return tab
 
 
+def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon form of mat over GF(p): its nonzero rows and their
+    pivot columns.
+
+    The rows span the row space of mat; each has a 1 at its pivot and every
+    other row a 0 there, so a vector v of the span is sum_j v[pivots[j]] * rows[j].
+    """
+    R = np.asarray(mat, dtype=work_dtype(p)) % p  # a fresh array, reduced in place
+    pivots: list[int] = []
+    row = 0
+    for col in range(R.shape[1]):
+        if row == R.shape[0]:
+            break
+        hit = np.nonzero(R[row:, col])[0]
+        if hit.size == 0:
+            continue
+        r = row + hit[0]
+        if r != row:
+            R[[row, r]] = R[[r, row]]
+        R[row] = (R[row] * pow(int(R[row, col]), p - 2, p)) % p
+        others = np.nonzero(R[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            R[others] = (R[others] - np.outer(R[others, col], R[row])) % p
+        pivots.append(col)
+        row += 1
+    return R[:row], np.array(pivots, dtype=np.int64)
+
+
 def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     """Solve mat @ x = rhs over GF(p); None if inconsistent.
 
     When the matrix is rank-deficient but the system is consistent, one
     solution is returned (free variables set to zero).
     """
-    dt = work_dtype(p)
-    n = mat.shape[0]
-    aug = np.concatenate([np.asarray(mat, dtype=dt) % p,
-                          (np.asarray(rhs, dtype=dt) % p)[:, None]], axis=1)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        hit = np.nonzero(aug[row:, col])[0]
-        if hit.size == 0:
-            continue
-        r = row + hit[0]
-        if r != row:
-            aug[[row, r]] = aug[[r, row]]
-        pinv = pow(int(aug[row, col]), p - 2, p)
-        aug[row] = (aug[row] * pinv) % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            aug[others] = (aug[others] - np.outer(aug[others, col], aug[row])) % p
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    if np.any(aug[row:, n]):
+    n = mat.shape[1]
+    rows, pivots = row_reduce(np.column_stack([mat, rhs]), p)
+    if pivots.size and pivots[-1] == n:  # a pivot in rhs: some row reads 0 = 1
         return None
-    x = np.zeros(n, dtype=dt)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, n]
+    x = np.zeros(n, dtype=work_dtype(p))
+    x[pivots] = rows[:, n]
     return x
 
 

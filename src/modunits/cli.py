@@ -6,15 +6,13 @@ Subcommands:
     witness          run one witness construction family on a group
     enumerate-units  enumerate normalized units and the unitary subgroup
 
-Worker count comes from --workers or the MODUNITS_WORKERS environment
-variable; reports are byte-identical for any worker count at fixed seed.
+Reports are byte-identical from run to run at a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -34,16 +32,6 @@ from .report import (
 )
 from .units import enumerate_units, filter_unitary
 
-ENV_WORKERS = "MODUNITS_WORKERS"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_WORKERS, "1")))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=2**20,
                         help="enumeration cap on candidate count (default 2^20)")
@@ -53,8 +41,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engel-budget", type=int, default=400,
                         help="random pair attempts in the falsification search")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None,
-                        help=f"parallel workers (default ${ENV_WORKERS} or 1)")
     parser.add_argument("--time-budget", type=float, default=60.0,
                         help="per-entry wall clock budget in seconds")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -64,14 +50,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    workers = args.workers if args.workers is not None else _default_workers()
     return RunConfig(
         enumeration_cap=args.cap,
         abstract_cap=args.abstract_cap,
         engel_budget=args.engel_budget,
         seed=args.seed,
         output_format=args.format,
-        workers=workers,
         time_budget_s=args.time_budget,
         emit_timings=args.emit_timings,
     )
@@ -121,7 +105,6 @@ def main(argv=None) -> int:
     p_enum.add_argument("--cap", type=int, default=2**20)
     p_enum.add_argument("--limit", type=int, default=32,
                         help="how many elements to print")
-    p_enum.add_argument("--workers", type=int, default=None)
     p_enum.add_argument("--out", type=str, default=None)
 
     args = parser.parse_args(argv)
@@ -140,8 +123,6 @@ def main(argv=None) -> int:
                     raise InvalidConfig(
                         f"cannot read config file {args.config}: {exc}") from exc
                 config = parse_config_file(text)
-                if args.workers is not None:
-                    config = replace(config, workers=args.workers)
             else:
                 config = _config_from_args(args)
                 config = replace(config, primes=parse_primes(args.primes))
@@ -188,8 +169,7 @@ def _cmd_witness(args) -> int:
 def _cmd_enumerate(args) -> int:
     G = build_group(parse_group_spec(args.spec))
     ctx = GroupAlgebra(G, args.p)
-    workers = args.workers if args.workers is not None else _default_workers()
-    V = enumerate_units(ctx, cap=args.cap, workers=workers)
+    V = enumerate_units(ctx, cap=args.cap)
     Vstar = filter_unitary(V)
     doc = {
         "group": G.name,

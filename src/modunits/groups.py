@@ -1,7 +1,7 @@
 """Finite groups as explicit Cayley tables, plus the commutator machinery built on them.
 
 Elements are integer indices into the table.  All values are immutable after
-construction, so groups and subgroups can be shared freely across workers.
+construction, so groups and subgroups can be shared freely.
 """
 
 from __future__ import annotations
@@ -317,10 +317,12 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     when it lies in O_p(G); the qualifying elements therefore form O_p(G).
     """
     _require_prime(p)
-    ar = np.arange(G.order)
-    members = [x for x in G.elements()
-               if is_p_group(Subgroup(G, _closure(G, G.mul[G.mul[G.inv, x], ar])), p)]
-    return Subgroup(G, tuple(members))
+    return Subgroup(G, tuple(x for x in G.elements() if is_p_group(normal_closure(G, x), p)))
+
+
+def normal_closure(G: FiniteGroup, x: int) -> Subgroup:
+    """The least normal subgroup of G containing x: the one its conjugates generate."""
+    return Subgroup(G, _closure(G, G.mul[G.mul[G.inv, x], np.arange(G.order)]))
 
 
 def quotient(N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:

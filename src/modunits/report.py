@@ -2,7 +2,7 @@
 
 A run walks (spec, prime) entries in config order, producing one equivalence
 verdict per entry plus witness records and property-suite tallies.  With a
-fixed seed the emitted bytes are identical regardless of worker count;
+fixed seed the emitted bytes are identical from run to run;
 wall-clock timings are collected but only serialized on request, since they
 would break that guarantee.
 """
@@ -50,7 +50,6 @@ class RunConfig:
     engel_budget: int = 400
     seed: int = 0
     output_format: str = "json"
-    workers: int = 1
     group_order_cap: int = 64
     time_budget_s: float = 60.0
     emit_timings: bool = False
@@ -96,7 +95,7 @@ def parse_primes(text: str) -> tuple[int, ...]:
 _CONFIG_KEYS = {
     "primes": ("primes", parse_primes),
     **{key: (key, int) for key in ("enumeration_cap", "abstract_cap", "engel_budget",
-                                   "seed", "workers", "group_order_cap")},
+                                   "seed", "group_order_cap")},
     "time_budget_s": ("time_budget_s", float),
     "format": ("output_format", str),
     "emit_timings": ("emit_timings",
@@ -255,7 +254,6 @@ def run_catalog(config: RunConfig) -> VerificationReport:
                     abstract_cap=config.abstract_cap,
                     engel_budget=config.engel_budget,
                     seed=seed,
-                    workers=config.workers,
                     deadline=started + config.time_budget_s,
                 )
                 verdict = verify_equivalence(G, p, budgets, spec_text=spec_text)
@@ -327,8 +325,6 @@ def _witness_dict(w: WitnessRecord) -> dict:
 
 
 def _config_dict(config: RunConfig) -> dict:
-    # worker count is execution detail, not semantic config: the emitted
-    # bytes must not depend on parallelism
     return {
         "primes": list(config.primes),
         "specs": list(config.specs),

@@ -37,7 +37,6 @@ class Budgets:
     engel_budget: int = 400
     engel_n_max: int = 256
     seed: int = 0
-    workers: int = 1
     deadline: float | None = None  # absolute time.perf_counter() cutoff
 
     def out_of_time(self) -> bool:
@@ -328,8 +327,7 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     v_status = vstar_status = None
     v_order = vstar_order = None
     try:
-        V = enumerate_units(algebra, cap=budgets.enumeration_cap,
-                            workers=budgets.workers)
+        V = enumerate_units(algebra, cap=budgets.enumeration_cap)
     except BudgetExceeded as e:
         reason = f"enumeration budget exceeded (needs {e.required})"
         v_status = vstar_status = VStatus("skipped", reason=reason)

@@ -2,10 +2,13 @@
 
 enumerate_units walks every augmentation-1 coefficient vector and keeps the
 invertible ones; that set is the group of normalized units, the independent
-oracle everything else is checked against.  Invertibility is decided by
-Gaussian elimination in F[G/O_p(G)], whose augmentation-1 vectors are far
-fewer, and lifted to FG through the coset-sum map.  filter_unitary carves
-out the units fixed into inverses by the classical involution.
+oracle everything else is checked against.  Invertibility is decided in
+FQ, Q = G/O_p(G), and lifted to FG through the coset-sum map.  FQ is split
+by the central idempotents of the normal p'-subgroups of Q into blocks
+(unit_blocks), and Gaussian elimination runs once per block on its
+coordinate vectors; a candidate of FQ is a unit when each of its block
+components is.  filter_unitary carves out the units fixed into inverses by
+the classical involution.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a generating set, with no Cayley table.  non_engel_scan (the
@@ -22,14 +25,13 @@ closure is proven by the product-table loop _product_rows.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import batch_invertible_mask
+from ._gflinalg import batch_invertible_mask, row_reduce
 from .algebra import AlgebraElement, GroupAlgebra
 from .errors import BudgetExceeded, EngelInconclusive, NotAUnit
 
@@ -155,23 +157,77 @@ def _candidate_vectors(p: int, n: int, identity: int, lo: int, hi: int) -> np.nd
     return vec
 
 
-def _unit_mask_chunk(args) -> np.ndarray:
-    div, p, identity, lo, hi = args
-    vec = _candidate_vectors(p, div.shape[0], identity, lo, hi)
-    return batch_invertible_mask(vec[:, div], p)
+@dataclass(frozen=True)
+class UnitBlock:
+    """The block FQ*f of a group algebra FQ cut out by a central idempotent f.
+
+    ``rows`` is the reduced row-echelon basis of FQ*f and ``pivots`` its pivot
+    columns, so the coordinates of a member x are x[pivots].  ``units`` marks,
+    for every coordinate vector c with index sum_j c_j p^j, whether its
+    element is a unit of the block.
+    """
+
+    idempotent: np.ndarray
+    rows: np.ndarray
+    pivots: np.ndarray
+    units: np.ndarray
+
+    def unit_mask(self, algebra: GroupAlgebra, u: np.ndarray) -> np.ndarray:
+        """Whether the component u*f of each row of u is a unit of the block."""
+        # (u*f)[k] = sum_g u[g] f[g^-1 k], read at the pivots k only
+        project = self.idempotent[algebra._ldiv[:, self.pivots]]
+        weights = algebra.p ** np.arange(self.pivots.size, dtype=np.int64)
+        return self.units[(u @ project) % algebra.p @ weights]
+
+
+def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
+    """The blocks of FQ given by the central idempotents of its normal p'-subgroups.
+
+    For a normal subgroup K with p not dividing |K|, e_K = |K|^-1 sum_{k in K} k
+    is a central idempotent (Passman 1977).  Every normal p'-subgroup is a
+    product of normal closures of single elements, so the e_K of those
+    closures generate the same Boolean algebra; its atoms, the nonzero
+    products of e_K or 1 - e_K, are orthogonal, central and sum to 1, and FQ
+    is the direct sum of the blocks FQ*f.  A unit of FQ is a sum of units of
+    the blocks, and x is a unit of FQ*f exactly when x + (1 - f) is a unit of
+    FQ, which batch_invertible_mask decides on the regular matrices.
+    """
+    Q, p = algebra.group, algebra.p
+    closures = {K.members for K in (gr.normal_closure(Q, x) for x in Q.elements())
+                if K.order > 1 and K.order % p}
+    atoms = [algebra._one_vec]
+    for members in sorted(closures):
+        e = np.zeros(Q.order, dtype=np.int64)
+        e[list(members)] = pow(len(members), -1, p)
+        split = [(algebra.multiply(f, e), f) for f in atoms]
+        atoms = [a for fe, f in split for a in (fe, (f - fe) % p) if a.any()]
+    blocks = []
+    for f in atoms:
+        rows, pivots = row_reduce(f[algebra._ldiv], p)  # row g of f[_ldiv] is g*f
+        total = p ** pivots.size
+        units = np.empty(total, dtype=bool)
+        complement = (algebra._one_vec - f) % p
+        for lo in range(0, total, _CHUNK):
+            idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+            coords = idx[:, None] // p ** np.arange(pivots.size, dtype=np.int64) % p
+            x = (coords @ rows + complement) % p
+            units[lo:lo + _CHUNK] = batch_invertible_mask(x[:, algebra.div], p)
+        blocks.append(UnitBlock(f, rows, pivots, units))
+    return blocks
 
 
 def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
-                    workers: int = 1, seed: int = 0) -> UnitGroup:
+                    seed: int = 0) -> UnitGroup:
     """All normalized units, by exhaustive scan of the aug-1 coefficient vectors.
 
-    Invertibility is decided in F[G/N] for N = O_p(G): the kernel of
-    FG -> F[G/N] is the nilpotent ideal w(N)FG, so a candidate is a unit
-    exactly when its coset-sum image is (Passman 1977).  The elimination runs
-    once, on the aug-1 candidates of F[G/N], in fixed-size chunks merged in
-    canonical order, so the result is identical for any worker count; each
-    candidate of FG is then kept when its image is a unit.  For N = 1 the
-    quotient is G itself.
+    Invertibility is decided in FQ for Q = G/N, N = O_p(G): the kernel of
+    FG -> FQ is the nilpotent ideal w(N)FG, so a candidate is a unit exactly
+    when its coset-sum image is (Passman 1977).  FQ splits into the blocks of
+    unit_blocks, and an aug-1 candidate of FQ is a unit exactly when each of
+    its block components is, so the elimination runs once per block on its
+    p^d coordinate vectors rather than on the p^(|Q|-1) candidates of FQ.
+    Each candidate of FG, in fixed-size chunks and canonical order, is then
+    kept when its image is a unit.  For N = 1 the quotient is G itself.
     Raises BudgetExceeded (carrying the required count) when p^(dim-1) > cap.
     ``seed`` is unused.
     """
@@ -184,15 +240,14 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     G = algebra.group
     Q, coset = gr.quotient(gr.p_core(G, p))
     m = Q.order
+    q_algebra = GroupAlgebra(Q, p)
+    blocks = unit_blocks(q_algebra)
     q_required = p ** (m - 1)
-    q_div = GroupAlgebra(Q, p).div
-    tasks = [(q_div, p, Q.identity, lo, min(lo + _CHUNK, q_required))
-             for lo in range(0, q_required, _CHUNK)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            q_units = np.concatenate(list(pool.map(_unit_mask_chunk, tasks)))
-    else:
-        q_units = np.concatenate([_unit_mask_chunk(t) for t in tasks])
+    q_units = np.ones(q_required, dtype=bool)
+    for lo in range(0, q_required, _CHUNK):
+        u = _candidate_vectors(p, m, Q.identity, lo, min(lo + _CHUNK, q_required))
+        for block in blocks:
+            q_units[lo:lo + _CHUNK] &= block.unit_mask(q_algebra, u)
     # an image's position among the quotient candidates: its non-identity digits
     weights = np.zeros(m, dtype=np.int64)
     weights[np.arange(m) != Q.identity] = p ** np.arange(m - 1, dtype=np.int64)

@@ -259,6 +259,45 @@ def exhaustive_inverse_search(a):
     return hits
 
 
+def _span(mat, p):
+    """Every combination of the rows of mat, as a set of tuples."""
+    return {tuple(np.array(c) @ mat % p)
+            for c in itertools.product(range(p), repeat=mat.shape[0])}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_reduce_is_a_reduced_echelon_basis_of_the_row_space(p):
+    from modunits._gflinalg import row_reduce
+
+    rng = np.random.default_rng(p)
+    for shape in ((3, 5), (5, 3), (4, 4)):
+        for rank in range(min(shape) + 1):
+            mat = rng.integers(0, p, size=(shape[0], rank)) @ rng.integers(
+                0, p, size=(rank, shape[1])) % p
+            rows, pivots = row_reduce(mat, p)
+            assert len(rows) == len(pivots)
+            assert (np.diff(pivots) > 0).all()
+            assert (rows[:, pivots] == np.eye(len(pivots), dtype=rows.dtype)).all()
+            for r, col in zip(rows, pivots):
+                assert not r[:col].any()
+            assert _span(rows, p) == _span(mat, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_solve_mod_p_finds_a_solution_exactly_when_one_exists(p):
+    from modunits._gflinalg import solve_mod_p
+
+    rng = np.random.default_rng(10 + p)
+    for _ in range(40):
+        mat = rng.integers(0, p, size=(3, 3)) * rng.integers(0, 2, size=(1, 3))
+        rhs = rng.integers(0, p, size=3)
+        x = solve_mod_p(mat, rhs, p)
+        solvable = tuple(rhs) in _span(mat.T, p)
+        assert (x is not None) == solvable
+        if x is not None:
+            assert ((mat @ x - rhs) % p == 0).all()
+
+
 def test_try_inverse_matches_exhaustive_search_tiny():
     for algebra in (F2C2, alg("catalog:C,2", 3), F3C3):
         n = algebra.dim

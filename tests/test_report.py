@@ -104,11 +104,29 @@ def test_run_determinism_same_seed():
     assert a == b
 
 
-def test_run_determinism_across_workers():
-    cfg = RunConfig(specs=("catalog:S3",), primes=(2, 3))
-    a = emit_report(run_catalog(replace(cfg, workers=1)), "json")
-    b = emit_report(run_catalog(replace(cfg, workers=8)), "json")
-    assert a == b
+def test_run_determinism_across_interpreters(tmp_path):
+    # fresh interpreters with different string-hash seeds print the same bytes,
+    # so nothing in a report follows set or dict order of hashed keys
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("spec = catalog:S3\nprimes = 2,3\n")
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(m.__file__).parents[1]), env.get("PYTHONPATH")]))
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "modunits.cli", "catalog", "--config", str(cfg)],
+            capture_output=True, env=env))
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
+    assert emit_report(run_catalog(RunConfig(specs=("catalog:S3",), primes=(2, 3)))) \
+        == runs[0].stdout
 
 
 def test_run_single():
@@ -152,6 +170,7 @@ def test_parse_config_file_bad_line():
     ("format = xml", "bad value 'xml' for format"),
     ("emit_timings = maybe", "bad value 'maybe' for emit_timings"),
     ("abstract_cap = 0", "bad value '0' for abstract_cap"),
+    ("workers = 2", "unknown key 'workers'"),  # removed with the process pool
 ])
 def test_parse_config_file_rejects_unknown_key_and_bad_value(line, message):
     with pytest.raises(InvalidConfig, match=f"line 2: {message}"):
@@ -297,6 +316,18 @@ def test_cli_error_exit_code(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--workers", "2"],
+    ["verify", "--spec", "catalog:S3", "--p", "2", "--workers", "2"],
+    ["enumerate-units", "--spec", "catalog:S3", "--p", "2", "--workers", "2"],
+])
+def test_cli_has_no_workers_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_cli_enumerate_error(capsys):
     rc = cli.main(["enumerate-units", "--spec", "catalog:NOPE", "--p", "2"])
     assert rc == 2
@@ -320,13 +351,6 @@ def test_cli_report_bytes_do_not_depend_on_optimize_flag():
     assert optimized.returncode == plain.returncode, optimized.stderr
     assert optimized.stdout == plain.stdout
     assert plain.stdout
-
-
-def test_workers_env_var(monkeypatch):
-    monkeypatch.setenv(cli.ENV_WORKERS, "3")
-    assert cli._default_workers() == 3
-    monkeypatch.setenv(cli.ENV_WORKERS, "junk")
-    assert cli._default_workers() == 1
 
 
 def test_console_script_installed():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import modunits as m
+from modunits import groups as gr
 from modunits import units as un
 from modunits.errors import BudgetExceeded, EngelInconclusive, NotAUnit
 
@@ -57,38 +58,16 @@ def test_enumeration_deterministic_and_lex_sorted():
     assert keys == sorted(keys)
 
 
-def test_enumeration_worker_count_does_not_change_result(monkeypatch):
-    monkeypatch.setattr(un, "_CHUNK", 8)  # force multiple chunks
-    # O_3(D6) = C3, so D6@3 eliminates on the 27 candidates of F[D6/C3]
-    for spec, p in (("catalog:S3", 2), ("catalog:D,6", 3)):
-        A = alg(spec, p)
-        V1 = m.enumerate_units(A, workers=1)
-        V2 = m.enumerate_units(A, workers=4)
-        assert (V1.vectors == V2.vectors).all(), spec
-
-
-def test_pool_size_is_capped_by_chunk_count(monkeypatch):
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(un, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(un, "_CHUNK", 8)
-    A = alg("catalog:S3", 2)  # O_2(S3) = 1: 2^5 candidates in 4 chunks
-    V = m.enumerate_units(A, workers=5000)
-    assert sizes == [4]
-    assert (V.vectors == m.enumerate_units(A).vectors).all()
+def test_enumeration_is_deterministic_across_runs_and_chunk_sizes(monkeypatch):
+    # each case splits its quotient algebra: F2[S3] into blocks of dimension
+    # 2 and 4, F2[A4/V4] = F2[C3] into 1 and 2, F3[D6/C3] = F3[C2 x C2] into 1s
+    pairs = (("catalog:S3", 2), ("catalog:A4", 2), ("catalog:D,6", 3))
+    first = [m.enumerate_units(alg(spec, p)).vectors for spec, p in pairs]
+    again = [m.enumerate_units(alg(spec, p)).vectors for spec, p in pairs]
+    monkeypatch.setattr(un, "_CHUNK", 8)  # many chunks, in the masks and the lift
+    chunked = [m.enumerate_units(alg(spec, p)).vectors for spec, p in pairs]
+    for (spec, p), a, b, c in zip(pairs, first, again, chunked):
+        assert a.tobytes() == b.tobytes() == c.tobytes(), (spec, p)
 
 
 def _reference_units(A):
@@ -106,7 +85,8 @@ def _reference_units(A):
 
 @pytest.mark.parametrize("spec,p", [
     (spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3)
-    if p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= 2**18])
+    if p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= 2**18]
+    + [("catalog:D,8", 2)])
 def test_quotient_lift_matches_direct_elimination(spec, p):
     A = alg(spec, p)
     assert (m.enumerate_units(A).vectors == _reference_units(A).vectors).all()
@@ -125,6 +105,72 @@ def test_quotient_lift_agrees_with_try_inverse_on_d10():
         assert (V.position_of_vector(vec) >= 0) == is_unit, int(i)
         units += is_unit
     assert 0 < units < 200
+
+
+def _quotient_blocks(spec, p):
+    G = m.build_group(m.parse_group_spec(spec))
+    Q, _ = gr.quotient(gr.p_core(G, p))
+    QA = m.GroupAlgebra(Q, p)
+    return QA, un.unit_blocks(QA)
+
+
+@pytest.mark.parametrize("spec,p", [
+    ("catalog:S3", 2), ("catalog:D,6", 2), ("catalog:A4", 2), ("catalog:A4", 3),
+    ("catalog:D,4", 3), ("prod:catalog:S3|catalog:C,3", 2)])
+def test_block_masks_match_try_inverse(spec, p):
+    QA, blocks = _quotient_blocks(spec, p)
+    one, mul = QA._one_vec, QA.multiply
+    fs = [b.idempotent for b in blocks]
+    # central orthogonal idempotents that sum to 1
+    assert (sum(fs) % p == one).all()
+    for i, f in enumerate(fs):
+        assert f.any()
+        for g in range(QA.dim):
+            e_g = np.eye(QA.dim, dtype=np.int64)[g]
+            assert (mul(e_g, f) == mul(f, e_g)).all(), (i, g)
+        for j, h in enumerate(fs):
+            assert (mul(f, h) == (f if i == j else 0)).all(), (i, j)
+    assert sum(b.pivots.size for b in blocks) == QA.dim
+    for b in blocks:
+        d = b.pivots.size
+        assert b.units.shape == (p ** d,)
+        assert (mul(b.rows.T, b.idempotent[:, None]).T == b.rows).all()  # rows lie in FQ*f
+        for i in range(p ** d):
+            c = np.array([i // p ** j % p for j in range(d)], dtype=np.int64)
+            x = (c @ b.rows + one - b.idempotent) % p
+            assert b.units[i] == (QA.from_coeffs(x).try_inverse() is not None), (d, i)
+
+
+@pytest.mark.parametrize("spec,p,dims", [
+    ("catalog:C,4", 2, [1]),  # Q = 1
+    ("catalog:D,8", 2, [1]),
+    ("catalog:A4", 2, [1, 2]),  # Q = C3, a p'-group
+    ("prod:catalog:C,2|catalog:C,2", 3, [1, 1, 1, 1]),
+    # F3[C4] = F3 + F3 + F9, since x^2 + 1 is irreducible mod 3
+    ("prod:catalog:C,4|catalog:C,2", 3, [1, 1, 1, 1, 2, 2]),
+])
+def test_block_dimensions_of_edge_cases(spec, p, dims):
+    QA, blocks = _quotient_blocks(spec, p)
+    # the unit sets of these algebras are checked by
+    # test_quotient_lift_matches_direct_elimination
+    assert sorted(b.pivots.size for b in blocks) == dims
+
+
+@pytest.mark.parametrize("spec,p", [
+    (spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3)
+    if p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= un.ENUMERATION_CAP]
+    + [("catalog:D,10", 2), ("catalog:D,8", 2)])
+def test_block_unit_count_law(spec, p):
+    # |V| = p^(|G|-|Q|) * prod_B |U(B)| / (p - 1): the kernel of FG -> FQ is
+    # 1 + w(O_p(G))FG of order p^(|G|-|Q|), FQ is the direct sum of its blocks,
+    # and the scalars F* split off the normalized units
+    A = alg(spec, p)
+    QA, blocks = _quotient_blocks(spec, p)
+    count = p ** (A.dim - QA.dim)
+    for b in blocks:
+        count *= int(np.count_nonzero(b.units))
+    assert count % (p - 1) == 0
+    assert len(m.enumerate_units(A)) == count // (p - 1)
 
 
 def test_batch_invertibility_matches_per_element_inverse():
