@@ -33,16 +33,14 @@ from .report import (
 from .units import enumerate_units, filter_unitary
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cap", type=int, default=2**20,
+    parser.add_argument("--cap", type=int, default=RunConfig.enumeration_cap,
                         help="enumeration cap on candidate count (default 2^20)")
-    parser.add_argument("--abstract-cap", type=int, default=4096,
+    parser.add_argument("--abstract-cap", type=int, default=RunConfig.abstract_cap,
                         help="largest unit group whose lower central series is "
                              "computed, and the bound of the lex witness scan")
-    parser.add_argument("--engel-budget", type=int, default=400,
+    parser.add_argument("--engel-budget", type=int, default=RunConfig.engel_budget,
                         help="random pair attempts in the falsification search")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--time-budget", type=float, default=60.0,
-                        help="per-entry wall clock budget in seconds")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--emit-timings", action="store_true",
                         help="include wall-clock timings (breaks byte determinism)")
@@ -56,7 +54,6 @@ def _config_from_args(args) -> RunConfig:
         engel_budget=args.engel_budget,
         seed=args.seed,
         output_format=args.format,
-        time_budget_s=args.time_budget,
         emit_timings=args.emit_timings,
     )
 
@@ -102,7 +99,7 @@ def main(argv=None) -> int:
     p_enum = sub.add_parser("enumerate-units", help="enumerate V and its unitary subgroup")
     p_enum.add_argument("--spec", required=True)
     p_enum.add_argument("--p", required=True, type=int)
-    p_enum.add_argument("--cap", type=int, default=2**20)
+    p_enum.add_argument("--cap", type=int, default=RunConfig.enumeration_cap)
     p_enum.add_argument("--limit", type=int, default=32,
                         help="how many elements to print")
     p_enum.add_argument("--out", type=str, default=None)
@@ -167,6 +164,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit < 0:
+        raise InvalidConfig("--limit must be non-negative")
     G = build_group(parse_group_spec(args.spec))
     ctx = GroupAlgebra(G, args.p)
     V = enumerate_units(ctx, cap=args.cap)

@@ -9,7 +9,6 @@ the enumerated normalized unit group and of its unitary subgroup.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from . import groups as gr
@@ -17,6 +16,9 @@ from .algebra import AlgebraElement, GroupAlgebra
 from .errors import (BudgetExceeded, NotCentral, NotUnitary, PreconditionViolated,
                      PredicateNotSatisfied)
 from .units import (
+    ABSTRACT_GROUP_CAP,
+    ENGEL_BUDGET,
+    ENUMERATION_CAP,
     UnitGroup,
     as_abstract_group,
     closure_subgroup,
@@ -32,15 +34,10 @@ from .units import (
 class Budgets:
     """Resource limits for one equivalence verdict."""
 
-    enumeration_cap: int = 2**20
-    abstract_cap: int = 4096
-    engel_budget: int = 400
-    engel_n_max: int = 256
+    enumeration_cap: int = ENUMERATION_CAP
+    abstract_cap: int = ABSTRACT_GROUP_CAP
+    engel_budget: int = ENGEL_BUDGET
     seed: int = 0
-    deadline: float | None = None  # absolute time.perf_counter() cutoff
-
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.perf_counter() > self.deadline
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
 
 
 def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int,
-                     cap: int = 4096) -> WitnessRecord:
+                     cap: int = ABSTRACT_GROUP_CAP) -> WitnessRecord:
     """A non-nilpotent unitary subgroup from two non-commuting involutions.
 
     Builds w = 1 + ((ab) - (ab)^-1) * hat(c) and closes {w, a}; for odd p the
@@ -299,17 +296,14 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     m = len(U)
     if U.algebra.group.is_abelian():
         return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
-    if budgets.out_of_time():
-        return VStatus("skipped", reason="time budget exceeded")
     if m <= budgets.abstract_cap:
         series = lower_central_series_of_units(U, seed=budgets.seed)
         if series[-1].size == 1:
             return VStatus("nilpotent", nilpotency_class=len(series) - 1)
         pair = non_engel_scan(U) or find_non_engel_pair(
-            U, budget=budgets.engel_budget, seed=budgets.seed, n_max=budgets.engel_n_max)
+            U, budget=budgets.engel_budget, seed=budgets.seed)
         return VStatus("non_nilpotent", witness=pair)
-    pair = find_non_engel_pair(U, budget=budgets.engel_budget,
-                               seed=budgets.seed, n_max=budgets.engel_n_max)
+    pair = find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
     if pair is None:
         return VStatus("skipped", reason="falsification inconclusive")
     return VStatus("non_nilpotent", witness=pair)
@@ -334,12 +328,9 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     else:
         v_order = len(V)
         v_status = _nilpotency_status(V, budgets)
-        if budgets.out_of_time():
-            vstar_status = VStatus("skipped", reason="time budget exceeded")
-        else:
-            Vstar = filter_unitary(V)
-            vstar_order = len(Vstar)
-            vstar_status = _nilpotency_status(Vstar, budgets)
+        Vstar = filter_unitary(V)
+        vstar_order = len(Vstar)
+        vstar_status = _nilpotency_status(Vstar, budgets)
 
     consistent = True
     if algebra.is_modular:

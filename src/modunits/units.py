@@ -37,6 +37,7 @@ from .errors import BudgetExceeded, EngelInconclusive, NotAUnit
 
 ENUMERATION_CAP = 2**20
 ABSTRACT_GROUP_CAP = 4096
+ENGEL_BUDGET = 400
 _CHUNK = 1 << 14
 
 
@@ -550,7 +551,7 @@ def non_engel_scan(U: UnitGroup, max_pairs: int = 200_000, n_max: int = 512
     return None
 
 
-def find_non_engel_pair(U: UnitGroup, budget: int = 400, seed: int = 0,
+def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0,
                         n_max: int = 256) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Seeded random search for a pair witnessing non-nilpotency.
 

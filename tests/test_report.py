@@ -1,6 +1,7 @@
 """Report assembly, serialization determinism, config files, and the CLI."""
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -129,6 +130,18 @@ def test_run_determinism_across_interpreters(tmp_path):
         == runs[0].stdout
 
 
+def test_reports_do_not_depend_on_the_wall_clock(monkeypatch):
+    # a clock that jumps 40 s per reading must change no status and no byte
+    config = RunConfig(specs=("catalog:S3", "catalog:D,4"), primes=(2,))
+    steady = run_catalog(config)
+    ticks = iter(range(0, 10**9, 40))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+    jumpy = run_catalog(config)
+    assert [v.vstar_status.kind for v in jumpy.verdicts] == ["non_nilpotent", "nilpotent"]
+    for fmt in ("json", "csv", "text"):
+        assert emit_report(jumpy, fmt) == emit_report(steady, fmt)
+
+
 def test_run_single():
     report = run_single("catalog:D,4", 2, RunConfig())
     assert len(report.verdicts) == 1
@@ -171,6 +184,11 @@ def test_parse_config_file_bad_line():
     ("emit_timings = maybe", "bad value 'maybe' for emit_timings"),
     ("abstract_cap = 0", "bad value '0' for abstract_cap"),
     ("workers = 2", "unknown key 'workers'"),  # removed with the process pool
+    ("time_budget_s = 60", "unknown key 'time_budget_s'"),  # removed with the deadline
+    ("seed = -1", "bad value '-1' for seed"),
+    ("primes =", "bad value '' for primes"),
+    ("engel_budget = -5", "bad value '-5' for engel_budget"),
+    ("group_order_cap = 0", "bad value '0' for group_order_cap"),
 ])
 def test_parse_config_file_rejects_unknown_key_and_bad_value(line, message):
     with pytest.raises(InvalidConfig, match=f"line 2: {message}"):
@@ -213,6 +231,11 @@ def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
      "error: caps must be positive\n"),
     (["verify", "--spec", "catalog:S3", "--p", "2", "--abstract-cap", "0"],
      "error: caps must be positive\n"),
+    (["verify", "--spec", "catalog:S3", "--p", "2", "--seed", "-1"],
+     "error: engel_budget and seed must be non-negative\n"),
+    (["catalog", "--primes", ""], "error: no primes given\n"),
+    (["enumerate-units", "--spec", "catalog:S3", "--p", "2", "--limit", "-1"],
+     "error: --limit must be non-negative\n"),
 ])
 def test_cli_bad_flag_value_exits_2(capsys, argv, message):
     rc = cli.main(argv)
@@ -320,12 +343,15 @@ def test_cli_error_exit_code(capsys):
     ["catalog", "--workers", "2"],
     ["verify", "--spec", "catalog:S3", "--p", "2", "--workers", "2"],
     ["enumerate-units", "--spec", "catalog:S3", "--p", "2", "--workers", "2"],
+    ["catalog", "--time-budget", "60"],
+    ["verify", "--spec", "catalog:S3", "--p", "2", "--time-budget", "60"],
 ])
 def test_cli_has_no_workers_flag(argv, capsys):
+    """--workers left with the process pool, --time-budget with the deadline."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_cli_enumerate_error(capsys):
