@@ -34,7 +34,8 @@ from .units import enumerate_units, filter_unitary
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cap", type=int, default=RunConfig.enumeration_cap,
-                        help="enumeration cap on candidate count (default 2^20)")
+                        help="enumeration cap on p^(|G|-1), the count of augmentation-1 "
+                             "vectors (default %(default)s)")
     parser.add_argument("--abstract-cap", type=int, default=RunConfig.abstract_cap,
                         help="largest unit group whose lower central series is "
                              "computed, and the bound of the lex witness scan")
@@ -60,8 +61,11 @@ def _config_from_args(args) -> RunConfig:
 
 def _write(data: bytes, out: str | None) -> None:
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise InvalidConfig(f"cannot write output file {out}: {exc}") from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -87,11 +87,19 @@ class VerificationReport:
 
 
 def parse_primes(text: str) -> tuple[int, ...]:
-    """A comma-separated prime list, as in '2,3'; raises InvalidConfig."""
+    """A comma-separated prime list, as in '2,3'; raises InvalidConfig.
+
+    An entry with (p-1)^2 >= 2^63 is not tested for primality: every GF(p)[G]
+    refuses it, and trial division would take ~10^10 steps.
+    """
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        primes = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError:
         raise InvalidConfig(f"bad prime list {text!r}") from None
+    for p in primes:
+        if (p - 1) ** 2 < 2**63 and not gr.is_prime(p):
+            raise InvalidConfig(f"{p} is not prime")
+    return primes
 
 
 # config key -> (RunConfig field, parser of the value text)

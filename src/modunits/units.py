@@ -1,13 +1,13 @@
-"""Brute-force construction of unit groups of a group algebra.
+"""Construction of the unit groups of a group algebra.
 
-enumerate_units walks every augmentation-1 coefficient vector and keeps the
-invertible ones; that set is the group of normalized units, the independent
-oracle everything else is checked against.  Invertibility is decided in
-FQ, Q = G/O_p(G), and lifted to FG through the coset-sum map.  FQ is split
-by the central idempotents of the normal p'-subgroups of Q into blocks
-(unit_blocks), and Gaussian elimination runs once per block on its
-coordinate vectors; a candidate of FQ is a unit when each of its block
-components is.  filter_unitary carves out the units fixed into inverses by
+enumerate_units builds the group of normalized units of FG, the oracle
+everything else is checked against, without testing candidates.  Let
+Q = G/O_p(G): FQ is split by the central idempotents of the normal
+p'-subgroups of Q into blocks (unit_blocks), and Gaussian elimination runs
+once per block on its coordinate vectors to find the units of the block.
+The normalized units of FQ are the sums of one unit from each block, and
+V(FG) is the union of their preimages under the coset-sum map, whose kernel
+is nilpotent.  filter_unitary carves out the units fixed into inverses by
 the classical involution.
 
 lower_central_series_of_units computes the lower central series of a unit
@@ -24,6 +24,7 @@ closure is proven by the product-table loop _product_rows.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator
@@ -144,18 +145,9 @@ def _product_rows(U: UnitGroup) -> Iterator[np.ndarray]:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _candidate_vectors(p: int, n: int, identity: int, lo: int, hi: int) -> np.ndarray:
-    """Aug-1 candidates lo..hi: free digits on non-identity slots, identity fixed."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    vec = np.zeros((hi - lo, n), dtype=np.int64)
-    t = idx
-    for j in range(n):
-        if j == identity:
-            continue
-        vec[:, j] = t % p
-        t = t // p
-    vec[:, identity] = (1 - vec.sum(axis=1)) % p
-    return vec
+def _digits(idx: np.ndarray, p: int, d: int) -> np.ndarray:
+    """The d base-p digits of each index, least significant first."""
+    return idx[:, None] // p ** np.arange(d, dtype=np.int64) % p
 
 
 @dataclass(frozen=True)
@@ -172,13 +164,6 @@ class UnitBlock:
     rows: np.ndarray
     pivots: np.ndarray
     units: np.ndarray
-
-    def unit_mask(self, algebra: GroupAlgebra, u: np.ndarray) -> np.ndarray:
-        """Whether the component u*f of each row of u is a unit of the block."""
-        # (u*f)[k] = sum_g u[g] f[g^-1 k], read at the pivots k only
-        project = self.idempotent[algebra._ldiv[:, self.pivots]]
-        weights = algebra.p ** np.arange(self.pivots.size, dtype=np.int64)
-        return self.units[(u @ project) % algebra.p @ weights]
 
 
 def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
@@ -210,8 +195,7 @@ def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
         complement = (algebra._one_vec - f) % p
         for lo in range(0, total, _CHUNK):
             idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-            coords = idx[:, None] // p ** np.arange(pivots.size, dtype=np.int64) % p
-            x = (coords @ rows + complement) % p
+            x = (_digits(idx, p, pivots.size) @ rows + complement) % p
             units[lo:lo + _CHUNK] = batch_invertible_mask(x[:, algebra.div], p)
         blocks.append(UnitBlock(f, rows, pivots, units))
     return blocks
@@ -219,18 +203,19 @@ def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
 
 def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
                     seed: int = 0) -> UnitGroup:
-    """All normalized units, by exhaustive scan of the aug-1 coefficient vectors.
+    """All normalized units, built from the units of the blocks of FQ.
 
-    Invertibility is decided in FQ for Q = G/N, N = O_p(G): the kernel of
-    FG -> FQ is the nilpotent ideal w(N)FG, so a candidate is a unit exactly
-    when its coset-sum image is (Passman 1977).  FQ splits into the blocks of
-    unit_blocks, and an aug-1 candidate of FQ is a unit exactly when each of
-    its block components is, so the elimination runs once per block on its
-    p^d coordinate vectors rather than on the p^(|Q|-1) candidates of FQ.
-    Each candidate of FG, in fixed-size chunks and canonical order, is then
-    kept when its image is a unit.  For N = 1 the quotient is G itself.
-    Raises BudgetExceeded (carrying the required count) when p^(dim-1) > cap.
-    ``seed`` is unused.
+    Let Q = G/N, N = O_p(G).  The kernel of FG -> FQ (the coset-sum map) is
+    the nilpotent ideal w(N)FG, so u is a unit exactly when its image is
+    (Passman 1977), and FQ is the direct sum of the blocks of unit_blocks.
+    The normalized units of FQ are thus the sums of one unit x of each block
+    FQ*f with aug(x) = aug(f): only the principal block has aug(f) = 1, and
+    every unit of the others has augmentation 0.  V(FG) is the union of the
+    preimages of these units: the coefficients on all but the least member of
+    each coset are free, and the least member takes its image's coefficient
+    on the coset minus their sum.  Units are filled in fixed-size chunks; for
+    N = 1 the quotient is G itself.  Raises BudgetExceeded (carrying the
+    required count) when p^(dim-1) > cap.  ``seed`` is unused.
     """
     n = algebra.dim
     p = algebra.p
@@ -238,27 +223,28 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     if required > cap:
         raise BudgetExceeded(
             f"enumeration needs {required} candidates, cap is {cap}", required)
-    G = algebra.group
-    Q, coset = gr.quotient(gr.p_core(G, p))
+    Q, coset = gr.quotient(gr.p_core(algebra.group, p))
     m = Q.order
-    q_algebra = GroupAlgebra(Q, p)
-    blocks = unit_blocks(q_algebra)
-    q_required = p ** (m - 1)
-    q_units = np.ones(q_required, dtype=bool)
-    for lo in range(0, q_required, _CHUNK):
-        u = _candidate_vectors(p, m, Q.identity, lo, min(lo + _CHUNK, q_required))
-        for block in blocks:
-            q_units[lo:lo + _CHUNK] &= block.unit_mask(q_algebra, u)
-    # an image's position among the quotient candidates: its non-identity digits
-    weights = np.zeros(m, dtype=np.int64)
-    weights[np.arange(m) != Q.identity] = p ** np.arange(m - 1, dtype=np.int64)
-    cosets = np.argsort(coset, kind="stable").reshape(m, -1)  # row c: the members of coset c
-    parts = []
-    for lo in range(0, required, _CHUNK):
-        vec = _candidate_vectors(p, n, G.identity, lo, min(lo + _CHUNK, required))
-        parts.append(vec[q_units[vec[:, cosets].sum(axis=2) % p @ weights]])
-    units = np.concatenate(parts, axis=0)
-    del parts  # so the sorted copy UnitGroup makes is the only other one alive
+    factors = []  # per block, its units x with aug(x) = aug(f), as vectors of FQ
+    for block in unit_blocks(GroupAlgebra(Q, p)):
+        x = _digits(np.flatnonzero(block.units), p, block.pivots.size) @ block.rows % p
+        factors.append(x[x.sum(axis=1) % p == block.idempotent.sum() % p])
+    reps = np.unique(coset, return_index=True)[1]  # the least member of each coset
+    free = np.setdiff1d(np.arange(n), reps)
+    units = np.empty((math.prod(map(len, factors)) * p ** free.size, n), dtype=np.int64)
+    for lo in range(0, len(units), _CHUNK):
+        idx = np.arange(lo, min(lo + _CHUNK, len(units)), dtype=np.int64)
+        image = np.zeros((idx.size, m), dtype=np.int64)
+        for x in factors:
+            idx, i = np.divmod(idx, len(x))
+            image += x[i]
+        chunk = units[lo:lo + _CHUNK]
+        # one digit column at a time: a whole (rows, |free|) table of them
+        # raised the peak RSS of repeated runs
+        for j, g in enumerate(free):
+            chunk[:, g] = idx // p ** j % p
+            image[:, coset[g]] -= chunk[:, g]
+        chunk[:, reps] = image % p
     return UnitGroup(algebra, units)
 
 

@@ -214,7 +214,7 @@ def test_cli_catalog_with_config_file(tmp_path, capsys):
     assert len(doc["verdicts"]) == 2
 
 
-@pytest.mark.parametrize("line", ["enumeraton_cap = 1", "seed = x"])
+@pytest.mark.parametrize("line", ["enumeraton_cap = 1", "seed = x", "primes = 9"])
 def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"spec = catalog:C,2\n{line}\n")
@@ -234,6 +234,7 @@ def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
     (["verify", "--spec", "catalog:S3", "--p", "2", "--seed", "-1"],
      "error: engel_budget and seed must be non-negative\n"),
     (["catalog", "--primes", ""], "error: no primes given\n"),
+    (["catalog", "--primes", "2,4"], "error: 4 is not prime\n"),
     (["enumerate-units", "--spec", "catalog:S3", "--p", "2", "--limit", "-1"],
      "error: --limit must be non-negative\n"),
 ])
@@ -287,6 +288,20 @@ def test_cli_catalog_missing_config_exits_2(tmp_path, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read config file {missing}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--spec", "catalog:C,2", "--p", "2"],
+    ["catalog", "--primes", "2", "--cap", "16"],
+    ["witness", "--case", "1", "--spec", "catalog:S3", "--p", "2"],
+    ["enumerate-units", "--spec", "catalog:C,2", "--p", "2"],
+])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "absent" / "r.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
 
 
 def test_cli_catalog_out_file(tmp_path):

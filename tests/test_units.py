@@ -70,6 +70,14 @@ def test_enumeration_is_deterministic_across_runs_and_chunk_sizes(monkeypatch):
         assert a.tobytes() == b.tobytes() == c.tobytes(), (spec, p)
 
 
+def _candidate_vectors(p, n, identity, lo, hi):
+    """Aug-1 candidates lo..hi: free digits on non-identity slots, identity fixed."""
+    vec = np.zeros((hi - lo, n), dtype=np.int64)
+    vec[:, np.arange(n) != identity] = un._digits(np.arange(lo, hi, dtype=np.int64), p, n - 1)
+    vec[:, identity] = (1 - vec.sum(axis=1)) % p
+    return vec
+
+
 def _reference_units(A):
     """The direct oracle: elimination on the regular matrix of every aug-1 candidate of FG."""
     from modunits._gflinalg import batch_invertible_mask
@@ -78,7 +86,7 @@ def _reference_units(A):
     total = p ** (n - 1)
     parts = []
     for lo in range(0, total, un._CHUNK):
-        vec = un._candidate_vectors(p, n, A.group.identity, lo, min(lo + un._CHUNK, total))
+        vec = _candidate_vectors(p, n, A.group.identity, lo, min(lo + un._CHUNK, total))
         parts.append(vec[batch_invertible_mask(vec[:, A.div], p)])
     return un.UnitGroup(A, np.concatenate(parts))
 
@@ -86,7 +94,11 @@ def _reference_units(A):
 @pytest.mark.parametrize("spec,p", [
     (spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3)
     if p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= 2**18]
-    + [("catalog:D,8", 2)])
+    + [("catalog:D,8", 2)]
+    # several blocks, with augmentations 1..p-1 in the principal block
+    + [("catalog:S3", 5), ("catalog:S3", 7), ("catalog:D,4", 5), ("catalog:Q8", 5),
+       ("catalog:C,6", 5),
+       ("catalog:C,5", 5)])  # Q = 1
 def test_quotient_lift_matches_direct_elimination(spec, p):
     A = alg(spec, p)
     assert (m.enumerate_units(A).vectors == _reference_units(A).vectors).all()
@@ -100,7 +112,7 @@ def test_quotient_lift_agrees_with_try_inverse_on_d10():
     rng = np.random.default_rng(2024)
     units = 0
     for i in rng.integers(0, 2 ** (A.dim - 1), size=200):
-        vec = un._candidate_vectors(2, A.dim, A.group.identity, int(i), int(i) + 1)[0]
+        vec = _candidate_vectors(2, A.dim, A.group.identity, int(i), int(i) + 1)[0]
         is_unit = A.from_coeffs(vec).try_inverse() is not None
         assert (V.position_of_vector(vec) >= 0) == is_unit, int(i)
         units += is_unit
@@ -177,7 +189,6 @@ def test_batch_invertibility_matches_per_element_inverse():
     # the enumeration hot path (batched elimination) and try_inverse must
     # classify every aug-1 candidate identically
     from modunits._gflinalg import batch_invertible_mask
-    from modunits.units import _candidate_vectors
 
     for spec, p in [("catalog:S3", 2), ("catalog:C,3", 3), ("catalog:S3", 3)]:
         A = alg(spec, p)
