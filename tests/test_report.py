@@ -234,9 +234,9 @@ def test_cli_catalog_bad_config_exits_2(tmp_path, capsys, line):
     (["verify", "--spec", "catalog:S3", "--p", "2", "--seed", "-1"],
      "error: engel_budget and seed must be non-negative\n"),
     (["catalog", "--primes", ""], "error: no primes given\n"),
-    (["catalog", "--primes", "2,4"], "error: 4 is not prime\n"),
     (["enumerate-units", "--spec", "catalog:S3", "--p", "2", "--limit", "-1"],
      "error: --limit must be non-negative\n"),
+    (["catalog", "--primes", "2,4"], "error: 4 is not prime\n"),
 ])
 def test_cli_bad_flag_value_exits_2(capsys, argv, message):
     rc = cli.main(argv)
