@@ -3,6 +3,10 @@
 One reduced row-echelon routine, which also solves linear systems, plus a
 batched elimination that decides invertibility for many small matrices at
 once (the unit-enumeration hot path).
+
+Each kernel runs in the narrowest integer type that holds every value it can
+form (int_dtype), and reduces its input mod p before narrowing it, so no
+entry wraps.
 """
 
 from __future__ import annotations
@@ -10,17 +14,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def int_dtype(bound: int):
+    """The narrowest signed integer type holding every x with |x| <= bound."""
+    for dt in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    raise OverflowError(f"no integer type holds {bound}")
+
+
 def work_dtype(p: int):
-    # products of residues must not overflow before the reduction mod p
-    return np.int64 if (p - 1) * (p - 1) >= 2**31 else np.int32
+    # an elimination step forms r - s*t with residues r, s, t: |x| <= (p-1)^2
+    return int_dtype((p - 1) ** 2)
 
 
-def inverse_table(p: int) -> np.ndarray:
-    """inv[x] = x^-1 mod p for 1 <= x < p; inv[0] = 0."""
-    tab = np.zeros(p, dtype=work_dtype(p))
-    for x in range(1, p):
-        tab[x] = pow(x, p - 2, p)
-    return tab
+def residues(a, p: int, dtype) -> np.ndarray:
+    """A fresh array of dtype holding the integers a mod p; a is reduced, in
+    int64, only when some entry lies outside [0, p)."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    return a.astype(dtype)
 
 
 def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,7 +43,7 @@ def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     The rows span the row space of mat; each has a 1 at its pivot and every
     other row a 0 there, so a vector v of the span is sum_j v[pivots[j]] * rows[j].
     """
-    R = np.asarray(mat, dtype=work_dtype(p)) % p  # a fresh array, reduced in place
+    R = residues(mat, p, work_dtype(p))
     pivots: list[int] = []
     row = 0
     for col in range(R.shape[1]):
@@ -49,7 +62,7 @@ def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             R[others] = (R[others] - np.outer(R[others, col], R[row])) % p
         pivots.append(col)
         row += 1
-    return R[:row], np.array(pivots, dtype=np.int64)
+    return R[:row].astype(np.int64), np.array(pivots, dtype=np.int64)
 
 
 def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
@@ -62,9 +75,35 @@ def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     rows, pivots = row_reduce(np.column_stack([mat, rhs]), p)
     if pivots.size and pivots[-1] == n:  # a pivot in rhs: some row reads 0 = 1
         return None
-    x = np.zeros(n, dtype=work_dtype(p))
+    x = np.zeros(n, dtype=np.int64)
     x[pivots] = rows[:, n]
     return x
+
+
+def mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p, in place in the integer array x, which it returns.
+
+    numpy's floor division of an integer array by a scalar is vectorised and
+    its remainder is not, so x - (x // p) * p is many times faster than
+    x % p.  It is exact when x // p * p fits the type: for x >= 0, and for
+    |x| <= (p-1)^2 in work_dtype(p), since p(p-1) fits there too.
+    """
+    x -= x // p * p
+    return x
+
+
+def _inverses_mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise, by square-and-multiply: the inverse of each
+    nonzero residue (Fermat), and 0 for 0 when p > 2."""
+    acc = np.ones_like(x)
+    base, k = x, p - 2
+    while k:
+        if k & 1:
+            acc = mod_p(acc * base, p)
+        k >>= 1
+        if k:
+            base = mod_p(base * base, p)
+    return acc
 
 
 def batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
@@ -73,11 +112,7 @@ def batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     if N == 0:
         return np.zeros(0, dtype=bool)
     n = mats.shape[1]
-    dt = work_dtype(p)
-    R = np.asarray(mats, dtype=dt) % p
-    if R is mats or not R.flags.owndata:
-        R = R.copy()
-    inv_tab = inverse_table(p)
+    R = residues(mats, p, work_dtype(p))
     alive = np.ones(N, dtype=bool)
     ar = np.arange(N)
     for col in range(n):
@@ -87,10 +122,10 @@ def batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
         tmp = R[ar, pr].copy()
         R[ar, pr] = R[ar, col]
         R[ar, col] = tmp
-        pinv = inv_tab[R[:, col, col]]
-        R[:, col, col:] = (R[:, col, col:] * pinv[:, None]) % p
+        pinv = _inverses_mod_p(R[:, col, col], p)
+        R[:, col, col:] = mod_p(R[:, col, col:] * pinv[:, None], p)
         below = R[:, col + 1:, col]
         if below.size:
-            R[:, col + 1:, col:] = (R[:, col + 1:, col:]
-                                    - below[:, :, None] * R[:, col, None, col:]) % p
+            R[:, col + 1:, col:] = mod_p(R[:, col + 1:, col:]
+                                        - below[:, :, None] * R[:, col, None, col:], p)
     return alive

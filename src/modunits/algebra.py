@@ -4,7 +4,9 @@ An element is a dense vector of residues indexed by group-element index.
 The classical involution sends a group element to its inverse; a unit is
 *unitary* when its involution is its inverse.  Only prime fields are
 supported.  Every product in GF(p)[G] goes through GroupAlgebra.multiply, an
-exact int64 kernel; an algebra whose sums could overflow it is refused.
+exact integer kernel that accumulates in the narrowest type holding
+|G|*(p-1)^2, the largest sum it forms; an algebra whose sums would not fit in
+int64 is refused.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import solve_mod_p
+from ._gflinalg import int_dtype, mod_p, residues, solve_mod_p
 from .errors import AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch
 
 
 class GroupAlgebra:
     """Context object: the group, the characteristic, and cached index tables."""
 
-    __slots__ = ("group", "p", "div", "_ldiv", "_one_vec")
+    __slots__ = ("group", "p", "div", "_ldiv", "_one_vec", "_dtype")
 
     def __init__(self, group: gr.FiniteGroup, p: int):
         # first, so that a huge p is refused before a primality test on it
@@ -31,6 +33,7 @@ class GroupAlgebra:
             raise NotPrime(f"{p} is not prime")
         self.group = group
         self.p = int(p)
+        self._dtype = int_dtype(group.order * (self.p - 1) ** 2)  # the products' sums
         # div[k, h] = the g with g*h = k; column h of a regular matrix reads a[div[:, h]]
         div = group.mul[:, group.inv]
         div.setflags(write=False)
@@ -97,18 +100,22 @@ class GroupAlgebra:
         return AlgebraElement(self, vec % self.p)
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The product a*b of int64 residue arrays whose first axis is the group.
+        """The product a*b of integer arrays whose first axis is the group, as
+        int64 residues.
 
         Trailing axes broadcast: (n,) x (n,) multiplies two elements,
-        (n, 1) x (n, m) one element by m, (n, m) x (n, m) m pairs.  Summing
-        a[g] * b[g^-1 k] over the support of a keeps every partial sum below
-        dim * (p-1)^2 < 2^63, so the result is exact.
+        (n, 1) x (n, m) one element by m, (n, m) x (n, m) m pairs.  The
+        inputs are reduced mod p (only when some entry is out of range) and
+        narrowed; summing a[g] * b[g^-1 k] over the support of a keeps every
+        partial sum at most dim * (p-1)^2, which the narrow type holds, so the
+        result is exact.
         """
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        a = residues(a, self.p, self._dtype)
+        b = residues(b, self.p, self._dtype)
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=self._dtype)
         for g in np.flatnonzero(a.reshape(a.shape[0], -1).any(axis=1)):
             out += a[g] * b[self._ldiv[g]]
-        out %= self.p
-        return out
+        return mod_p(out, self.p).astype(np.int64)
 
     def random_element(self, rng) -> "AlgebraElement":
         return AlgebraElement(self, rng.integers(0, self.p, size=self.dim).astype(np.int64))

@@ -59,10 +59,10 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _write(data: bytes, out: str | None) -> None:
+def _write(data: bytes, out: str | None, mode: str = "wb") -> None:
     if out:
         try:
-            with open(out, "wb") as fh:
+            with open(out, mode) as fh:
                 fh.write(data)
         except OSError as exc:
             raise InvalidConfig(f"cannot write output file {out}: {exc}") from exc
@@ -110,6 +110,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        # fail before the run, not after it; appending leaves an existing file as it is
+        _write(b"", args.out, mode="ab")
         if args.command == "verify":
             config = _config_from_args(args)
             _check_prime(args.spec, args.p, config)

@@ -55,24 +55,29 @@ class UnitGroup:
         if vectors.size and (vectors.min() < 0 or vectors.max() >= algebra.p):
             vectors = vectors % algebra.p
         self.algebra = algebra
-        self.vectors = vectors[np.lexsort(vectors[:, ::-1].T)]  # a sorted copy
-        self.vectors.setflags(write=False)
         n = algebra.dim
         p = algebra.p
-        # mixed-radix codes (most significant first) preserve lexicographic order
+        # mixed-radix codes (most significant first) preserve lexicographic
+        # order, so sorting the codes sorts the vectors
         if n * np.log2(p) < 62:
             w = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+            codes = vectors @ w
+            order = np.argsort(codes)
+            codes = codes[order]
+            self.vectors = vectors[order]  # a sorted copy
             self._weights = w
-            self._codes = self.vectors @ w
-            if self.vectors.shape[0] > 1 and not (np.diff(self._codes) > 0).all():
+            self._codes = codes
+            if not (codes[1:] > codes[:-1]).all():
                 raise ValueError("unit set contains duplicates")
         else:
+            self.vectors = vectors[np.lexsort(vectors[:, ::-1].T)]  # a sorted copy
             self._weights = None
             self._codes = None
             self._byte_index = {self.vectors[i].tobytes(): i
                                 for i in range(self.vectors.shape[0])}
             if len(self._byte_index) != self.vectors.shape[0]:
                 raise ValueError("unit set contains duplicates")
+        self.vectors.setflags(write=False)
         pos = self.position_of_vector(algebra._one_vec)
         if pos < 0:
             raise ValueError("unit set does not contain 1")

@@ -93,6 +93,34 @@ def test_multiply_matches_regular_matrix_oracle_in_every_shape(spec, p):
         assert (got[:, j] == M @ elems[8 - j].coeffs % p).all()
 
 
+# the primes either side of each step of the kernel's integer type at |G| = 4,
+# where it accumulates sums of up to 4*(p-1)^2
+@pytest.mark.parametrize("p,dtype", [
+    (5, np.int8), (7, np.int16), (89, np.int16), (97, np.int32),
+    (23167, np.int32), (23173, np.int64),
+])
+def test_multiply_is_exact_at_every_integer_type_boundary(p, dtype):
+    from modunits._gflinalg import int_dtype
+
+    assert int_dtype(4 * (p - 1) ** 2) is dtype
+    F = alg("catalog:C,4", p)
+    top = np.full(4, p - 1, dtype=np.int64)  # every partial sum reaches the bound
+    many = np.full((4, 3), p - 1, dtype=np.int64)
+    shapes = [(top, top), (top[:, None], many), (many, many)]
+    for a, b in shapes:
+        got = F.multiply(a, b)
+        assert got.dtype == np.int64
+        assert (got == 4 * (p - 1) ** 2 % p).all()  # (p-1)^2 * |G| in each coefficient
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, size=(4, 3)), rng.integers(0, p, size=(4, 3))
+    expected = F.multiply(a, b)
+    for k in (-1, 2**7 // p + 1, 2**15 // p + 1, 2**40 // p):
+        shift = k * p * rng.integers(-1, 2, size=(4, 3))  # unreduced, some negative
+        assert (F.multiply(a + shift, b - shift) == expected).all()
+        for j in range(3):
+            assert (F.multiply(a[:, j] + shift[:, j], b[:, j]) == expected[:, j]).all()
+
+
 # the primes either side of the kernel's bound |G|*(p-1)^2 < 2^63 at |G| = 4
 P_BELOW, P_ABOVE = 1518500213, 1518500279
 
@@ -281,6 +309,39 @@ def test_row_reduce_is_a_reduced_echelon_basis_of_the_row_space(p):
             for r, col in zip(rows, pivots):
                 assert not r[:col].any()
             assert _span(rows, p) == _span(mat, p)
+
+
+def test_gflinalg_reduces_before_it_narrows():
+    from modunits._gflinalg import batch_invertible_mask, row_reduce, solve_mod_p
+
+    zero = np.array([[2**31 + 1]])  # 0 mod 3, but not once cast to int32
+    assert batch_invertible_mask(zero[None], 3).tolist() == [False]
+    assert row_reduce(zero, 3)[1].size == 0
+    assert solve_mod_p(zero, np.array([1]), 3) is None
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_gflinalg_ignores_multiples_of_p_in_its_input(p):
+    from modunits._gflinalg import batch_invertible_mask, row_reduce, solve_mod_p
+
+    rng = np.random.default_rng(p)
+    mats = rng.integers(0, p, size=(64, 4, 4))
+    mats[::2, 3] = (mats[::2, 0] + mats[::2, 1]) % p  # half are singular
+    # negative entries, and entries past int8, int16 and int32
+    k = rng.choice([-(2**33 // p), -1, 2**7 // p + 1, 2**15 // p + 1, 2**31 // p + 1],
+                   size=mats.shape)
+    raw = mats + k * p
+    mask = batch_invertible_mask(mats, p)
+    assert 0 < mask.sum() < mask.size
+    assert (batch_invertible_mask(raw, p) == mask).all()
+    rhs = rng.integers(0, p, size=4)
+    for M, R in zip(mats[:8], raw[:8]):
+        for got, want in zip(row_reduce(R, p), row_reduce(M, p)):
+            assert (got == want).all()
+        x, y = solve_mod_p(R, rhs - 3 * p, p), solve_mod_p(M, rhs, p)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert (x == y).all()
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -296,7 +296,14 @@ def test_cli_catalog_missing_config_exits_2(tmp_path, capsys):
     ["witness", "--case", "1", "--spec", "catalog:S3", "--p", "2"],
     ["enumerate-units", "--spec", "catalog:C,2", "--p", "2"],
 ])
-def test_cli_unwritable_out_exits_2(tmp_path, capsys, argv):
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise RuntimeError("the run started before --out was checked")
+
+    # RuntimeError is not caught per entry, so any work done would surface
+    monkeypatch.setattr(m.report, "verify_equivalence", must_not_run)
+    monkeypatch.setattr(cli, "_run_witnesses", must_not_run)
+    monkeypatch.setattr(cli, "enumerate_units", must_not_run)
     rc = cli.main(argv + ["--out", str(tmp_path / "absent" / "r.json")])
     captured = capsys.readouterr()
     assert rc == 2

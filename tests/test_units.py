@@ -271,6 +271,13 @@ def test_enumeration_holds_few_copies_of_the_unit_set():
     assert peak <= 2.5 * V.vectors.nbytes
 
 
+def test_enumeration_at_large_primes():
+    # one coordinate vector per residue: p candidates in a block of dimension 1
+    assert len(m.enumerate_units(alg("catalog:C,2", 100003))) == 100002
+    V = m.enumerate_units(alg("catalog:C,1", 1000003))
+    assert len(V) == 1 and V.element(0).is_one()
+
+
 def test_byte_keyed_lookup_in_witness_closure():
     # n log2 p = 42 log2 3 >= 62, so UnitGroup keys its rows by their bytes
     A = alg("prod:catalog:D,7|catalog:C,3", 3)
