@@ -28,11 +28,12 @@ def work_dtype(p: int):
 
 
 def residues(a, p: int, dtype) -> np.ndarray:
-    """A fresh array of dtype holding the integers a mod p; a is reduced, in
-    int64, only when some entry lies outside [0, p)."""
-    a = np.asarray(a, dtype=np.int64)
+    """A fresh array of dtype holding the integers a mod p.  An array with
+    every entry in [0, p) is narrowed as it is; otherwise a is reduced in
+    int64 first."""
+    a = np.asarray(a)
     if a.size and (a.min() < 0 or a.max() >= p):
-        a = a % p
+        a = a.astype(np.int64) % p
     return a.astype(dtype)
 
 

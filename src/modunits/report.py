@@ -19,7 +19,7 @@ import numpy as np
 
 from . import groups as gr
 from .algebra import GroupAlgebra
-from .catalog import DEFAULT_CATALOG, build_group, parse_group_spec
+from .catalog import DEFAULT_CATALOG, DEFAULT_ORDER_CAP, build_group, parse_group_spec
 from .errors import InvalidConfig, ModunitsError
 from .theorem import (
     Budgets,
@@ -50,7 +50,7 @@ class RunConfig:
     engel_budget: int = Budgets.engel_budget
     seed: int = Budgets.seed
     output_format: str = "json"
-    group_order_cap: int = 64
+    group_order_cap: int = DEFAULT_ORDER_CAP
     emit_timings: bool = False
 
     def __post_init__(self):

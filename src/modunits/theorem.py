@@ -289,9 +289,10 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     when G is, and then it has class 1 (class 0 when trivial).
 
     Up to abstract_cap elements the lower central series, computed from
-    generators, decides U; a non-nilpotent U gets the first non-Engel pair of
-    the lex scan, or else one from the seeded search.  A larger U gets only
-    the seeded search, which can prove non-nilpotency but never nilpotency.
+    generators, decides U, and a non-nilpotent U gets the first non-Engel
+    pair of the lex scan, which has one by Zorn's theorem.  A larger U gets
+    only the seeded search, which can prove non-nilpotency but never
+    nilpotency.
     """
     m = len(U)
     if U.algebra.group.is_abelian():
@@ -300,9 +301,7 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
         series = lower_central_series_of_units(U, seed=budgets.seed)
         if series[-1].size == 1:
             return VStatus("nilpotent", nilpotency_class=len(series) - 1)
-        pair = non_engel_scan(U) or find_non_engel_pair(
-            U, budget=budgets.engel_budget, seed=budgets.seed)
-        return VStatus("non_nilpotent", witness=pair)
+        return VStatus("non_nilpotent", witness=non_engel_scan(U))
     pair = find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
     if pair is None:
         return VStatus("skipped", reason="falsification inconclusive")

@@ -13,10 +13,11 @@ the classical involution.
 lower_central_series_of_units computes the lower central series of a unit
 group from a generating set, with no Cayley table.  non_engel_scan (the
 lex-first pair) and find_non_engel_pair (seeded pairs) look for a non-Engel
-pair with batched Engel orbits.  All of them move through U by batched
-products, each checked to be a member.  as_abstract_group still turns a unit
-set into a Cayley-table group, so that the machinery of ``groups`` can check
-them.
+pair with batched Engel orbits, each run until it reaches 1 or repeats a
+state, so every pair they look at is decided exactly.  All of them move
+through U by batched products, each checked to be a member.
+as_abstract_group still turns a unit set into a Cayley-table group, so that
+the machinery of ``groups`` can check them.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -27,12 +28,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import batch_invertible_mask, row_reduce
+from ._gflinalg import batch_invertible_mask, row_reduce, work_dtype
 from .algebra import AlgebraElement, GroupAlgebra
 from .errors import BudgetExceeded, EngelInconclusive, NotAUnit
 
@@ -45,6 +46,8 @@ _CHUNK = 1 << 14
 class UnitGroup:
     """An explicit finite set of units, stored lexicographically sorted.
 
+    Members are looked up by their mixed-radix codes sum_i v_i p^(n-1-i) in
+    one sorted code array: int64 when n log2 p < 62, Python ints otherwise.
     Construction checks only that the vectors are distinct and contain 1.
     Closure is proven exhaustively from the product table, by
     as_abstract_group and by verify_closure.
@@ -55,28 +58,17 @@ class UnitGroup:
         if vectors.size and (vectors.min() < 0 or vectors.max() >= algebra.p):
             vectors = vectors % algebra.p
         self.algebra = algebra
-        n = algebra.dim
-        p = algebra.p
+        n, p = algebra.dim, algebra.p
         # mixed-radix codes (most significant first) preserve lexicographic
         # order, so sorting the codes sorts the vectors
-        if n * np.log2(p) < 62:
-            w = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            codes = vectors @ w
-            order = np.argsort(codes)
-            codes = codes[order]
-            self.vectors = vectors[order]  # a sorted copy
-            self._weights = w
-            self._codes = codes
-            if not (codes[1:] > codes[:-1]).all():
-                raise ValueError("unit set contains duplicates")
-        else:
-            self.vectors = vectors[np.lexsort(vectors[:, ::-1].T)]  # a sorted copy
-            self._weights = None
-            self._codes = None
-            self._byte_index = {self.vectors[i].tobytes(): i
-                                for i in range(self.vectors.shape[0])}
-            if len(self._byte_index) != self.vectors.shape[0]:
-                raise ValueError("unit set contains duplicates")
+        self._weights = np.array([p**k for k in range(n - 1, -1, -1)],
+                                 dtype=np.int64 if n * np.log2(p) < 62 else object)
+        codes = vectors @ self._weights
+        order = np.argsort(codes)
+        self._codes = codes[order]
+        self.vectors = vectors[order]  # a sorted copy
+        if not (self._codes[1:] > self._codes[:-1]).all():
+            raise ValueError("unit set contains duplicates")
         self.vectors.setflags(write=False)
         pos = self.position_of_vector(algebra._one_vec)
         if pos < 0:
@@ -112,16 +104,10 @@ class UnitGroup:
             mat = mat % self.algebra.p
         if len(self) == 0:
             return np.full(mat.shape[0], -1, dtype=np.int64)
-        if self._weights is not None:
-            codes = mat @ self._weights
-            idx = np.searchsorted(self._codes, codes)
-            idx[idx >= len(self)] = 0
-            ok = self._codes[idx] == codes
-            return np.where(ok, idx, -1)
-        out = np.empty(mat.shape[0], dtype=np.int64)
-        for i in range(mat.shape[0]):
-            out[i] = self._byte_index.get(np.ascontiguousarray(mat[i]).tobytes(), -1)
-        return out
+        codes = mat @ self._weights
+        idx = np.searchsorted(self._codes, codes)
+        idx[idx >= len(self)] = 0
+        return np.where(self._codes[idx] == codes, idx, -1)
 
     def verify_closure(self) -> None:
         """Raise ValueError unless the set is a group: exhaustive, one table pass."""
@@ -201,6 +187,7 @@ def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
         for lo in range(0, total, _CHUNK):
             idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
             x = (_digits(idx, p, pivots.size) @ rows + complement) % p
+            x = x.astype(work_dtype(p))  # gathered into n x n matrices next
             units[lo:lo + _CHUNK] = batch_invertible_mask(x[:, algebra.div], p)
         blocks.append(UnitBlock(f, rows, pivots, units))
     return blocks
@@ -450,70 +437,58 @@ class EngelOutcome:
         return not self.stabilizes
 
 
-def engel_orbit(x: Hashable, step: Callable[[Hashable], Hashable], one: Hashable,
-                n_max: int) -> EngelOutcome | None:
-    """Iterate z <- step(z) = (z, y) from z = x, for units or table indices.
-
-    Stabilizes with the first n at which z is one; is nontrivial when a
-    non-identity state repeats (the orbit is then periodic and can never
-    reach one); None when n_max steps give neither.
-    """
-    z, n, visited = x, 0, set()
-    while z != one:
-        if z in visited:
-            return EngelOutcome(False, n)
-        if n == n_max:
-            return None
-        visited.add(z)
-        z, n = step(z), n + 1
-    return EngelOutcome(True, n)
-
-
 def engel_test(x: AlgebraElement, y: AlgebraElement, n_max: int = 256) -> EngelOutcome:
-    """The engel_orbit of two units; raises EngelInconclusive at n_max."""
+    """Iterate z <- (z, y) from z = x on two units.
+
+    Stabilizes with the first n at which z is 1; is nontrivial when a state
+    other than 1 repeats (the orbit is then periodic and never reaches 1).
+    Raises EngelInconclusive when n_max steps give neither.
+    """
     y_inv = y.try_inverse()
     if y_inv is None:
         raise NotAUnit("y is not a unit")
-
-    def step(z: AlgebraElement) -> AlgebraElement:
+    z, n, visited = x, 0, set()
+    while not z.is_one():
+        if z in visited:
+            return EngelOutcome(False, n)
+        if n == n_max:
+            raise EngelInconclusive(f"no verdict after {n_max} steps")
+        visited.add(z)
         z_inv = z.try_inverse()
         if z_inv is None:
             raise NotAUnit("commutator chain left the unit group")
-        return z_inv * y_inv * z * y
-
-    outcome = engel_orbit(x, step, x.algebra.one(), n_max)
-    if outcome is None:
-        raise EngelInconclusive(f"no verdict after {n_max} steps")
-    return outcome
+        z, n = z_inv * y_inv * z * y, n + 1
+    return EngelOutcome(True, n)
 
 
 def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarray,
-                     y_inv: np.ndarray, n_max: int) -> int:
+                     y_inv: np.ndarray) -> int:
     """Index of the first pair (x[k], y[k]) whose orbit z <- (z, y) from z = x
-    repeats a state other than 1 within n_max steps, the pairs engel_orbit
-    calls nontrivial; len(x) when there is none.
+    repeats a state other than 1, the pairs engel_test calls nontrivial;
+    len(x) when there is none.
 
     The orbits run together.  Each carries z^-1 along, since
     (z, y)^-1 = y^-1 z^-1 y z, so a step is six products and no elimination.
-    Once a pair repeats, only the pairs before it keep running.
+    Once a pair repeats, only the pairs before it keep running.  An orbit
+    stays inside U, so within |U| steps it reaches 1 or repeats a state, and
+    the loop ends.
     """
     one = U.one_position
     visited = np.zeros((x.size, len(U)), dtype=bool)
     row, z, z_inv = np.arange(x.size), x.copy(), x_inv.copy()
     first = x.size
-    for n in range(n_max + 1):
+    while True:
         seen, moving = visited[row, z], z != one
         if (seen & moving).any():
             first = min(first, int(row[seen & moving].min()))
         live = moving & ~seen & (row < first)
-        if n == n_max or not live.any():
-            break
+        if not live.any():
+            return first
         row, z, z_inv = row[live], z[live], z_inv[live]
         visited[row, z] = True
         yr, yr_inv = y[row], y_inv[row]
         z, z_inv = (_products(U, _products(U, z_inv, yr_inv), _products(U, z, yr)),
                     _products(U, _products(U, yr_inv, z_inv), _products(U, yr, z)))
-    return first
 
 
 def _pair_block(U: UnitGroup) -> int:
@@ -521,35 +496,38 @@ def _pair_block(U: UnitGroup) -> int:
     return max(1, (1 << 22) // len(U))
 
 
-def non_engel_scan(U: UnitGroup, max_pairs: int = 200_000, n_max: int = 512
+def non_engel_scan(U: UnitGroup, max_pairs: int | None = None
                    ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """The first pair (x, y) of positions in row-major order, among the first
-    max_pairs, whose orbit z <- (z, y) from z = x repeats a state other than 1
-    within n_max steps: the first pair engel_orbit calls nontrivial.
+    max_pairs (all |U|^2 by default), whose orbit z <- (z, y) from z = x
+    repeats a state other than 1: the first pair engel_test calls nontrivial.
 
-    The inverses come from one table of x^(|U|-1) over U.
+    A finite Engel group is nilpotent (Zorn), so on a non-nilpotent U the
+    scan of all pairs always returns a pair.  The inverses come from one
+    table of x^(|U|-1) over U.
     """
     m = len(U)
     inv = _inverses(U, np.arange(m))
-    total = min(max_pairs, m * m)
+    total = m * m if max_pairs is None else min(max_pairs, m * m)
     block = min(m, _pair_block(U))  # at most a row: the first witness is usually in row 0
     for lo in range(0, total, block):
         idx = np.arange(lo, min(lo + block, total), dtype=np.int64)
         x, y = idx // m, idx % m
-        k = _first_non_engel(U, x, y, inv[x], inv[y], n_max)
+        k = _first_non_engel(U, x, y, inv[x], inv[y])
         if k < idx.size:
             return U.element(int(x[k])), U.element(int(y[k]))
     return None
 
 
-def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0,
-                        n_max: int = 256) -> tuple[AlgebraElement, AlgebraElement] | None:
+def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0
+                        ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Seeded random search for a pair witnessing non-nilpotency.
 
     Draws ``budget`` pairs (x, y) uniformly from U and returns the first whose
-    engel_test is nontrivial; the orbits run batched through
-    _first_non_engel, with inverses x^(|U|-1).  None means the search found
-    nothing within its budget; it is not a proof that every pair is Engel.
+    Engel orbit is nontrivial; the orbits run batched through
+    _first_non_engel, with inverses x^(|U|-1), and each drawn pair is decided
+    exactly.  None means that no drawn pair is non-Engel; it is not a proof
+    that every pair is Engel.
     """
     rng = random.Random(seed)
     m = len(U)
@@ -558,7 +536,7 @@ def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0,
     block = _pair_block(U)
     for lo in range(0, budget, block):
         x, y = pairs[lo:lo + block, 0], pairs[lo:lo + block, 1]
-        k = _first_non_engel(U, x, y, _inverses(U, x), _inverses(U, y), n_max)
+        k = _first_non_engel(U, x, y, _inverses(U, x), _inverses(U, y))
         if k < x.size:
             return U.element(int(x[k])), U.element(int(y[k]))
     return None

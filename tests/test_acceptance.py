@@ -257,14 +257,24 @@ def test_8_inverse_oracle_crosscheck():
             for lo in range(0, total, chunk):
                 hi = min(lo + chunk, total)
                 block = B[:, lo:hi].T  # (chunk, n) candidate elements a
-                mats = block[:, ctx.div]  # (chunk, n, n) regular matrices
-                prods = (mats.reshape(-1, n).astype(np.float32) @ Bf) % p
-                prods = prods.reshape(hi - lo, n, total)
-                is_one = (prods == one_vec.astype(np.float32)[None, :, None]).all(axis=1)
+                mats = block[:, ctx.div].astype(np.float32)  # (chunk, n, n) regular matrices
+                # the pairs (a_k, b_j) with a_k * b_j = 1, as flat indices k * total + j:
+                # coordinate i of every product is compared with that of 1 in
+                # turn, and a pair is dropped at its first mismatch.  Each
+                # coordinate is at most n(p-1)^2 before it is reduced mod p.
+                live = None
+                for i in range(n):
+                    coord = (mats[:, i, :] @ Bf).ravel()
+                    coord = (coord if live is None else coord[live]).astype(np.int16)
+                    coord -= coord // p * p
+                    hit = np.flatnonzero(coord == one_vec[i])
+                    live = hit if live is None else live[hit]
+                rows, cols = np.divmod(live, total)
+                bounds = np.searchsorted(rows, np.arange(hi - lo + 1))
                 for k in range(hi - lo):
                     a = ctx.from_coeffs(block[k])
                     inv = a.try_inverse()
-                    hits = np.nonzero(is_one[k])[0]
+                    hits = cols[bounds[k]:bounds[k + 1]]
                     if inv is None:
                         assert hits.size == 0, f"{name}@{p}: missed unit"
                     else:

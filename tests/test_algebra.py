@@ -1,6 +1,7 @@
 """Group-algebra arithmetic: exact ring laws, involution, hat, invertibility."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ def test_gflinalg_reduces_before_it_narrows():
     assert batch_invertible_mask(zero[None], 3).tolist() == [False]
     assert row_reduce(zero, 3)[1].size == 0
     assert solve_mod_p(zero, np.array([1]), 3) is None
+
+
+def test_residues_keeps_an_in_range_input_narrow_and_reduces_negative_entries():
+    from modunits._gflinalg import residues
+
+    small = np.ones(1 << 20, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        out = residues(small, 3, np.int8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.int8 and (out == 1).all()
+    assert peak < 2 * small.nbytes  # the narrow copy, and no int64 temporary
+    got = residues(np.array([-128, -3, -1, 0, 5, 127], dtype=np.int8), 3, np.int8)
+    assert got.dtype == np.int8 and got.tolist() == [1, 0, 2, 0, 2, 1]
 
 
 @pytest.mark.parametrize("p", [3, 101])
