@@ -200,8 +200,6 @@ class AlgebraElement:
         """Coefficient at g moves to g^-1."""
         return AlgebraElement(self.algebra, self.coeffs[self.algebra.group.inv])
 
-    star = involution
-
     def support(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.nonzero(self.coeffs)[0])
 

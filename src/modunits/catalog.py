@@ -3,7 +3,7 @@
 Grammar (used by the CLI and config files):
 
     catalog:<NAME>[,<param>]     e.g. catalog:C,6  catalog:D,4  catalog:Q8  catalog:S3
-    perm:<cycles>;<cycles>;...   e.g. perm:(1 2);(1 2 3)
+    perm:<cycles>;<cycles>;...   e.g. perm:(1 2);(1 2 3)    points 1..4096
     prod:<spec>|<spec>           e.g. prod:catalog:S3|catalog:C,3
 
 Catalog names: C,n (cyclic), D,n (dihedral of order 2n), Q8, S3, S4, A4.
@@ -23,6 +23,7 @@ from .errors import ClosureExceedsCap, InvalidSpec
 from .groups import FiniteGroup
 
 DEFAULT_ORDER_CAP = 64
+MAX_PERM_POINT = 4096  # checked before a permutation of that degree is built
 
 _FIXED_CATALOG = {"Q8": 8, "S3": 6, "S4": 24, "A4": 12}
 
@@ -60,9 +61,12 @@ def _parse_cycles(text: str, offset: int) -> tuple[int, ...]:
         points = []
         if body:
             for tok in re.split(r"[,\s]+", body):
-                if not tok.isdigit():
+                if not (tok.isascii() and tok.isdigit()):
                     raise InvalidSpec(f"bad cycle point {tok!r}", offset + i)
-                pt = int(tok)
+                digits = tok.lstrip("0") or "0"  # length first: int() refuses 4300+ digits
+                if len(digits) > len(str(MAX_PERM_POINT)) or int(digits) > MAX_PERM_POINT:
+                    raise InvalidSpec(f"cycle point above {MAX_PERM_POINT}", offset + i)
+                pt = int(digits)
                 if pt < 1:
                     raise InvalidSpec("cycle points are 1-based", offset + i)
                 points.append(pt - 1)

@@ -207,7 +207,9 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
         1 + hat(c) * sum_i (-1)^i C(k,i) (g^(h^(k-i)) - g^(-h^(k-i)))
 
     and at p-power k the binomials vanish mod p, collapsing the sum to
-    1 + hat(c) * ((g^(h^k) - g) - (g^(-h^k) - g^(-1))).
+    1 + hat(c) * ((g^(h^k) - g) - (g^(-h^k) - g^(-1))).  The orbit starts
+    from w^-1 = w*, as witness_skew has checked that w is unitary, and
+    carries its inverse along, so no step solves a linear system.
     """
     G = ctx.group
     p = ctx.p
@@ -218,12 +220,10 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
     g_inv = int(G.inv[g])
     one = ctx.one()
 
-    z = w
+    z, z_inv = w, w.involution()
     for k in range(1, n + 1):
-        z_inv = z.try_inverse()
-        if z_inv is None:
-            return False
-        z = z_inv * h_inv_bar * z * h_bar
+        # (z, h)^-1 = h^-1 z^-1 h z, so the orbit carries its own inverse
+        z, z_inv = z_inv * h_inv_bar * z * h_bar, h_inv_bar * z_inv * h_bar * z
 
         total = ctx.zero()
         for i in range(0, k + 1):
@@ -298,7 +298,7 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     if U.algebra.group.is_abelian():
         return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
     if m <= budgets.abstract_cap:
-        series = lower_central_series_of_units(U, seed=budgets.seed)
+        series = lower_central_series_of_units(U)
         if series[-1].size == 1:
             return VStatus("nilpotent", nilpotency_class=len(series) - 1)
         return VStatus("non_nilpotent", witness=non_engel_scan(U))

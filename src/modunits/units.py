@@ -11,13 +11,14 @@ is nilpotent.  filter_unitary carves out the units fixed into inverses by
 the classical involution.
 
 lower_central_series_of_units computes the lower central series of a unit
-group from a generating set, with no Cayley table.  non_engel_scan (the
-lex-first pair) and find_non_engel_pair (seeded pairs) look for a non-Engel
-pair with batched Engel orbits, each run until it reaches 1 or repeats a
-state, so every pair they look at is decided exactly.  All of them move
-through U by batched products, each checked to be a member.
-as_abstract_group still turns a unit set into a Cayley-table group, so that
-the machinery of ``groups`` can check them.
+group from a greedy generating set taken in position order, with no Cayley
+table.  non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded
+pairs) look for a non-Engel pair with batched Engel orbits, each run until it
+reaches 1 or repeats a state, so every pair they look at is decided exactly.
+All of them move through U by batched products, each checked to be a member,
+and take inverses as powers.  closure_subgroup closes generators under
+products alone (u^-1 is a power of u), and as_abstract_group turns a unit
+set into a Cayley-table group, so that ``groups`` can check them.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -255,20 +256,17 @@ def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
 
 def closure_subgroup(units: Iterable[AlgebraElement],
                      cap: int = ABSTRACT_GROUP_CAP) -> UnitGroup:
-    """Multiplicative closure of the given units (inverses included)."""
-    units = list(units)
-    if not units:
+    """The subgroup the units generate: their closure under products, which is
+    a group, since a unit u of finite order k has u^-1 = u^(k-1)."""
+    gens = list(units)
+    if not gens:
         raise ValueError("need at least one generating unit")
-    alg = units[0].algebra
-    gens: list[AlgebraElement] = []
-    for u in units:
+    alg = gens[0].algebra
+    for u in gens:
         if u.augmentation() != 1:
             raise NotAUnit(f"generator {u.to_text()} is not normalized")
-        inv = u.try_inverse()
-        if inv is None:
+        if u.try_inverse() is None:
             raise NotAUnit(f"generator {u.to_text()} is not a unit")
-        gens.append(u)
-        gens.append(inv)
     one = alg.one()
     seen = {one.coeffs.tobytes(): one}
     frontier = [one]
@@ -280,13 +278,11 @@ def closure_subgroup(units: Iterable[AlgebraElement],
                 key = y.coeffs.tobytes()
                 if key not in seen:
                     if len(seen) >= cap:
-                        raise BudgetExceeded(
-                            f"closure exceeds cap {cap}", len(seen) + 1)
+                        raise BudgetExceeded(f"closure exceeds cap {cap}", len(seen) + 1)
                     seen[key] = y
                     nxt.append(y)
         frontier = nxt
-    vectors = np.stack([u.coeffs for u in seen.values()])
-    return UnitGroup(alg, vectors)
+    return UnitGroup(alg, np.stack([u.coeffs for u in seen.values()]))
 
 
 def as_abstract_group(U: UnitGroup, cap: int = ABSTRACT_GROUP_CAP) -> gr.FiniteGroup:
@@ -382,14 +378,15 @@ class _Closure:
         return new
 
 
-def lower_central_series_of_units(U: UnitGroup, seed: int = 0) -> list[np.ndarray]:
+def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
     """gamma_1 >= gamma_2 >= ... of U as sorted position arrays, computed from
     generators until a term is trivial or repeats.
 
-    S is a greedy generating set: members of U in a seeded random order, each
-    kept when it lies outside the closure of those kept before, until the
-    closure has |U| elements.  With gens(gamma_1) = S, gamma_(i+1) = [gamma_i, U]
-    is the normal closure in U of {(t, s) : t in gens(gamma_i), s in S}
+    S is a greedy generating set: members of U in position order, each kept
+    when it lies outside the closure of those kept before, until the closure
+    has |U| elements; the terms are subgroups, so they do not depend on S.
+    With gens(gamma_1) = S, gamma_(i+1) = [gamma_i, U] is the normal closure
+    in U of {(t, s) : t in gens(gamma_i), s in S}
     (Robinson, A Course in the Theory of Groups, 5.1), and its generators
     are the commutators that the normal closure kept.  A normal closure of
     gens(gamma_i) suffices: modulo [gens, S] each generator is central, so
@@ -398,7 +395,7 @@ def lower_central_series_of_units(U: UnitGroup, seed: int = 0) -> list[np.ndarra
     """
     m = len(U)
     H = _Closure(U)
-    for x in np.random.default_rng(seed).permutation(m):
+    for x in range(m):
         if H.size == m:
             break
         H.add(x)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Everything is exact; there
 are no tolerances anywhere.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -288,11 +289,24 @@ def test_8_inverse_oracle_crosscheck():
     assert ok
 
 
+# SHA-256 of the default catalog's reports.  A change that alters the report
+# bytes on purpose updates these and says so in CHANGES.md.
+REPORT_SHA256 = {
+    "json": "222b3a8af92bbe7d3f14963b43858f64e7c053b6c9649d48a6f6f16e74314276",
+    "csv": "24517a607757c09977ee4f92942a24fe2f4486b70c10bed768545761a9b4f4cb",
+    "text": "650b643b8141381643a0ff50b213fc292027feb7f0a83bda0221a64fbcfb87ef",
+}
+
+
 def test_9_report_determinism(catalog_report):
     report1, _ = catalog_report
     report2 = run_catalog(RunConfig())
     ok = all(emit_report(report1, fmt) == emit_report(report2, fmt)
              for fmt in ("json", "csv", "text"))
-    _line(9, ok, f"byte-identical catalog reports from two runs "
+    digests = {fmt: hashlib.sha256(emit_report(report1, fmt)).hexdigest()
+               for fmt in REPORT_SHA256}
+    ok = ok and digests == REPORT_SHA256
+    _line(9, ok, f"byte-identical catalog reports from two runs, with pinned digests "
                  f"({len(emit_report(report1, 'json'))} bytes of JSON)")
+    assert digests == REPORT_SHA256
     assert ok

@@ -77,6 +77,9 @@ def test_round_trip_through_canonical_printer():
     "perm:(1 2",
     "perm:(0 1)",
     "perm:(1 1 2)",
+    "perm:(1 4097)",
+    "perm:(1 2 ²)",
+    pytest.param("perm:(1 " + "9" * 5000 + ")", id="perm:(1 <5000 digits>)"),
     "prod:catalog:C,2",
 ])
 def test_invalid_specs(bad):
@@ -89,6 +92,13 @@ def test_invalid_spec_reports_position():
     with pytest.raises(InvalidSpec) as err:
         m.parse_group_spec("perm:(1 2);(3 x)")
     assert err.value.position >= 11
+
+
+def test_perm_point_bound_is_checked_before_building_the_permutation():
+    with pytest.raises(InvalidSpec, match="above 4096") as err:
+        m.parse_group_spec("perm:(1 2);(1 100000000)")  # would be a 10^8-entry list
+    assert err.value.position == 11
+    assert len(m.parse_group_spec("perm:(1 4096)").generators[0]) == 4096
 
 
 def test_order_cap_enforced():

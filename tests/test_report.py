@@ -361,6 +361,18 @@ def test_cli_error_exit_code(capsys):
     assert rc == 1
 
 
+def test_cli_huge_perm_point_is_bad_input(capsys):
+    rc = cli.main(["verify", "--spec", "perm:(1 100000000)", "--p", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1  # verify records a bad spec as a failed entry
+    assert doc["verdicts"][0]["v"]["reason"] == (
+        "entry failed: cycle point above 4096 (at position 5)")
+    rc = cli.main(["enumerate-units", "--spec", "perm:(1 100000000)", "--p", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: cycle point above 4096 (at position 5)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--workers", "2"],
     ["verify", "--spec", "catalog:S3", "--p", "2", "--workers", "2"],

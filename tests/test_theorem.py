@@ -196,6 +196,22 @@ def test_engel_expansion_random_instances():
         assert m.verify_engel_expansion(F3_S3xC3, g, h, c, n=6)
 
 
+@pytest.mark.parametrize("spec,p", [("prod:catalog:S3|catalog:C,3", 3), ("catalog:D,4", 2),
+                                     ("catalog:Q8", 2), ("catalog:C,6", 3)])
+def test_engel_expansion_solves_no_linear_system(monkeypatch, spec, p):
+    """The orbit starts from w^-1 = w* and carries (z, h)^-1 = h^-1 z^-1 h z."""
+    def refuse(self):
+        raise AssertionError("try_inverse called")
+    A = alg(spec, p)
+    cents = m.central_order_p_elements(A.group, p)
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(m.AlgebraElement, "try_inverse", refuse)
+    for _ in range(8):
+        g, h = (int(x) for x in rng.integers(0, A.group.order, size=2))
+        c = cents[int(rng.integers(0, len(cents)))]
+        assert m.verify_engel_expansion(A, g, h, c, n=5)
+
+
 # ---------------------------------------------------------------------------
 # centralizer powers
 
