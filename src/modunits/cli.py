@@ -114,7 +114,7 @@ def main(argv=None) -> int:
         _write(b"", args.out, mode="ab")
         if args.command == "verify":
             config = _config_from_args(args)
-            _check_prime(args.spec, args.p, config)
+            _check_input(args.spec, args.p, config)
             report = run_single(args.spec, args.p, config)
             return _emit_and_exit(report, args)
         if args.command == "catalog":
@@ -141,14 +141,11 @@ def main(argv=None) -> int:
     return 2
 
 
-def _check_prime(spec_text: str, p: int, config: RunConfig) -> None:
-    """Raise NotPrime or AlgebraTooLarge for a p that GF(p)[G] refuses, so that
-    `verify` treats a bad prime as bad input, as `witness` and
-    `enumerate-units` do.  A bad spec is left to fail its report entry."""
-    try:
-        G = build_group(parse_group_spec(spec_text), cap=config.group_order_cap)
-    except (ModunitsError, ValueError):
-        return
+def _check_input(spec_text: str, p: int, config: RunConfig) -> None:
+    """Raise the ModunitsError of a spec that does not parse or build, or of a
+    p that GF(p)[G] refuses, so that `verify` treats bad input as `witness`
+    and `enumerate-units` do."""
+    G = build_group(parse_group_spec(spec_text), cap=config.group_order_cap)
     GroupAlgebra(G, p)
 
 

@@ -7,8 +7,9 @@ p'-subgroups of Q into blocks (unit_blocks), and Gaussian elimination runs
 once per block on its coordinate vectors to find the units of the block.
 The normalized units of FQ are the sums of one unit from each block, and
 V(FG) is the union of their preimages under the coset-sum map, whose kernel
-is nilpotent.  filter_unitary carves out the units fixed into inverses by
-the classical involution.
+is nilpotent.  The units are built as sorted mixed-radix codes, decoded once
+into the narrow rows a UnitGroup holds.  filter_unitary carves out the units
+fixed into inverses by the classical involution.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
@@ -34,7 +35,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import batch_invertible_mask, row_reduce, work_dtype
+from ._gflinalg import (batch_invertible_mask, int_dtype, mod_p, residues, row_reduce,
+                        work_dtype)
 from .algebra import AlgebraElement, GroupAlgebra
 from .errors import BudgetExceeded, EngelInconclusive, NotAUnit
 
@@ -47,29 +49,34 @@ _CHUNK = 1 << 14
 class UnitGroup:
     """An explicit finite set of units, stored lexicographically sorted.
 
-    Members are looked up by their mixed-radix codes sum_i v_i p^(n-1-i) in
-    one sorted code array: int64 when n log2 p < 62, Python ints otherwise.
+    ``vectors`` is a read-only array of residues in int_dtype(p - 1), int8
+    for p <= 128, so arithmetic on it must cast first: ``V.vectors + p``
+    wraps in int8 once p >= 64.  Members are looked up by their mixed-radix
+    codes sum_i v_i p^(n-1-i) in one sorted code array: int64 when
+    n log2 p < 62, Python ints otherwise.  Rows in strictly increasing
+    order are kept as given, with no copy when already in the residue
+    dtype; others are sorted by code and rebuilt from the sorted codes.
     Construction checks only that the vectors are distinct and contain 1.
     Closure is proven exhaustively from the product table, by
     as_abstract_group and by verify_closure.
     """
 
     def __init__(self, algebra: GroupAlgebra, vectors: np.ndarray):
-        vectors = np.asarray(vectors, dtype=np.int64)
-        if vectors.size and (vectors.min() < 0 or vectors.max() >= algebra.p):
-            vectors = vectors % algebra.p
-        self.algebra = algebra
         n, p = algebra.dim, algebra.p
-        # mixed-radix codes (most significant first) preserve lexicographic
-        # order, so sorting the codes sorts the vectors
-        self._weights = np.array([p**k for k in range(n - 1, -1, -1)],
-                                 dtype=np.int64 if n * np.log2(p) < 62 else object)
-        codes = vectors @ self._weights
-        order = np.argsort(codes)
-        self._codes = codes[order]
-        self.vectors = vectors[order]  # a sorted copy
-        if not (self._codes[1:] > self._codes[:-1]).all():
-            raise ValueError("unit set contains duplicates")
+        vectors = np.asarray(vectors)
+        if vectors.dtype != int_dtype(p - 1) or (
+                vectors.size and (vectors.min() < 0 or vectors.max() >= p)):
+            vectors = residues(vectors, p, int_dtype(p - 1))
+        self.algebra = algebra
+        self._weights = _code_weights(n, p)
+        codes = _codes(vectors, self._weights)
+        if not (codes[1:] > codes[:-1]).all():
+            codes.sort()
+            if not (codes[1:] > codes[:-1]).all():
+                raise ValueError("unit set contains duplicates")
+            vectors = _decode(codes, n, p)
+        self._codes = codes
+        self.vectors = vectors
         self.vectors.setflags(write=False)
         pos = self.position_of_vector(algebra._one_vec)
         if pos < 0:
@@ -80,7 +87,7 @@ class UnitGroup:
         return self.vectors.shape[0]
 
     def element(self, i: int) -> AlgebraElement:
-        return AlgebraElement(self.algebra, self.vectors[i].copy())
+        return AlgebraElement(self.algebra, self.vectors[i].astype(np.int64))
 
     def __iter__(self) -> Iterator[AlgebraElement]:
         for i in range(len(self)):
@@ -100,12 +107,12 @@ class UnitGroup:
     def positions_of(self, mat: np.ndarray) -> np.ndarray:
         """Batch lookup; -1 marks vectors that are not members.  Entries are
         reduced mod p only when some entry is out of range."""
-        mat = np.asarray(mat, dtype=np.int64)
+        mat = np.asarray(mat)
         if mat.size and (mat.min() < 0 or mat.max() >= self.algebra.p):
-            mat = mat % self.algebra.p
+            mat = mat.astype(np.int64) % self.algebra.p
         if len(self) == 0:
             return np.full(mat.shape[0], -1, dtype=np.int64)
-        codes = mat @ self._weights
+        codes = _codes(mat, self._weights)
         idx = np.searchsorted(self._codes, codes)
         idx[idx >= len(self)] = 0
         return np.where(self._codes[idx] == codes, idx, -1)
@@ -134,12 +141,41 @@ def _product_rows(U: UnitGroup) -> Iterator[np.ndarray]:
         yield pos
 
 
+def _code_weights(n: int, p: int) -> np.ndarray:
+    """The mixed-radix weights p^(n-1-i), most significant first, so that the
+    code v @ weights preserves lexicographic order: int64 when n log2 p < 62,
+    Python ints otherwise."""
+    return p ** np.arange(n - 1, -1, -1, dtype=np.int64 if n * np.log2(p) < 62 else object)
+
+
+def _codes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The code of each row.  einsum widens narrow rows to the weights' type
+    through a small buffer, where rows @ weights would widen all of them
+    at once."""
+    return np.einsum("ij,j->i", rows, weights)
+
+
+def _decode(codes: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The rows in int_dtype(p - 1) whose codes are ``codes``, one digit at a
+    time from the least significant, _CHUNK rows at a time.  numpy
+    vectorises floor division by a scalar but not the remainder, so the
+    digit is x - (x // p) * p."""
+    out = np.empty((len(codes), n), dtype=int_dtype(p - 1))
+    for lo in range(0, len(codes), _CHUNK):
+        x = codes[lo:lo + _CHUNK]
+        for i in range(n - 1, -1, -1):
+            q = x // p
+            out[lo:lo + _CHUNK, i] = x - q * p
+            x = q
+    return out
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
 def _digits(idx: np.ndarray, p: int, d: int) -> np.ndarray:
     """The d base-p digits of each index, least significant first."""
-    return idx[:, None] // p ** np.arange(d, dtype=np.int64) % p
+    return mod_p(idx[:, None] // p ** np.arange(d, dtype=np.int64), p)
 
 
 @dataclass(frozen=True)
@@ -201,14 +237,17 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     Let Q = G/N, N = O_p(G).  The kernel of FG -> FQ (the coset-sum map) is
     the nilpotent ideal w(N)FG, so u is a unit exactly when its image is
     (Passman 1977), and FQ is the direct sum of the blocks of unit_blocks.
-    The normalized units of FQ are thus the sums of one unit x of each block
-    FQ*f with aug(x) = aug(f): only the principal block has aug(f) = 1, and
-    every unit of the others has augmentation 0.  V(FG) is the union of the
-    preimages of these units: the coefficients on all but the least member of
-    each coset are free, and the least member takes its image's coefficient
-    on the coset minus their sum.  Units are filled in fixed-size chunks; for
-    N = 1 the quotient is G itself.  Raises BudgetExceeded (carrying the
-    required count) when p^(dim-1) > cap.  ``seed`` is unused.
+    The normalized units of FQ are thus the sums I of one unit x of each
+    block FQ*f with aug(x) = aug(f): only the principal block has
+    aug(f) = 1, and every unit of the others has augmentation 0.  V(FG) is
+    the union of the preimages of these units: a unit is a pair (I, D) of
+    an image unit and the free digits D on all but the least member r_q of
+    each coset q, and that member takes I_q - S_q mod p, where S_q is the
+    sum of the free digits of the coset.  So its code is code(D) +
+    sum_q (I_q - S_q mod p) p^(n-1-r_q), computed in tiles of at most
+    _CHUNK units, sorted, and decoded once into the rows UnitGroup keeps.
+    For N = 1 the quotient is G itself.  Raises BudgetExceeded
+    (carrying the required count) when p^(dim-1) > cap.  ``seed`` is unused.
     """
     n = algebra.dim
     p = algebra.p
@@ -220,25 +259,40 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     m = Q.order
     factors = []  # per block, its units x with aug(x) = aug(f), as vectors of FQ
     for block in unit_blocks(GroupAlgebra(Q, p)):
-        x = _digits(np.flatnonzero(block.units), p, block.pivots.size) @ block.rows % p
+        units = np.flatnonzero(block.units)
+        x = np.empty((units.size, m), dtype=int_dtype(p - 1))
+        for lo in range(0, units.size, _CHUNK):
+            x[lo:lo + _CHUNK] = _digits(units[lo:lo + _CHUNK], p, block.pivots.size) \
+                @ block.rows % p
         factors.append(x[x.sum(axis=1) % p == block.idempotent.sum() % p])
     reps = np.unique(coset, return_index=True)[1]  # the least member of each coset
     free = np.setdiff1d(np.arange(n), reps)
-    units = np.empty((math.prod(map(len, factors)) * p ** free.size, n), dtype=np.int64)
-    for lo in range(0, len(units), _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, len(units)), dtype=np.int64)
-        image = np.zeros((idx.size, m), dtype=np.int64)
-        for x in factors:
-            idx, i = np.divmod(idx, len(x))
-            image += x[i]
-        chunk = units[lo:lo + _CHUNK]
-        # one digit column at a time: a whole (rows, |free|) table of them
-        # raised the peak RSS of repeated runs
-        for j, g in enumerate(free):
-            chunk[:, g] = idx // p ** j % p
-            image[:, coset[g]] -= chunk[:, g]
-        chunk[:, reps] = image % p
-    return UnitGroup(algebra, units)
+    in_coset = np.zeros((free.size, m), dtype=np.int64)
+    in_coset[np.arange(free.size), coset[free]] = 1
+    weights = _code_weights(n, p)
+    n_image, n_free = math.prod(map(len, factors)), p ** free.size
+    codes = np.empty((n_image, n_free), dtype=weights.dtype)
+    # tiles of at most _CHUNK units: a block of image units by a block of free digits
+    d_step = min(n_free, _CHUNK)
+    i_step = max(1, _CHUNK // d_step)
+    for d_lo in range(0, n_free, d_step):
+        digits = _digits(np.arange(d_lo, min(d_lo + d_step, n_free), dtype=np.int64),
+                         p, free.size)
+        free_codes = digits @ weights[free]
+        sums = digits @ in_coset  # S: the sum of the free digits in each coset
+        for i_lo in range(0, n_image, i_step):
+            idx = np.arange(i_lo, min(i_lo + i_step, n_image), dtype=np.int64)
+            image = np.zeros((idx.size, 1, m), dtype=np.int64)
+            for x in factors:
+                idx, i = np.divmod(idx, len(x))
+                image[:, 0] += x[i]
+            codes[i_lo:i_lo + i_step, d_lo:d_lo + d_step] = (
+                free_codes + mod_p(image - sums, p) @ weights[reps])
+    codes = codes.reshape(-1)
+    codes.sort()
+    vectors = _decode(codes, n, p)
+    del codes  # UnitGroup computes its own
+    return UnitGroup(algebra, vectors)
 
 
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:

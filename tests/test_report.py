@@ -357,16 +357,18 @@ def test_cli_enumerate_units(capsys):
 
 def test_cli_error_exit_code(capsys):
     rc = cli.main(["verify", "--spec", "catalog:NOPE", "--p", "2"])
-    # the entry failure is captured in the report, which then fails the run
-    assert rc == 1
+    captured = capsys.readouterr()
+    # a spec that does not parse is bad input, not a failed entry
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: unknown catalog name 'NOPE' (at position 8)\n"
 
 
 def test_cli_huge_perm_point_is_bad_input(capsys):
     rc = cli.main(["verify", "--spec", "perm:(1 100000000)", "--p", "2"])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 1  # verify records a bad spec as a failed entry
-    assert doc["verdicts"][0]["v"]["reason"] == (
-        "entry failed: cycle point above 4096 (at position 5)")
+    captured = capsys.readouterr()
+    assert rc == 2  # as for enumerate-units below
+    assert captured.err == "error: cycle point above 4096 (at position 5)\n"
     rc = cli.main(["enumerate-units", "--spec", "perm:(1 100000000)", "--p", "2"])
     captured = capsys.readouterr()
     assert rc == 2

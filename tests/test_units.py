@@ -2,6 +2,7 @@
 the lower central series from generators and the batched witness scan."""
 
 import functools
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -278,6 +279,68 @@ def test_enumeration_at_large_primes():
     assert len(V) == 1 and V.element(0).is_one()
 
 
+# SHA-256 of the int64 rows of V and of V*
+_UNIT_SET_DIGESTS = {
+    ("catalog:D,10", 2): ("4434faeeed9ec4845e86d86fbd731dc77328eac148f8160b87dbb7d4861da5d2",
+                          "41e975d586b338f3b4c657a750f2614961056fa949b238d682eb0bef563c8fb6"),
+    ("catalog:A4", 3): ("8f63f3f17f129ded7c2fa69534fc6fa757b7155183b5fa1cf973d2b031b59fc5",
+                        "590f89e46f453c17d1d2325a1bf5c6d3d9d1a376924ff2edbfa1d141029fd155"),
+}
+
+
+@pytest.mark.parametrize("spec,p", list(_UNIT_SET_DIGESTS))
+def test_unit_sets_are_pinned(spec, p):
+    # _reference_units sorts through UnitGroup too, so only a pinned digest
+    # catches a fault in the sort itself
+    V = m.enumerate_units(alg(spec, p))
+    Vs = m.filter_unitary(V)
+    digests = tuple(hashlib.sha256(U.vectors.astype(np.int64).tobytes()).hexdigest()
+                    for U in (V, Vs))
+    assert digests == _UNIT_SET_DIGESTS[spec, p]
+
+
+@pytest.mark.parametrize("spec,p,dtype", [
+    ("catalog:S3", 2, np.int8), ("catalog:S3", 3, np.int8),
+    ("catalog:C,2", 131, np.int16), ("catalog:C,2", 100003, np.int32),
+])
+def test_unit_sets_are_stored_in_the_residue_dtype(spec, p, dtype):
+    A = alg(spec, p)
+    V = m.enumerate_units(A)
+    Vs = m.filter_unitary(V)
+    G = m.closure_subgroup([A.embed(g) for g in A.group.elements()])
+    assert V.vectors.dtype == Vs.vectors.dtype == G.vectors.dtype == dtype
+    assert not V.vectors.flags.writeable
+    assert (V.vectors == _reference_units(A).vectors).all()
+    embedded = np.eye(A.dim, dtype=np.int64)[::-1]  # the group, in lexicographic order
+    assert (G.vectors == embedded).all()
+    if A.group.order == 2:
+        # (a + b g)(a + b g) = 1 with a + b = 1 forces ab = 0 at odd p
+        assert (Vs.vectors == embedded).all()
+    else:
+        assert Vs.vectors.tolist() == [V.vectors[i].tolist() for i in range(len(V))
+                                       if V.element(i).is_unitary()]
+
+
+@pytest.mark.parametrize("spec,p", [("catalog:D,4", 2), ("catalog:S3", 3), ("catalog:C,64", 2)])
+def test_unit_group_sorts_shuffled_rows(spec, p):
+    A = alg(spec, p)
+    if A.dim == 64:  # n log2 p >= 62: the codes are Python ints
+        U = m.closure_subgroup([A.embed(g) for g in A.group.elements()])
+        assert U._codes.dtype == object
+    else:
+        U = m.enumerate_units(A)
+    assert (U.vectors == U.vectors[np.lexsort(U.vectors[:, ::-1].T)]).all()
+    order = np.random.default_rng(7).permutation(len(U))
+    shuffled = U.vectors[order]
+    for rows in (shuffled, shuffled.astype(np.int64)):
+        again = un.UnitGroup(A, rows)
+        assert again.vectors.dtype == U.vectors.dtype
+        assert again.vectors.tobytes() == U.vectors.tobytes()
+        assert again.positions_of(rows).tolist() == order.tolist()
+    with pytest.raises(ValueError, match="contains duplicates"):
+        un.UnitGroup(A, np.vstack([shuffled, shuffled[3]]))
+
+
 def test_byte_keyed_lookup_in_witness_closure():
     # n log2 p = 42 log2 3 >= 62, so UnitGroup's codes are Python ints
     A = alg("prod:catalog:D,7|catalog:C,3", 3)
@@ -292,7 +355,8 @@ def test_byte_keyed_lookup_in_witness_closure():
     U = m.closure_subgroup([w, A.embed(a)])
     assert U._weights.dtype == object
     assert (U.vectors == U.vectors[np.lexsort(U.vectors[:, ::-1].T)]).all()
-    rows = {U.vectors[i].tobytes(): i for i in range(len(U))}
+    # keyed by int64 bytes: np.vstack widens the narrow rows of the probe
+    rows = {U.vectors[i].astype(np.int64).tobytes(): i for i in range(len(U))}
     outsider = A.embed(b)  # an involution outside the closure
     assert outsider.coeffs.tobytes() not in rows
     probe = np.vstack([U.vectors[::-1], outsider.coeffs])
