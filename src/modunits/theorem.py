@@ -286,24 +286,29 @@ def centralizer_power_property(G: gr.FiniteGroup, p: int) -> bool:
 
 def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     """Status of U, which is V or V*.  Since G <= V* <= V, U is abelian exactly
-    when G is, and then it has class 1 (class 0 when trivial).
+    when G is, and then it has class 1 (class 0 when trivial).  A subgroup of
+    a nilpotent group is nilpotent, so U is not nilpotent when G is not, and
+    the lower central series runs only when G is nilpotent.
 
-    Up to abstract_cap elements the lower central series, computed from
-    generators, decides U, and a non-nilpotent U gets the first non-Engel
-    pair of the lex scan, which has one by Zorn's theorem.  A larger U gets
-    only the seeded search, which can prove non-nilpotency but never
-    nilpotency.
+    Up to abstract_cap elements the series, computed from generators,
+    decides U, and a non-nilpotent U gets the first non-Engel pair of the
+    lex scan, which has one by Zorn's theorem.  A larger U gets only the
+    seeded search, which can prove non-nilpotency but never nilpotency; it
+    skips U when it draws no pair and G is nilpotent.
     """
     m = len(U)
-    if U.algebra.group.is_abelian():
+    G = U.algebra.group
+    if G.is_abelian():
         return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
+    g_nilpotent = gr.nilpotency_class(G) is not gr.NOT_NILPOTENT
     if m <= budgets.abstract_cap:
-        series = lower_central_series_of_units(U)
-        if series[-1].size == 1:
-            return VStatus("nilpotent", nilpotency_class=len(series) - 1)
+        if g_nilpotent:
+            series = lower_central_series_of_units(U)
+            if series[-1].size == 1:
+                return VStatus("nilpotent", nilpotency_class=len(series) - 1)
         return VStatus("non_nilpotent", witness=non_engel_scan(U))
     pair = find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
-    if pair is None:
+    if pair is None and g_nilpotent:
         return VStatus("skipped", reason="falsification inconclusive")
     return VStatus("non_nilpotent", witness=pair)
 

@@ -13,11 +13,14 @@ fixed into inverses by the classical involution.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
-table.  non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded
-pairs) look for a non-Engel pair with batched Engel orbits, each run until it
+table.  The verdict needs it only when G is nilpotent and not abelian: G is a
+subgroup of V* and V, so a non-nilpotent G already proves them non-nilpotent.
+non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded pairs)
+look for a non-Engel pair with batched Engel orbits, each run until it
 reaches 1 or repeats a state, so every pair they look at is decided exactly.
 All of them move through U by batched products, each checked to be a member,
-and take inverses as powers.  closure_subgroup closes generators under
+with independent batches fused into one _products call, and take inverses as
+powers.  closure_subgroup closes generators under
 products alone (u^-1 is a power of u), and as_abstract_group turns a unit
 set into a Cayley-table group, so that ``groups`` can check them.
 
@@ -373,17 +376,27 @@ def _products(U: UnitGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fused_products(U: UnitGroup, *pairs: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """The positions of U[a] * U[b] for each pair (a, b) of equally long 1-d
+    position arrays, through one _products call."""
+    a, b = zip(*pairs)
+    out = _products(U, np.concatenate(a), np.concatenate(b))
+    return np.split(out, np.cumsum([len(x) for x in a[:-1]]))
+
+
 def _inverses(U: UnitGroup, a: np.ndarray) -> np.ndarray:
-    """Positions of the inverses, as x^(|U|-1): x^|U| = 1 by Lagrange."""
+    """Positions of the inverses, as x^(|U|-1): x^|U| = 1 by Lagrange.
+    Square-and-multiply takes one _products call per bit of |U| - 1, with
+    acc * base and base * base in the same call."""
     acc = np.full(len(a), U.one_position, dtype=np.int64)
     base, k = np.asarray(a, dtype=np.int64), len(U) - 1
-    while k:
+    while k > 1:
         if k & 1:
-            acc = _products(U, acc, base)
-        k >>= 1
-        if k:
+            acc, base = _fused_products(U, (acc, base), (base, base))
+        else:
             base = _products(U, base, base)
-    return acc
+        k >>= 1
+    return _products(U, acc, base) if k else acc
 
 
 class _Closure:
@@ -417,10 +430,10 @@ class _Closure:
         frontier = self._keep_new(_products(U, np.concatenate(self.members), x))
         while frontier.size:
             f, k = frontier.size, self.conj.size
-            conjugated = _products(U, _products(U, np.tile(self.conj_inv, f),
-                                                np.repeat(frontier, k)),
-                                   np.tile(self.conj, f))
-            moved = _products(U, np.repeat(frontier, gens.size), np.tile(gens, f))
+            moved, half = _fused_products(
+                U, (np.repeat(frontier, gens.size), np.tile(gens, f)),
+                (np.tile(self.conj_inv, f), np.repeat(frontier, k)))
+            conjugated = _products(U, half, np.tile(self.conj, f))
             frontier = self._keep_new(np.concatenate([moved, conjugated]))
 
     def _keep_new(self, pos: np.ndarray) -> np.ndarray:
@@ -460,8 +473,9 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
     while terms[-1].size > 1:
         # (t, s) = t^-1 s^-1 t s for every t in T and s in S
         k = S.size
-        commutators = _products(U, _products(U, np.repeat(T_inv, k), np.tile(S_inv, T.size)),
-                                _products(U, np.repeat(T, k), np.tile(S, T.size)))
+        left, right = _fused_products(U, (np.repeat(T_inv, k), np.tile(S_inv, T.size)),
+                                      (np.repeat(T, k), np.tile(S, T.size)))
+        commutators = _products(U, left, right)
         N = _Closure(U, S, S_inv)
         for c in commutators:
             N.add(c)
@@ -519,7 +533,9 @@ def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarr
     len(x) when there is none.
 
     The orbits run together.  Each carries z^-1 along, since
-    (z, y)^-1 = y^-1 z^-1 y z, so a step is six products and no elimination.
+    (z, y)^-1 = y^-1 z^-1 y z, so a step is six products and no elimination,
+    in two _products calls: the four independent ones, then the two that
+    combine them.
     Once a pair repeats, only the pairs before it keep running.  An orbit
     stays inside U, so within |U| steps it reaches 1 or repeats a state, and
     the loop ends.
@@ -538,8 +554,9 @@ def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarr
         row, z, z_inv = row[live], z[live], z_inv[live]
         visited[row, z] = True
         yr, yr_inv = y[row], y_inv[row]
-        z, z_inv = (_products(U, _products(U, z_inv, yr_inv), _products(U, z, yr)),
-                    _products(U, _products(U, yr_inv, z_inv), _products(U, yr, z)))
+        zy_inv, zy, yz_inv, yz = _fused_products(U, (z_inv, yr_inv), (z, yr),
+                                                 (yr_inv, z_inv), (yr, z))
+        z, z_inv = _fused_products(U, (zy_inv, zy), (yz_inv, yz))
 
 
 def _pair_block(U: UnitGroup) -> int:
@@ -587,7 +604,8 @@ def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0
     block = _pair_block(U)
     for lo in range(0, budget, block):
         x, y = pairs[lo:lo + block, 0], pairs[lo:lo + block, 1]
-        k = _first_non_engel(U, x, y, _inverses(U, x), _inverses(U, y))
+        x_inv, y_inv = np.split(_inverses(U, np.concatenate([x, y])), 2)
+        k = _first_non_engel(U, x, y, x_inv, y_inv)
         if k < x.size:
             return U.element(int(x[k])), U.element(int(y[k]))
     return None

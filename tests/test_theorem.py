@@ -338,11 +338,57 @@ def test_nilpotency_status_builds_no_cayley_table(monkeypatch):
         assert v.consistent and not v.v_status.skipped and not v.vstar_status.skipped
 
 
-def test_series_proves_non_nilpotency_without_a_witness(monkeypatch):
+# S3@2 is decided from G before the series runs; D4@3 (G nilpotent, V not)
+# is the case where the series proves V non-nilpotent
+@pytest.mark.parametrize("spec,p,vstar", [
+    ("catalog:S3", 2, VStatus("non_nilpotent")),
+    ("catalog:D,4", 3, VStatus("nilpotent", nilpotency_class=2)),
+], ids=["S3@2", "D4@3"])
+def test_series_proves_non_nilpotency_without_a_witness(monkeypatch, spec, p, vstar):
     monkeypatch.setattr(th, "non_engel_scan", lambda U: None)
     monkeypatch.setattr(th, "find_non_engel_pair", lambda U, **kwargs: None)
-    v = m.verify_equivalence(group("catalog:S3"), 2)
-    assert v.v_status == v.vstar_status == VStatus("non_nilpotent")
+    v = m.verify_equivalence(group(spec), p)
+    assert v.v_status == VStatus("non_nilpotent") and v.vstar_status == vstar
+    assert v.consistent
+
+
+class SeriesRan(Exception):
+    pass
+
+
+def test_non_nilpotent_g_decides_its_unit_groups_without_the_series(monkeypatch):
+    # G <= V* <= V, so a non-nilpotent G makes both unit groups non-nilpotent
+    def refuse(U):
+        raise SeriesRan(len(U))
+
+    def texts(pair):  # the two verdicts' algebras are distinct objects
+        return [u.to_text() for u in pair]
+
+    monkeypatch.setattr(th, "lower_central_series_of_units", refuse)
+    for spec, p in (("catalog:S3", 2), ("catalog:S3", 3), ("catalog:D,6", 2),
+                    ("catalog:A4", 2)):
+        v = m.verify_equivalence(group(spec), p)
+        V = m.enumerate_units(alg(spec, p))
+        for status, U in ((v.v_status, V), (v.vstar_status, m.filter_unitary(V))):
+            assert status.kind == "non_nilpotent" and status.nilpotency_class is None
+            assert texts(status.witness) == texts(m.non_engel_scan(U))
+            assert m.engel_test(*status.witness).nontrivial
+        assert v.consistent
+    # D4 is nilpotent, so V(F3 D4), which is not, still needs the series
+    with pytest.raises(SeriesRan, match="384"):
+        m.verify_equivalence(group("catalog:D,4"), 3)
+
+
+@pytest.mark.parametrize("budget,witnessed", [(0, False), (400, True)])
+def test_non_nilpotent_g_decides_above_abstract_cap(budget, witnessed):
+    # V(F3 D6) has 52,488 units, above abstract_cap; G = D6 is not nilpotent,
+    # so V is not, whether or not the seeded search draws a pair
+    v = m.verify_equivalence(group("catalog:D,6"), 3, Budgets(engel_budget=budget))
+    assert v.v_order == 52488 and v.v_status.kind == "non_nilpotent"
+    assert (v.v_status.witness is not None) == witnessed
+    if witnessed:
+        assert m.engel_test(*v.v_status.witness).nontrivial
+    assert v.vstar_status.kind == "non_nilpotent" and v.vstar_status.witness is not None
     assert v.consistent
 
 

@@ -598,6 +598,34 @@ def test_batched_search_runs_in_blocks(monkeypatch):
         assert got == _find_non_engel_pair_reference(U, 20, seed)
 
 
+@pytest.mark.parametrize("spec,p,order_less_one", [
+    ("catalog:C,3", 3, 0b1000), ("catalog:D,4", 2, 0b1111111), ("catalog:S3", 3, 0b10100001)])
+def test_inverses_are_exact_with_one_product_call_per_bit(monkeypatch, spec, p, order_less_one):
+    U = _unit_group(spec, p, "V")
+    assert len(U) - 1 == order_less_one
+    calls = []
+    products = un._products
+    monkeypatch.setattr(un, "_products", lambda *args: calls.append(1) or products(*args))
+    inv = un._inverses(U, np.arange(len(U)))
+    assert len(calls) <= order_less_one.bit_length()
+    members = U.vectors.T.astype(np.int64)  # group axis first, for multiply
+    assert (U.algebra.multiply(members, members[:, inv])
+            == U.algebra._one_vec[:, None]).all()
+
+
+# positions in V of the pairs that the seeded search returns with the default
+# budget at seeds 0-2; both V lie above abstract_cap
+@pytest.mark.parametrize("spec,p,pins", [
+    ("catalog:D,6", 3, [(25247, 49673), (8805, 37303), (3706, 6002)]),
+    ("prod:catalog:S3|catalog:C,3", 2, [(12623, 24836), (4402, 18651), (1853, 3001)]),
+])
+def test_seeded_search_pairs_are_pinned(spec, p, pins):
+    V = _unit_group(spec, p, "V")
+    assert len(V) > un.ABSTRACT_GROUP_CAP
+    for seed, pin in enumerate(pins):
+        assert tuple(map(V.index_of, m.find_non_engel_pair(V, seed=seed))) == pin
+
+
 def _table_engel_oracle(G, x, y):
     """Independent table-level Engel iteration with cycle detection; |G| steps
     always give a verdict."""
