@@ -38,9 +38,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "vectors (default %(default)s)")
     parser.add_argument("--abstract-cap", type=int, default=RunConfig.abstract_cap,
                         help="largest unit group whose lower central series is "
-                             "computed, and the bound of the lex witness scan")
+                             "computed, and the bound of the lex witness scan; "
+                             "used only when G is nilpotent and not abelian")
     parser.add_argument("--engel-budget", type=int, default=RunConfig.engel_budget,
-                        help="random pair attempts in the falsification search")
+                        help="random pair attempts in the falsification search "
+                             "above --abstract-cap; used only when G is nilpotent "
+                             "and not abelian")
     parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--emit-timings", action="store_true",

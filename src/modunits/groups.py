@@ -33,6 +33,8 @@ class _NotNilpotent:
 
 NOT_NILPOTENT = _NotNilpotent()
 
+_PAIRS_PER_BLOCK = 1 << 16  # pairs per block of non_engel_pair, rounded to whole rows
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -206,6 +208,33 @@ def left_normed_commutator(G: FiniteGroup, x: int, y: int, n: int) -> int:
     for _ in range(n):
         z = commutator(G, z, y)
     return z
+
+
+def non_engel_pair(G: FiniteGroup) -> tuple[int, int] | None:
+    """The first pair (x, y) in row-major order whose orbit z <- (z, y) from
+    z = x never reaches the identity, or None when there is none: exactly
+    when G is nilpotent, as a finite Engel group is nilpotent (Zorn).
+
+    The orbits of a block of rows run together on the table, and a pair
+    drops out once its orbit reaches 1, so on a nilpotent G of class c the
+    loop ends after c steps.  An orbit that reaches 1 does so within
+    |G| - 1 steps, through distinct states, so a pair still running after
+    |G| steps never does.
+    """
+    n, m, e = G.order, G.mul, G.identity
+    rows = max(1, _PAIRS_PER_BLOCK // n)
+    for lo in range(0, n, rows):
+        idx = np.arange(lo * n, min(lo + rows, n) * n, dtype=np.int64)
+        z, y = idx // n, idx % n
+        for _ in range(n):
+            live = z != e
+            idx, z, y = idx[live], z[live], y[live]
+            if not idx.size:
+                break
+            z = m[m[m[G.inv[z], G.inv[y]], z], y]
+        else:
+            return divmod(int(idx[0]), n)
+    return None
 
 
 def _closure(G: FiniteGroup, seed: Iterable[int]) -> np.ndarray:

@@ -42,7 +42,11 @@ class Budgets:
 
 @dataclass(frozen=True)
 class VStatus:
-    """Nilpotency status of one unit group."""
+    """Nilpotency status of one unit group.
+
+    A ``non_nilpotent`` status always has a witness: a pair of units whose
+    Engel orbit z <- (z, y) from z = x never reaches 1.
+    """
 
     kind: str  # "nilpotent" | "non_nilpotent" | "skipped"
     nilpotency_class: int | None = None
@@ -284,31 +288,40 @@ def centralizer_power_property(G: gr.FiniteGroup, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # the equivalence verdict
 
+def _status_from_group(algebra: GroupAlgebra) -> VStatus | None:
+    """The status that G alone gives V and V*, or None when it gives none.
+
+    Since G <= V* <= V, both are abelian when G is (of class 0 when G is
+    trivial, since V(FG) is then 1).  A finite group is nilpotent exactly
+    when it has no non-Engel pair (Zorn), so a non-Engel pair of G, embedded
+    in FG, witnesses that neither is nilpotent.  Only a nilpotent
+    non-abelian G gives none.
+    """
+    G = algebra.group
+    if G.is_abelian():
+        return VStatus("nilpotent", nilpotency_class=1 if G.order > 1 else 0)
+    pair = gr.non_engel_pair(G)
+    if pair is None:
+        return None
+    return VStatus("non_nilpotent", witness=(algebra.embed(pair[0]), algebra.embed(pair[1])))
+
+
 def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
-    """Status of U, which is V or V*.  Since G <= V* <= V, U is abelian exactly
-    when G is, and then it has class 1 (class 0 when trivial).  A subgroup of
-    a nilpotent group is nilpotent, so U is not nilpotent when G is not, and
-    the lower central series runs only when G is nilpotent.
+    """Status of U, which is V or V* of a nilpotent non-abelian G.
 
     Up to abstract_cap elements the series, computed from generators,
     decides U, and a non-nilpotent U gets the first non-Engel pair of the
     lex scan, which has one by Zorn's theorem.  A larger U gets only the
     seeded search, which can prove non-nilpotency but never nilpotency; it
-    skips U when it draws no pair and G is nilpotent.
+    skips U when it draws no pair.
     """
-    m = len(U)
-    G = U.algebra.group
-    if G.is_abelian():
-        return VStatus("nilpotent", nilpotency_class=1 if m > 1 else 0)
-    g_nilpotent = gr.nilpotency_class(G) is not gr.NOT_NILPOTENT
-    if m <= budgets.abstract_cap:
-        if g_nilpotent:
-            series = lower_central_series_of_units(U)
-            if series[-1].size == 1:
-                return VStatus("nilpotent", nilpotency_class=len(series) - 1)
+    if len(U) <= budgets.abstract_cap:
+        series = lower_central_series_of_units(U)
+        if series[-1].size == 1:
+            return VStatus("nilpotent", nilpotency_class=len(series) - 1)
         return VStatus("non_nilpotent", witness=non_engel_scan(U))
     pair = find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
-    if pair is None and g_nilpotent:
+    if pair is None:
         return VStatus("skipped", reason="falsification inconclusive")
     return VStatus("non_nilpotent", witness=pair)
 
@@ -317,24 +330,31 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
                        spec_text: str = "") -> EquivalenceVerdict:
     """Pit the fast criterion against brute force on one (group, prime) pair.
 
-    All failure modes land in skipped statuses; a skipped status never makes
+    An abelian or non-nilpotent G decides both statuses from its own table
+    (_status_from_group), whatever the budgets.  The unit groups are still
+    enumerated wherever they fit under enumeration_cap, for their orders;
+    only for a nilpotent non-abelian G do the statuses come from them.  All
+    failure modes land in skipped statuses; a skipped status never makes
     the verdict inconsistent.
     """
     algebra = GroupAlgebra(G, p)
     criterion = group_criterion(G, p)
-    v_status = vstar_status = None
+    from_g = _status_from_group(algebra)
+    v_status = vstar_status = from_g
     v_order = vstar_order = None
     try:
         V = enumerate_units(algebra, cap=budgets.enumeration_cap)
     except BudgetExceeded as e:
-        reason = f"enumeration budget exceeded (needs {e.required})"
-        v_status = vstar_status = VStatus("skipped", reason=reason)
+        if from_g is None:
+            reason = f"enumeration budget exceeded (needs {e.required})"
+            v_status = vstar_status = VStatus("skipped", reason=reason)
     else:
         v_order = len(V)
-        v_status = _nilpotency_status(V, budgets)
         Vstar = filter_unitary(V)
         vstar_order = len(Vstar)
-        vstar_status = _nilpotency_status(Vstar, budgets)
+        if from_g is None:
+            v_status = _nilpotency_status(V, budgets)
+            vstar_status = _nilpotency_status(Vstar, budgets)
 
     consistent = True
     if algebra.is_modular:

@@ -13,14 +13,16 @@ fixed into inverses by the classical involution.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
-table.  The verdict needs it only when G is nilpotent and not abelian: G is a
-subgroup of V* and V, so a non-nilpotent G already proves them non-nilpotent.
-non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded pairs)
-look for a non-Engel pair with batched Engel orbits, each run until it
-reaches 1 or repeats a state, so every pair they look at is decided exactly.
-All of them move through U by batched products, each checked to be a member,
-with independent batches fused into one _products call, and take inverses as
-powers.  closure_subgroup closes generators under
+table.  non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded
+pairs) look for a non-Engel pair with batched Engel orbits, each run until
+it reaches 1 or repeats a state, so every pair they look at is decided
+exactly.  The verdict needs these three only when G is nilpotent and not
+abelian: G is a subgroup of V* and V, so an abelian G makes them abelian,
+and a non-Engel pair of G's own table proves them non-nilpotent.  All three
+move through U by batched products, each checked to be a member, with
+independent batches fused into one _products call; inverses are powers,
+except that the series takes those of its commutators from the same
+products.  closure_subgroup closes generators under
 products alone (u^-1 is a power of u), and as_abstract_group turns a unit
 set into a Cayley-table group, so that ``groups`` can check them.
 
@@ -433,8 +435,9 @@ class _Closure:
             moved, half = _fused_products(
                 U, (np.repeat(frontier, gens.size), np.tile(gens, f)),
                 (np.tile(self.conj_inv, f), np.repeat(frontier, k)))
-            conjugated = _products(U, half, np.tile(self.conj, f))
-            frontier = self._keep_new(np.concatenate([moved, conjugated]))
+            if k:
+                moved = np.concatenate([moved, _products(U, half, np.tile(self.conj, f))])
+            frontier = self._keep_new(moved)
 
     def _keep_new(self, pos: np.ndarray) -> np.ndarray:
         new = np.unique(pos)
@@ -468,14 +471,19 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
         H.add(x)
     S = np.array(H.gens, dtype=np.int64)
     S_inv = _inverses(U, S)
+    inverse = np.empty(m, dtype=np.int64)  # set at S and at each commutator formed
+    inverse[S] = S_inv
     terms = [np.arange(m, dtype=np.int64)]
-    T, T_inv = S, S_inv
+    T = S
     while terms[-1].size > 1:
-        # (t, s) = t^-1 s^-1 t s for every t in T and s in S
-        k = S.size
-        left, right = _fused_products(U, (np.repeat(T_inv, k), np.tile(S_inv, T.size)),
-                                      (np.repeat(T, k), np.tile(S, T.size)))
-        commutators = _products(U, left, right)
+        # (t, s) = t^-1 s^-1 t s for every t in T and s in S, and from the
+        # same factors its inverse (s, t) = s^-1 t^-1 s t
+        t, s = np.repeat(T, S.size), np.tile(S, T.size)
+        t_inv, s_inv = inverse[t], inverse[s]
+        left, right, left_inv, right_inv = _fused_products(
+            U, (t_inv, s_inv), (t, s), (s_inv, t_inv), (s, t))
+        commutators, inverses = _fused_products(U, (left, right), (left_inv, right_inv))
+        inverse[commutators] = inverses
         N = _Closure(U, S, S_inv)
         for c in commutators:
             N.add(c)
@@ -483,7 +491,6 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
         if N.size == terms[-2].size:
             break
         T = np.array(N.gens, dtype=np.int64)
-        T_inv = _inverses(U, T)
     return terms
 
 

@@ -292,9 +292,9 @@ def test_8_inverse_oracle_crosscheck():
 # SHA-256 of the default catalog's reports.  A change that alters the report
 # bytes on purpose updates these and says so in CHANGES.md.
 REPORT_SHA256 = {
-    "json": "222b3a8af92bbe7d3f14963b43858f64e7c053b6c9649d48a6f6f16e74314276",
-    "csv": "24517a607757c09977ee4f92942a24fe2f4486b70c10bed768545761a9b4f4cb",
-    "text": "650b643b8141381643a0ff50b213fc292027feb7f0a83bda0221a64fbcfb87ef",
+    "json": "f707f2695ffe37cbb6b26cd6a4935a37f727b31e607f275d0b99dd7ae0fcebc7",
+    "csv": "11c74dc4fc49e7aaee670d0c855ab1ad3087b01e446ed22d3343640037c56259",
+    "text": "b57561890f3a940cd54f48868e6f56a4c20e7140aef2ddc18f0b00801946ab48",
 }
 
 

@@ -221,6 +221,38 @@ def test_nilpotency_class_of_subgroup():
     assert m.nilpotency_class(H) == 1
 
 
+def _non_engel_pair_reference(G):
+    """The first pair in row-major order with (x, y, |G|) != 1: an orbit that
+    reaches 1 does so within |G| - 1 steps and then stays there."""
+    for x in G.elements():
+        for y in G.elements():
+            if m.left_normed_commutator(G, x, y, G.order) != G.identity:
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize("spec", [
+    "catalog:C,1", "prod:catalog:C,4|catalog:C,2", "catalog:D,4", "catalog:Q8",
+    "catalog:D,8", "prod:catalog:D,4|catalog:C,2", "catalog:S3", "catalog:S4",
+    "catalog:A4", "catalog:D,6", "prod:catalog:S3|catalog:C,3",
+    "perm:(1 2 3 4 5);(1 2 3)"])
+def test_non_engel_pair_matches_brute_force(spec):
+    G = m.build_group(m.parse_group_spec(spec), cap=64)
+    pair = m.non_engel_pair(G)
+    assert pair == _non_engel_pair_reference(G)
+    assert (pair is None) == (m.nilpotency_class(G) is not NOT_NILPOTENT)
+
+
+def test_non_engel_pair_runs_in_row_blocks(monkeypatch):
+    # one row per block: A4's first hit lies in row 1, after a block whose
+    # orbits all reach 1, and C4xC2 and D4 run every row to the end
+    monkeypatch.setattr(gr, "_PAIRS_PER_BLOCK", 1)
+    for name in ("A4", "S3", "D6", "D4", "C4xC2"):
+        G = GROUPS[name]
+        assert m.non_engel_pair(G) == _non_engel_pair_reference(G)
+    assert m.non_engel_pair(GROUPS["A4"])[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # p-groups
 

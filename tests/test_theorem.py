@@ -338,12 +338,11 @@ def test_nilpotency_status_builds_no_cayley_table(monkeypatch):
         assert v.consistent and not v.v_status.skipped and not v.vstar_status.skipped
 
 
-# S3@2 is decided from G before the series runs; D4@3 (G nilpotent, V not)
-# is the case where the series proves V non-nilpotent
+# D4@3 (G nilpotent, V not) is the case where the series proves V
+# non-nilpotent; a non-nilpotent G, such as S3, never reaches the series
 @pytest.mark.parametrize("spec,p,vstar", [
-    ("catalog:S3", 2, VStatus("non_nilpotent")),
     ("catalog:D,4", 3, VStatus("nilpotent", nilpotency_class=2)),
-], ids=["S3@2", "D4@3"])
+], ids=["D4@3"])
 def test_series_proves_non_nilpotency_without_a_witness(monkeypatch, spec, p, vstar):
     monkeypatch.setattr(th, "non_engel_scan", lambda U: None)
     monkeypatch.setattr(th, "find_non_engel_pair", lambda U, **kwargs: None)
@@ -356,22 +355,26 @@ class SeriesRan(Exception):
     pass
 
 
+def _embedded_texts(spec, p, pair):
+    A = alg(spec, p)  # each verdict builds its own algebra, so compare texts
+    return [A.embed(x).to_text() for x in pair]
+
+
 def test_non_nilpotent_g_decides_its_unit_groups_without_the_series(monkeypatch):
-    # G <= V* <= V, so a non-nilpotent G makes both unit groups non-nilpotent
-    def refuse(U):
+    # G <= V* <= V, so a non-nilpotent G makes both unit groups non-nilpotent,
+    # and G's first non-Engel pair, embedded in FG, is the witness of both
+    def refuse(U, **kwargs):
         raise SeriesRan(len(U))
 
-    def texts(pair):  # the two verdicts' algebras are distinct objects
-        return [u.to_text() for u in pair]
-
-    monkeypatch.setattr(th, "lower_central_series_of_units", refuse)
+    for name in ("lower_central_series_of_units", "non_engel_scan", "find_non_engel_pair"):
+        monkeypatch.setattr(th, name, refuse)
     for spec, p in (("catalog:S3", 2), ("catalog:S3", 3), ("catalog:D,6", 2),
                     ("catalog:A4", 2)):
+        pair = m.non_engel_pair(group(spec))
         v = m.verify_equivalence(group(spec), p)
-        V = m.enumerate_units(alg(spec, p))
-        for status, U in ((v.v_status, V), (v.vstar_status, m.filter_unitary(V))):
+        for status in (v.v_status, v.vstar_status):
             assert status.kind == "non_nilpotent" and status.nilpotency_class is None
-            assert texts(status.witness) == texts(m.non_engel_scan(U))
+            assert [u.to_text() for u in status.witness] == _embedded_texts(spec, p, pair)
             assert m.engel_test(*status.witness).nontrivial
         assert v.consistent
     # D4 is nilpotent, so V(F3 D4), which is not, still needs the series
@@ -379,16 +382,17 @@ def test_non_nilpotent_g_decides_its_unit_groups_without_the_series(monkeypatch)
         m.verify_equivalence(group("catalog:D,4"), 3)
 
 
-@pytest.mark.parametrize("budget,witnessed", [(0, False), (400, True)])
-def test_non_nilpotent_g_decides_above_abstract_cap(budget, witnessed):
+@pytest.mark.parametrize("budget", [0, 400])
+def test_non_nilpotent_g_decides_above_abstract_cap(budget):
     # V(F3 D6) has 52,488 units, above abstract_cap; G = D6 is not nilpotent,
-    # so V is not, whether or not the seeded search draws a pair
+    # so V is not, and G's own pair witnesses it whatever the seeded search draws
     v = m.verify_equivalence(group("catalog:D,6"), 3, Budgets(engel_budget=budget))
-    assert v.v_order == 52488 and v.v_status.kind == "non_nilpotent"
-    assert (v.v_status.witness is not None) == witnessed
-    if witnessed:
-        assert m.engel_test(*v.v_status.witness).nontrivial
-    assert v.vstar_status.kind == "non_nilpotent" and v.vstar_status.witness is not None
+    assert v.v_order == 52488
+    texts = _embedded_texts("catalog:D,6", 3, m.non_engel_pair(group("catalog:D,6")))
+    for status in (v.v_status, v.vstar_status):
+        assert status.kind == "non_nilpotent"
+        assert [u.to_text() for u in status.witness] == texts
+        assert m.engel_test(*status.witness).nontrivial
     assert v.consistent
 
 
@@ -400,6 +404,43 @@ def test_abelian_unit_groups_are_decided_from_g(spec, v_order, klass):
     assert v.v_order == v_order
     assert v.v_status == v.vstar_status == VStatus("nilpotent", nilpotency_class=klass)
     assert v.criterion and v.consistent
+
+
+def _status_key(status):
+    witness = status.witness and tuple(u.to_text() for u in status.witness)
+    return status.kind, status.nilpotency_class, witness, status.reason
+
+
+# the 14 abelian and 8 non-nilpotent-G entries of the default catalog
+G_DECIDED = [(spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3)
+             if group(spec).is_abelian() or m.non_engel_pair(group(spec))]
+
+
+@pytest.mark.parametrize("spec,p", G_DECIDED, ids=[f"{s}@{p}" for s, p in G_DECIDED])
+def test_statuses_decided_from_g_do_not_depend_on_the_budgets(spec, p):
+    assert len(G_DECIDED) == 22
+    keys = set()
+    for enumeration_cap in (16, Budgets().enumeration_cap):
+        for abstract_cap in (16, Budgets().abstract_cap):
+            for engel_budget in (0, 400):
+                for seed in (0, 5):
+                    v = m.verify_equivalence(group(spec), p, Budgets(
+                        enumeration_cap, abstract_cap, engel_budget, seed))
+                    assert v.consistent
+                    keys.add((_status_key(v.v_status), _status_key(v.vstar_status)))
+    assert len(keys) == 1
+    (v_key, vstar_key), = keys
+    assert v_key == vstar_key and v_key[0] in ("nilpotent", "non_nilpotent")
+
+
+def test_every_non_nilpotent_catalog_status_has_a_verified_witness():
+    statuses = [status for v in m.run_catalog(m.RunConfig()).verdicts
+                for status in (v.v_status, v.vstar_status)]
+    assert not any(status.skipped for status in statuses)
+    non_nilpotent = [s for s in statuses if s.kind == "non_nilpotent"]
+    assert len(non_nilpotent) == 19  # 16 from G, then V of D4@3 and V, V* of Q8@3
+    for status in non_nilpotent:
+        assert m.engel_test(*status.witness, n_max=10**6).nontrivial
 
 
 def test_order_60_perfect_group_machinery():

@@ -722,6 +722,27 @@ def test_non_engel_scan_honours_its_pair_budget():
     assert m.non_engel_scan(U, max_pairs=k + 1) == (x, y)
 
 
+@pytest.mark.parametrize("spec,p,which", [("catalog:D,4", 2, "V"), ("catalog:A4", 2, "V")])
+def test_series_makes_no_empty_products_and_one_inverse_call(monkeypatch, spec, p, which):
+    # the generating-set closure has no conjugators, and the inverses of the
+    # kept commutators come from the products that form the commutators
+    U = _unit_group(spec, p, which)
+    products, inverses = un._products, un._inverses
+    inverse_calls = []
+
+    def nonempty_products(U, a, b):
+        assert np.size(a) > 0, "empty product batch"
+        return products(U, a, b)
+
+    monkeypatch.setattr(un, "_products", nonempty_products)
+    monkeypatch.setattr(un, "_inverses",
+                        lambda U, a: inverse_calls.append(len(a)) or inverses(U, a))
+    series = m.lower_central_series_of_units(U)
+    assert len(inverse_calls) == 1
+    reference = m.lower_central_series(_table(spec, p, which))
+    assert [term.tolist() for term in series] == [list(t.members) for t in reference]
+
+
 def test_series_of_abelian_and_trivial_unit_groups():
     V = m.enumerate_units(alg("catalog:C,4", 2))
     assert [t.size for t in m.lower_central_series_of_units(V)] == [8, 1]
