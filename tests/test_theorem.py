@@ -1,5 +1,6 @@
 """Criterion, witness constructions, expansion identity, equivalence verdicts."""
 
+import dataclasses
 import numpy as np
 import pytest
 
@@ -338,16 +339,24 @@ def test_nilpotency_status_builds_no_cayley_table(monkeypatch):
         assert v.consistent and not v.v_status.skipped and not v.vstar_status.skipped
 
 
-# D4@3 (G nilpotent, V not) is the case where the series proves V
-# non-nilpotent; a non-nilpotent G, such as S3, never reaches the series
+# With both witness searches blind, S3@2 is still decided, from G's own
+# non-Engel pair before the series runs; D4@3 (G nilpotent, V not) is the
+# case where the series proves V non-nilpotent, with no witness
 @pytest.mark.parametrize("spec,p,vstar", [
+    ("catalog:S3", 2, VStatus("non_nilpotent")),
     ("catalog:D,4", 3, VStatus("nilpotent", nilpotency_class=2)),
-], ids=["D4@3"])
+], ids=["S3@2", "D4@3"])
 def test_series_proves_non_nilpotency_without_a_witness(monkeypatch, spec, p, vstar):
     monkeypatch.setattr(th, "non_engel_scan", lambda U: None)
     monkeypatch.setattr(th, "find_non_engel_pair", lambda U, **kwargs: None)
     v = m.verify_equivalence(group(spec), p)
-    assert v.v_status == VStatus("non_nilpotent") and v.vstar_status == vstar
+    pair = m.non_engel_pair(group(spec))
+    g_witness = None if pair is None else _embedded_texts(spec, p, pair)
+    for status, want in ((v.v_status, VStatus("non_nilpotent")), (v.vstar_status, vstar)):
+        assert dataclasses.replace(status, witness=None) == want
+        if want.kind == "non_nilpotent":
+            texts = None if status.witness is None else [u.to_text() for u in status.witness]
+            assert texts == g_witness
     assert v.consistent
 
 
