@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotIntegral
+
 
 def int_dtype(bound: int):
     """The narrowest signed integer type holding every x with |x| <= bound."""
@@ -27,13 +29,23 @@ def work_dtype(p: int):
     return int_dtype((p - 1) ** 2)
 
 
+def integer_array(a) -> np.ndarray:
+    """np.asarray(a); raises NotIntegral unless its dtype is integer or bool."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biu":
+        raise NotIntegral(f"expected integers, got an array of dtype {a.dtype}")
+    return a
+
+
 def residues(a, p: int, dtype) -> np.ndarray:
     """A fresh array of dtype holding the integers a mod p.  An array with
     every entry in [0, p) is narrowed as it is; otherwise a is reduced in
-    int64 first."""
-    a = np.asarray(a)
+    int64 first, or in uint64 when unsigned, where int64 would wrap entries
+    of 2^63 and above.  Raises NotIntegral unless a has an integer or bool
+    dtype."""
+    a = integer_array(a)
     if a.size and (a.min() < 0 or a.max() >= p):
-        a = a.astype(np.int64) % p
+        a = a.astype(np.uint64 if a.dtype.kind == "u" else np.int64) % p
     return a.astype(dtype)
 
 

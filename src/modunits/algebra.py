@@ -63,10 +63,10 @@ class GroupAlgebra:
         return self is other or (self.group is other.group and self.p == other.p)
 
     def from_coeffs(self, coeffs) -> "AlgebraElement":
-        vec = np.asarray(coeffs, dtype=np.int64) % self.p
+        vec = np.asarray(coeffs)
         if vec.shape != (self.dim,):
             raise ValueError(f"coefficient vector must have length {self.dim}")
-        return AlgebraElement(self, vec)
+        return AlgebraElement(self, residues(vec, self.p, np.int64))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim, dtype=np.int64))

@@ -19,6 +19,11 @@ class InvalidConfig(ModunitsError, ValueError):
     unparsable value; or a run setting, from a file or a flag, is out of range."""
 
 
+class NotIntegral(ModunitsError, ValueError):
+    """An array of coefficients or residues has a dtype other than integer or
+    bool, so narrowing it would truncate or wrap its entries."""
+
+
 class ClosureExceedsCap(ModunitsError):
     """Generating a group blew past the configured order cap."""
 

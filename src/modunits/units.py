@@ -22,9 +22,10 @@ and a non-Engel pair of G's own table proves them non-nilpotent.  All three
 move through U by batched products, each checked to be a member, with
 independent batches fused into one _products call; inverses are powers,
 except that the series takes those of its commutators from the same
-products.  closure_subgroup closes generators under
-products alone (u^-1 is a power of u), and as_abstract_group turns a unit
-set into a Cayley-table group, so that ``groups`` can check them.
+products.  closure_subgroup closes generators under products alone (u^-1
+is a power of u), one breadth-first level per multiply, with its members
+kept as sorted codes; as_abstract_group turns a unit set into a
+Cayley-table group, so that ``groups`` can check them.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -40,10 +41,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import (batch_invertible_mask, int_dtype, mod_p, residues, row_reduce,
-                        work_dtype)
+from ._gflinalg import (batch_invertible_mask, int_dtype, integer_array, mod_p, residues,
+                        row_reduce, work_dtype)
 from .algebra import AlgebraElement, GroupAlgebra
-from .errors import BudgetExceeded, EngelInconclusive, NotAUnit
+from .errors import BudgetExceeded, ContextMismatch, EngelInconclusive, NotAUnit
 
 ENUMERATION_CAP = 2**20
 ABSTRACT_GROUP_CAP = 4096
@@ -111,10 +112,11 @@ class UnitGroup:
 
     def positions_of(self, mat: np.ndarray) -> np.ndarray:
         """Batch lookup; -1 marks vectors that are not members.  Entries are
-        reduced mod p only when some entry is out of range."""
-        mat = np.asarray(mat)
+        reduced mod p only when some entry is out of range.  Raises
+        NotIntegral unless mat has an integer or bool dtype."""
+        mat = integer_array(mat)
         if mat.size and (mat.min() < 0 or mat.max() >= self.algebra.p):
-            mat = mat.astype(np.int64) % self.algebra.p
+            mat = residues(mat, self.algebra.p, np.int64)
         if len(self) == 0:
             return np.full(mat.shape[0], -1, dtype=np.int64)
         codes = _codes(mat, self._weights)
@@ -316,32 +318,35 @@ def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
 def closure_subgroup(units: Iterable[AlgebraElement],
                      cap: int = ABSTRACT_GROUP_CAP) -> UnitGroup:
     """The subgroup the units generate: their closure under products, which is
-    a group, since a unit u of finite order k has u^-1 = u^(k-1)."""
+    a group, since a unit u of finite order k has u^-1 = u^(k-1).
+
+    It grows one breadth-first level per multiply, the level's new members
+    times every generator, and keeps its members as sorted mixed-radix codes.
+    Raises BudgetExceeded (required = cap + 1) above cap members."""
     gens = list(units)
     if not gens:
         raise ValueError("need at least one generating unit")
     alg = gens[0].algebra
     for u in gens:
+        if not u.algebra.compatible(alg):
+            raise ContextMismatch("generators belong to different algebras")
         if u.augmentation() != 1:
             raise NotAUnit(f"generator {u.to_text()} is not normalized")
         if u.try_inverse() is None:
             raise NotAUnit(f"generator {u.to_text()} is not a unit")
-    one = alg.one()
-    seen = {one.coeffs.tobytes(): one}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                key = y.coeffs.tobytes()
-                if key not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetExceeded(f"closure exceeds cap {cap}", len(seen) + 1)
-                    seen[key] = y
-                    nxt.append(y)
-        frontier = nxt
-    return UnitGroup(alg, np.stack([u.coeffs for u in seen.values()]))
+    n, p = alg.dim, alg.p
+    right = np.stack([u.coeffs for u in gens], axis=1)[:, None, :]  # (n, 1, generator)
+    weights = _code_weights(n, p)
+    seen = level = _codes(alg._one_vec[None, :], weights)
+    while level.size:
+        prod = alg.multiply(_decode(level, n, p).T[:, :, None], right)
+        codes = np.unique(_codes(prod.reshape(n, -1).T, weights))
+        at = np.minimum(np.searchsorted(seen, codes), seen.size - 1)  # seen holds 1
+        level = codes[seen[at] != codes]
+        if seen.size + level.size > cap:
+            raise BudgetExceeded(f"closure exceeds cap {cap}", cap + 1)
+        seen = np.union1d(seen, level)
+    return UnitGroup(alg, _decode(seen, n, p))
 
 
 def as_abstract_group(U: UnitGroup, cap: int = ABSTRACT_GROUP_CAP) -> gr.FiniteGroup:

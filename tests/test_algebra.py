@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modunits as m
-from modunits.errors import ContextMismatch, OrderMismatch
+from modunits import _gflinalg as _gf
+from modunits.errors import ContextMismatch, ModunitsError, NotIntegral, OrderMismatch
 
 
 def alg(spec, p):
@@ -335,6 +336,34 @@ def test_residues_keeps_an_in_range_input_narrow_and_reduces_negative_entries():
     assert peak < 2 * small.nbytes  # the narrow copy, and no int64 temporary
     got = residues(np.array([-128, -3, -1, 0, 5, 127], dtype=np.int8), 3, np.int8)
     assert got.dtype == np.int8 and got.tolist() == [1, 0, 2, 0, 2, 1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _gf.residues(np.array([1.5, 0.0]), 2, np.int8),
+    lambda: _gf.row_reduce(np.array([[1.5, 0.0]]), 2),
+    lambda: _gf.batch_invertible_mask(np.array([[[1.5]]]), 2),
+    lambda: F2C2.multiply(np.array([2.5, 0.0]), np.array([1, 0])),
+    lambda: F2C2.from_coeffs([1.5, 0]),
+], ids=["residues", "row_reduce", "batch_invertible_mask", "multiply", "from_coeffs"])
+def test_non_integer_input_is_refused(call):
+    # truncating would read 1.5 as 1 and 2.5 as 2
+    with pytest.raises(NotIntegral) as err:
+        call()
+    assert isinstance(err.value, ModunitsError) and isinstance(err.value, ValueError)
+
+
+def test_unsigned_input_of_2_pow_63_and_above_is_reduced_exactly():
+    top = np.array([2**64 - 1, 2**63], dtype=np.uint64)  # 0 and 2 mod 3; 1 and 0 mod 2
+    assert _gf.residues(top, 3, np.int8).tolist() == [0, 2]
+    assert F3C3.from_coeffs(np.array([2**64 - 1, 2**63, 1], dtype=np.uint64)).coeffs.tolist() \
+        == [0, 2, 1]
+    V = m.enumerate_units(F2C2)
+    assert V.positions_of(top[None, :]).tolist() == [V.position_of_vector([1, 0])]
+
+
+def test_from_coeffs_refuses_a_wrong_length_before_the_dtype():
+    with pytest.raises(ValueError, match="must have length 2"):
+        F2C2.from_coeffs([])
 
 
 @pytest.mark.parametrize("p", [3, 101])

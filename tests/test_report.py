@@ -42,6 +42,32 @@ def test_report_passes_and_is_consistent(small_report):
     assert all(v.consistent for v in small_report.verdicts)
 
 
+def test_a_witness_that_is_not_unitary_fails_its_entry(monkeypatch):
+    # the witness constructors are the only unitarity check on the witness path
+    monkeypatch.setattr(m.AlgebraElement, "is_unitary", lambda self: False)
+    report = run_catalog(RunConfig(specs=("catalog:C,2",), primes=(2,)))
+    (verdict,) = report.verdicts
+    for status in (verdict.v_status, verdict.vstar_status):
+        assert status.reason.startswith("entry failed: ") and "not unitary" in status.reason
+    assert not report.passed
+
+
+def test_catalog_pass_multiply_count(monkeypatch):
+    # the work of one default pass, which depends only on the config and the
+    # seed, so a removed re-check or second orbit that comes back shows up here
+    calls = 0
+    multiply = m.GroupAlgebra.multiply
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
+    assert run_catalog(RunConfig()).passed
+    assert calls <= 2400
+
+
 def test_zero_entry_report():
     report = run_catalog(RunConfig(specs=(), primes=(2,)))
     assert report.verdicts == []

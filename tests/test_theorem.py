@@ -200,7 +200,7 @@ def test_engel_expansion_random_instances():
 @pytest.mark.parametrize("spec,p", [("prod:catalog:S3|catalog:C,3", 3), ("catalog:D,4", 2),
                                      ("catalog:Q8", 2), ("catalog:C,6", 3)])
 def test_engel_expansion_solves_no_linear_system(monkeypatch, spec, p):
-    """The orbit starts from w^-1 = w* and carries (z, h)^-1 = h^-1 z^-1 h z."""
+    """Every state z of the orbit is unitary, so z^-1 = z*."""
     def refuse(self):
         raise AssertionError("try_inverse called")
     A = alg(spec, p)
@@ -326,6 +326,27 @@ def test_series_decides_unit_groups_beyond_the_default_cap(spec, v_class, vstar_
     assert v.v_status == VStatus("nilpotent", nilpotency_class=v_class)
     assert v.vstar_status == VStatus("nilpotent", nilpotency_class=vstar_class)
     assert v.consistent
+
+
+@pytest.mark.parametrize("p,budgets,v_order", [
+    (3, Budgets(abstract_cap=64), 384), (5, Budgets(), 30720),
+], ids=["D4@3-cap64", "D4@5"])
+def test_seeded_search_decides_v_above_abstract_cap(monkeypatch, p, budgets, v_order):
+    # D4 is nilpotent and not abelian, so only the unit groups decide; V is
+    # above abstract_cap, and the seeded search draws a non-Engel pair of it
+    searched = []
+
+    def spy(U, **kwargs):
+        searched.append(len(U))
+        return m.find_non_engel_pair(U, **kwargs)
+
+    monkeypatch.setattr(th, "find_non_engel_pair", spy)
+    v = m.verify_equivalence(group("catalog:D,4"), p, budgets)
+    assert searched == [v_order] and v.v_order == v_order
+    assert v.v_status.kind == "non_nilpotent" and v.v_status.nilpotency_class is None
+    assert m.engel_test(*v.v_status.witness, n_max=v_order).nontrivial
+    assert v.vstar_status == VStatus("nilpotent", nilpotency_class=2)
+    assert not v.modular and not v.criterion and v.consistent
 
 
 def test_nilpotency_status_builds_no_cayley_table(monkeypatch):

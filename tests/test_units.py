@@ -13,7 +13,8 @@ import pytest
 import modunits as m
 from modunits import groups as gr
 from modunits import units as un
-from modunits.errors import BudgetExceeded, EngelInconclusive, NotAUnit
+from modunits.errors import (BudgetExceeded, ContextMismatch, EngelInconclusive,
+                             ModunitsError, NotAUnit, NotIntegral)
 
 
 def alg(spec, p):
@@ -341,6 +342,17 @@ def test_unit_group_sorts_shuffled_rows(spec, p):
         un.UnitGroup(A, np.vstack([shuffled, shuffled[3]]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda A: un.UnitGroup(A, [[1.0, 0.0], [0.0, 1.9]]),
+    lambda A: m.enumerate_units(A).positions_of(np.array([[0.0, 1.9]])),
+], ids=["UnitGroup", "positions_of"])
+def test_unit_sets_refuse_non_integer_rows(build):
+    # truncating would keep the group element [0, 1]
+    with pytest.raises(NotIntegral) as err:
+        build(alg("catalog:C,2", 2))
+    assert isinstance(err.value, ModunitsError) and isinstance(err.value, ValueError)
+
+
 def test_byte_keyed_lookup_in_witness_closure():
     # n log2 p = 42 log2 3 >= 62, so UnitGroup's codes are Python ints
     A = alg("prod:catalog:D,7|catalog:C,3", 3)
@@ -487,6 +499,69 @@ def test_case3_style_closure_in_f3_s3xc3():
     assert len(U) == 6
     abstract = m.as_abstract_group(U)
     assert not abstract.is_abelian()
+
+
+def _reference_closure(gens):
+    """Breadth-first closure one element and one generator at a time, keyed by
+    coefficient bytes: the algorithm closure_subgroup replaced."""
+    one = gens[0].algebra.one()
+    seen = {one.coeffs.tobytes(): one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y.coeffs.tobytes() not in seen:
+                    seen[y.coeffs.tobytes()] = y
+                    nxt.append(y)
+        frontier = nxt
+    return un.UnitGroup(gens[0].algebra, np.stack([u.coeffs for u in seen.values()]))
+
+
+def _dihedral_generators(spec, p):
+    """The generators {w, a} of every closure that witness_dihedral forms on GF(p)[G]."""
+    A = alg(spec, p)
+    G = A.group
+    involutions = [x for x in G.elements() if m.element_order(G, x) == 2]
+    return [[m.witness_skew(A, int(G.mul[a, b]), c), A.embed(a)]
+            for c in m.central_order_p_elements(G, p)
+            for a in involutions for b in involutions
+            if m.commutator(G, a, b) != G.identity and m.element_order(G, int(G.mul[a, b])) > 2]
+
+
+@pytest.mark.parametrize("closures,count", [
+    ([gens for _, spec in m.DEFAULT_CATALOG for gens in _dihedral_generators(spec, 3)], 12),
+    (_dihedral_generators("prod:catalog:D,7|catalog:C,3", 3), 84),  # Python-int codes
+], ids=["default-catalog", "D7xC3@3"])
+def test_closure_matches_the_element_wise_reference(closures, count):
+    assert len(closures) == count
+    for gens in closures:
+        got, want = m.closure_subgroup(gens), _reference_closure(gens)
+        assert got.vectors.dtype == want.vectors.dtype
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def _embedded_generators(spec, p):
+    A = alg(spec, p)
+    return [A.embed(g) for g in A.group.elements()]
+
+
+@pytest.mark.parametrize("gens,order", [
+    (_dihedral_generators("prod:catalog:S3|catalog:C,3", 3)[0], 6),
+    (_embedded_generators("prod:catalog:D,7|catalog:C,3", 3), 42),  # Python-int codes
+    ([alg("catalog:C,64", 2).embed(1)], 64),
+], ids=["dihedral", "D7xC3", "C64"])
+def test_closure_cap_boundary(gens, order):
+    assert len(m.closure_subgroup(gens, cap=order)) == order
+    with pytest.raises(BudgetExceeded) as err:
+        m.closure_subgroup(gens, cap=order - 1)
+    assert err.value.required == order
+
+
+def test_closure_rejects_generators_of_different_algebras():
+    with pytest.raises(ContextMismatch):
+        m.closure_subgroup([alg("catalog:C,2", 2).embed(1), alg("catalog:C,2", 3).embed(1)])
 
 
 # ---------------------------------------------------------------------------
