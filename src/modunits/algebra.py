@@ -15,7 +15,8 @@ import numpy as np
 
 from . import groups as gr
 from ._gflinalg import int_dtype, mod_p, residues, solve_mod_p
-from .errors import AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch
+from .errors import (AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch,
+                     ShapeMismatch)
 
 
 class GroupAlgebra:
@@ -65,7 +66,7 @@ class GroupAlgebra:
     def from_coeffs(self, coeffs) -> "AlgebraElement":
         vec = np.asarray(coeffs)
         if vec.shape != (self.dim,):
-            raise ValueError(f"coefficient vector must have length {self.dim}")
+            raise ShapeMismatch(f"coefficient vector must have length {self.dim}")
         return AlgebraElement(self, residues(vec, self.p, np.int64))
 
     def zero(self) -> "AlgebraElement":
@@ -103,15 +104,20 @@ class GroupAlgebra:
         """The product a*b of integer arrays whose first axis is the group, as
         int64 residues.
 
-        Trailing axes broadcast: (n,) x (n,) multiplies two elements,
-        (n, 1) x (n, m) one element by m, (n, m) x (n, m) m pairs.  The
-        inputs are reduced mod p (only when some entry is out of range) and
-        narrowed; summing a[g] * b[g^-1 k] over the support of a keeps every
-        partial sum at most dim * (p-1)^2, which the narrow type holds, so the
-        result is exact.
+        Both have the same number of axes, the first of length dim, and
+        their other axes broadcast: (n,) x (n,) multiplies two elements,
+        (n, 1) x (n, m) one element by m, (n, m) x (n, m) m pairs; any other
+        shape raises ShapeMismatch.  The inputs are reduced mod p (only when
+        some entry is out of range) and narrowed; summing a[g] * b[g^-1 k]
+        over the support of a keeps every partial sum at most dim * (p-1)^2,
+        which the narrow type holds, so the result is exact.
         """
         a = residues(a, self.p, self._dtype)
         b = residues(b, self.p, self._dtype)
+        if not (a.ndim == b.ndim >= 1 and a.shape[0] == b.shape[0] == self.dim
+                and all(x == y or 1 in (x, y) for x, y in zip(a.shape, b.shape))):
+            raise ShapeMismatch(f"cannot multiply arrays of shapes {a.shape} and {b.shape} "
+                                f"in {self!r}: the first axis is the group")
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=self._dtype)
         for g in np.flatnonzero(a.reshape(a.shape[0], -1).any(axis=1)):
             out += a[g] * b[self._ldiv[g]]

@@ -24,6 +24,11 @@ class NotIntegral(ModunitsError, ValueError):
     bool, so narrowing it would truncate or wrap its entries."""
 
 
+class ShapeMismatch(ModunitsError, ValueError):
+    """An array's axes do not fit the algebra: its first axis is not the group,
+    or two operands' other axes do not broadcast."""
+
+
 class ClosureExceedsCap(ModunitsError):
     """Generating a group blew past the configured order cap."""
 

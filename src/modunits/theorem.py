@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import groups as gr
 from .algebra import AlgebraElement, GroupAlgebra
 from .errors import (BudgetExceeded, NotCentral, NotUnitary, PreconditionViolated,
@@ -214,39 +216,33 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
     1 + hat(c) * ((g^(h^k) - g) - (g^(-h^k) - g^(-1))).  witness_skew has
     checked that w is unitary, and h is, so every z = (z, h) of the orbit
     is a commutator of unitary units and unitary itself: its inverse is
-    z^-1 = z*, and no step solves a linear system.
+    z^-1 = z*, and no step solves a linear system.  The orbit takes three
+    products a step; the sums of both forms are integer columns from G's
+    table, each binomial reduced mod p, and all meet hat(c) in one product.
     """
     G = ctx.group
     p = ctx.p
-    w = witness_skew(ctx, g, c)
-    hat_c = ctx.hat(c)
+    z = witness_skew(ctx, g, c)
     h_bar = ctx.embed(h)
     h_inv_bar = ctx.embed(int(G.inv[h]))
-    g_inv = int(G.inv[g])
-    one = ctx.one()
-
-    z = w
-    for k in range(1, n + 1):
+    orbit = np.empty((G.order, n), dtype=np.int64)  # column i: the state after i + 1 steps
+    for i in range(n):
         z = z.involution() * h_inv_bar * z * h_bar
+        orbit[:, i] = z.coeffs
 
-        total = ctx.zero()
-        for i in range(0, k + 1):
-            coef = ((-1) ** i) * math.comb(k, i)
-            hj = G.power(h, k - i)
-            term = ctx.embed(G.conjugate(g, hj)) - ctx.embed(G.conjugate(g_inv, hj))
-            total = total + coef * term
-        rhs = one + hat_c * total
-        if z != rhs:
-            return False
-
-        if _is_p_power(k, p):
-            hk = G.power(h, k)
-            collapsed = one + hat_c * (
-                ctx.embed(G.conjugate(g, hk)) - ctx.embed(g)
-                - ctx.embed(G.conjugate(g_inv, hk)) + ctx.embed(g_inv))
-            if z != collapsed:
-                return False
-    return True
+    # column j of d is g^(h^j) - g^(-h^j), j = 0..n; row k-1 of binomials holds
+    # (-1)^(k-j) C(k, j) mod p, which math.comb makes 0 for j > k
+    m = G.mul
+    hj = np.array([G.power(h, j) for j in range(n + 1)], dtype=np.int64)
+    basis = np.eye(G.order, dtype=np.int64)
+    d = basis[:, m[m[G.inv[hj], g], hj]] - basis[:, m[m[G.inv[hj], G.inv[g]], hj]]
+    binomials = np.array([[(-1) ** (k + j) * math.comb(k, j) % p for j in range(n + 1)]
+                          for k in range(1, n + 1)], dtype=np.int64).reshape(n, n + 1)
+    ks = [k for k in range(1, n + 1) if _is_p_power(k, p)]
+    sums = np.hstack([d @ binomials.T, d[:, ks] - d[:, :1]])  # general, then collapsed
+    steps = list(range(n)) + [k - 1 for k in ks]
+    forms = (ctx.one().coeffs[:, None] + ctx.multiply(ctx.hat(c).coeffs[:, None], sums)) % p
+    return bool((orbit[:, steps] == forms).all())
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +253,29 @@ def centralizer_power_property(G: gr.FiniteGroup, p: int) -> bool:
     and every commutator has p-power order.
 
     Requires the group criterion to hold (raises PredicateNotSatisfied
-    otherwise); the s bound is lossless at finite scale.
+    otherwise); the s bound is lossless at finite scale.  All pairs are
+    checked at once on G's tables: x has p-power order exactly when
+    x^(p^s_max) = 1, since an order that divides |G| and is a power of p
+    divides p^s_max.
     """
     if not group_criterion(G, p):
         raise PredicateNotSatisfied(f"criterion fails for ({G.name}, p={p})")
     s_max = 0
     while p ** (s_max + 1) <= G.order:
         s_max += 1
-    centralizers = [frozenset(gr.centralizer(G, g).members) for g in G.elements()]
-    for g in G.elements():
-        cg = centralizers[g]
-        for h in G.elements():
-            k = gr.commutator(G, g, h)
-            if k == G.identity:
-                continue
-            if not _is_p_power(gr.element_order(G, k), p):
-                return False
-            t = h
-            found = False
-            for _ in range(0, s_max + 1):
-                if t in cg:
-                    found = True
-                    break
-                t = G.power(t, p)
-            if not found:
-                return False
-    return True
+    m, x = G.mul, np.arange(G.order)
+    commute = m == m.T  # commute[g, h]: gh = hg
+    reached = commute.copy()  # reached[g, h]: some h^(p^s) so far centralizes g
+    power = x  # h^(p^s) for every h
+    for _ in range(s_max):
+        step = power
+        for _ in range(p - 1):
+            step = m[step, power]
+        power = step
+        reached |= commute[:, power]
+    p_power_order = power == G.identity
+    commutators = m[m[m[G.inv[:, None], G.inv[None, :]], x[:, None]], x[None, :]]
+    return bool(reached.all() and p_power_order[commutators].all())
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def as_abstract_group(U: UnitGroup, cap: int = ABSTRACT_GROUP_CAP) -> gr.FiniteG
 # the lower central series from generators
 
 def _products(U: UnitGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Positions of the products U[a[k]] * U[b[k]] (a and b broadcast).
+    """Positions of the products U[a[k]] * U[b[k]] for 1-d a and b (a scalar broadcasts).
 
     Computed in row blocks of _CHUNK.  Raises ValueError when a product is
     not a member, so a fault cannot carry a computation outside U.
@@ -407,14 +407,14 @@ def _inverses(U: UnitGroup, a: np.ndarray) -> np.ndarray:
 
 
 class _Closure:
-    """The subgroup of U generated by ``gens``, grown one generator at a time.
+    """The subgroup of U generated by ``gens``, grown a batch of generators at a time.
 
     With conjugators S = ``conj`` it is the normal closure of ``gens`` in
     <S>: the least set holding 1 that is closed under right multiplication
     by each generator and conjugation by each s in S.  That set also absorbs
     right multiplication by every conjugate of a generator (x c^s =
     (x^(s^-1) c)^s, and s^-1 is a power of s), so it is a subgroup, and
-    normal.  A new generator x extends the set breadth-first from H*x, so
+    normal.  New generators xs extend the set breadth-first from H*xs, so
     each member meets each move once.
     """
 
@@ -428,13 +428,17 @@ class _Closure:
         self.conj = np.asarray(conj, dtype=np.int64)
         self.conj_inv = np.asarray(conj_inv, dtype=np.int64)
 
-    def add(self, x: int) -> None:
-        """Extend by the generator x; does nothing when x is already inside."""
-        if self.inside[x]:
+    def add(self, xs: np.ndarray) -> None:
+        """Extend by the generators xs, a 1-d array of positions; those
+        already inside are dropped, and the rest are kept as generators."""
+        xs = np.unique(xs[~self.inside[xs]])
+        if not xs.size:
             return
-        self.gens.append(int(x))
+        self.gens.extend(xs.tolist())
         U, gens = self.U, np.array(self.gens, dtype=np.int64)
-        frontier = self._keep_new(_products(U, np.concatenate(self.members), x))
+        members = np.concatenate(self.members)
+        frontier = self._keep_new(_products(U, np.repeat(members, xs.size),
+                                            np.tile(xs, members.size)))
         while frontier.size:
             f, k = frontier.size, self.conj.size
             moved, half = _fused_products(
@@ -473,7 +477,7 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
     for x in range(m):
         if H.size == m:
             break
-        H.add(x)
+        H.add(np.array([x]))
     S = np.array(H.gens, dtype=np.int64)
     S_inv = _inverses(U, S)
     inverse = np.empty(m, dtype=np.int64)  # set at S and at each commutator formed
@@ -490,8 +494,7 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
         commutators, inverses = _fused_products(U, (left, right), (left_inv, right_inv))
         inverse[commutators] = inverses
         N = _Closure(U, S, S_inv)
-        for c in commutators:
-            N.add(c)
+        N.add(commutators)
         terms.append(np.sort(np.concatenate(N.members)))
         if N.size == terms[-2].size:
             break

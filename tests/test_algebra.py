@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import modunits as m
 from modunits import _gflinalg as _gf
-from modunits.errors import ContextMismatch, ModunitsError, NotIntegral, OrderMismatch
+from modunits.errors import (ContextMismatch, ModunitsError, NotIntegral, OrderMismatch,
+                             ShapeMismatch)
 
 
 def alg(spec, p):
@@ -362,8 +363,30 @@ def test_unsigned_input_of_2_pow_63_and_above_is_reduced_exactly():
 
 
 def test_from_coeffs_refuses_a_wrong_length_before_the_dtype():
-    with pytest.raises(ValueError, match="must have length 2"):
+    with pytest.raises(ShapeMismatch, match="must have length 2") as err:
         F2C2.from_coeffs([])
+    assert isinstance(err.value, ModunitsError) and isinstance(err.value, ValueError)
+
+
+_B = np.arange(6)
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.array([2]), _B),                      # the first axis of a is not the group
+    (_B, np.array([1, 2])),                   # nor that of b
+    (np.array(2), _B),                        # a scalar has no group axis
+    (_B, np.array(1)),
+    (np.ones((6, 6), dtype=np.int64), _B),    # one more axis in a than in b
+    (_B[:, None], np.ones((6, 6, 1), dtype=np.int64)),
+    (np.ones((6, 2), dtype=np.int64), np.ones((6, 3), dtype=np.int64)),  # do not broadcast
+], ids=["a-short", "b-short", "a-scalar", "b-scalar", "a-more-axes", "b-more-axes",
+        "trailing"])
+def test_multiply_refuses_a_shape_that_does_not_fit(a, b):
+    # at the parent, (2,) x (6,) in GF(3)[S3] returned 2*b, and (6, 6) x (6,)
+    # paired the columns of a with the group axis of b
+    with pytest.raises(ShapeMismatch) as err:
+        F3S3.multiply(a, b)
+    assert isinstance(err.value, ModunitsError) and isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("p", [3, 101])

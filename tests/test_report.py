@@ -8,9 +8,12 @@ import pytest
 
 import modunits as m
 from modunits import cli
+from modunits import report as report_module
 from modunits.errors import InvalidConfig
 from modunits.report import (
     RunConfig,
+    VerificationReport,
+    _run_property_suite,
     emit_report,
     parse_config_file,
     run_catalog,
@@ -65,7 +68,25 @@ def test_catalog_pass_multiply_count(monkeypatch):
 
     monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
     assert run_catalog(RunConfig()).passed
-    assert calls <= 2400
+    assert calls <= 1811
+
+
+@pytest.mark.parametrize("p,label,tallies", [
+    (2, "(1 2)", [0, 1]),    # <(1 2)> is not normal, so its hat is not central
+    (3, "(1 2 3)", [1, 0]),  # <(1 2 3)> is normal, so its hat is central
+])
+def test_hat_central_tallies_a_hat_that_is_not_central(monkeypatch, p, label, tallies):
+    G = m.build_group(m.parse_group_spec("catalog:S3"))
+    ctx = m.GroupAlgebra(G, p)
+    verdict = m.verify_equivalence(G, p)
+    report = VerificationReport(version="test", config=SMALL)
+    # S3 has no central element of order 2 or 3; feed the suite a non-central one
+    monkeypatch.setattr(m.groups, "central_order_p_elements",
+                        lambda G, p: [G.labels.index(label)])
+    monkeypatch.setattr(report_module, "verify_engel_expansion", lambda *args, **kwargs: True)
+    _run_property_suite(report, ctx, verdict, seed=0)
+    assert report.properties["hat_central"] == tallies
+    assert report.properties["hat_square_zero"] == [1, 0]
 
 
 def test_zero_entry_report():

@@ -213,8 +213,88 @@ def test_engel_expansion_solves_no_linear_system(monkeypatch, spec, p):
         assert m.verify_engel_expansion(A, g, h, c, n=5)
 
 
+@pytest.mark.parametrize("spec,p", [("prod:catalog:S3|catalog:C,3", 3),
+                                     ("prod:catalog:D,4|catalog:C,2", 2), ("catalog:C,6", 3),
+                                     ("catalog:D,4", 2), ("catalog:Q8", 2)])
+def test_engel_expansion_holds_at_every_orbit_length(spec, p):
+    # n = 0 checks nothing; at n = 70, C(70, 35) is past int64, so each
+    # binomial must be reduced mod p before it enters an array
+    A = alg(spec, p)
+    cents = m.central_order_p_elements(A.group, p)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        g, h = (int(x) for x in rng.integers(0, A.group.order, size=2))
+        c = cents[int(rng.integers(0, len(cents)))]
+        for n in (0, 1, 16, 70):
+            assert m.verify_engel_expansion(A, g, h, c, n) is True, (g, h, c, n)
+
+
+@pytest.mark.parametrize("bad_step", [0, 4, 8])
+def test_engel_expansion_fails_on_a_corrupted_orbit_state(monkeypatch, bad_step):
+    g = S3xC3.labels.index("((1 2 3),a)")
+    h = S3xC3.labels.index("((1 2),a)")  # not an involution, so h^-1 != h
+    h_bar = F3_S3xC3.embed(h)
+    assert m.verify_engel_expansion(F3_S3xC3, g, h, CENTRALS[0], n=9)
+    mul = m.AlgebraElement.__mul__
+    last_factors = 0  # each orbit step ends with a product by h
+
+    def corrupting(self, other):
+        nonlocal last_factors
+        out = mul(self, other)
+        if isinstance(other, m.AlgebraElement) and other == h_bar:
+            last_factors += 1
+            if last_factors == bad_step + 1:
+                return out + F3_S3xC3.one()
+        return out
+
+    monkeypatch.setattr(m.AlgebraElement, "__mul__", corrupting)
+    assert not m.verify_engel_expansion(F3_S3xC3, g, h, CENTRALS[0], n=9)
+    assert last_factors > bad_step  # the corrupted state was formed
+
+
 # ---------------------------------------------------------------------------
 # centralizer powers
+
+def _reference_centralizer_power_property(G, p):
+    """The definition, pair by pair: some h^(p^s), s <= log_p|G|, centralizes
+    g, and (g, h) has p-power order, for every non-commuting g, h."""
+    if not m.group_criterion(G, p):
+        raise PredicateNotSatisfied(f"criterion fails for ({G.name}, p={p})")
+    s_max = 0
+    while p ** (s_max + 1) <= G.order:
+        s_max += 1
+    centralizers = [frozenset(m.centralizer(G, g).members) for g in G.elements()]
+    for g in G.elements():
+        for h in G.elements():
+            k = m.commutator(G, g, h)
+            if k == G.identity:
+                continue
+            if not th._is_p_power(m.element_order(G, k), p):
+                return False
+            t = h
+            for _ in range(s_max + 1):
+                if t in centralizers[g]:
+                    break
+                t = G.power(t, p)
+            else:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("spec", [
+    "catalog:C,6", "catalog:D,4", "catalog:Q8", "catalog:D,8", "prod:catalog:D,4|catalog:C,2",
+    "prod:catalog:Q8|catalog:C,2", "prod:catalog:C,4|catalog:C,2", "catalog:D,16",
+    "catalog:S4", "catalog:A4", "prod:catalog:S3|catalog:C,3", "prod:catalog:D,4|catalog:C,3"])
+def test_centralizer_power_property_matches_the_pairwise_definition(spec, p):
+    G = group(spec)
+    try:
+        expected = _reference_centralizer_power_property(G, p)
+    except PredicateNotSatisfied:
+        with pytest.raises(PredicateNotSatisfied):
+            m.centralizer_power_property(G, p)
+    else:
+        assert m.centralizer_power_property(G, p) is expected
 
 def test_centralizer_power_property_abelian():
     assert m.centralizer_power_property(group("catalog:C,6"), 2)

@@ -825,6 +825,29 @@ def test_series_of_abelian_and_trivial_unit_groups():
     assert [t.tolist() for t in m.lower_central_series_of_units(one)] == [[0]]
 
 
+@pytest.mark.parametrize("spec,p,n_conj", [("catalog:D,4", 2, 0), ("catalog:Q8", 3, 0),
+                                            ("catalog:D,4", 2, 2), ("catalog:A4", 2, 1)])
+def test_closure_grown_in_batches_is_the_normal_closure(spec, p, n_conj):
+    # grown in two batches, as the series and the generating set grow it; the
+    # oracle closes the conjugates of the generators by every element of <S>
+    U = _unit_group(spec, p, "V")
+    rng = np.random.default_rng(2)
+    for _ in range(4):
+        S = rng.choice(len(U), size=n_conj, replace=False)
+        batches = [rng.choice(len(U), size=k, replace=False) for k in (1, 2)]
+        H = un._Closure(U, S, un._inverses(U, S))
+        for xs in batches:
+            H.add(xs)
+        conjugators = [U.element(U.one_position)]
+        if n_conj:
+            conjugators = list(m.closure_subgroup([U.element(int(s)) for s in S]))
+        conjugates = [s.try_inverse() * U.element(int(x)) * s
+                      for s in conjugators for x in np.concatenate(batches)]
+        expected = U.positions_of(m.closure_subgroup(conjugates, cap=len(U)).vectors)
+        assert np.sort(np.concatenate(H.members)).tolist() == np.sort(expected).tolist()
+        assert H.size == expected.size
+
+
 def test_series_raises_when_a_product_leaves_the_unit_set():
     A = alg("catalog:C,3", 3)
     U = un.UnitGroup(A, np.stack([A.one().coeffs, A.embed(1).coeffs]))  # misses g^2
