@@ -62,7 +62,7 @@ class NotUnitary(ModunitsError):
 
 
 class PreconditionViolated(ModunitsError):
-    """A witness constructor was called outside its stated preconditions."""
+    """A witness constructor or a count law was called outside its stated preconditions."""
 
 
 class PredicateNotSatisfied(ModunitsError):

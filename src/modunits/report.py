@@ -235,7 +235,8 @@ def _run_property_suite(report: VerificationReport, ctx: GroupAlgebra,
         report.tally("hat_square_zero", not mul(h, h).any())
         report.tally("hat_central", bool((mul(h, basis) == mul(basis, h)).all()))
 
-    if verdict.v_order is not None and gr.is_p_group(G, p):
+    # only on an enumerated V: for a p-group Q = 1, so the law gives p^(|G|-1) by construction
+    if verdict.enumerated and gr.is_p_group(G, p):
         report.tally("unit_count_law", verdict.v_order == p ** (G.order - 1))
 
     if verdict.criterion:

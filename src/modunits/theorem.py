@@ -29,6 +29,7 @@ from .units import (
     find_non_engel_pair,
     lower_central_series_of_units,
     non_engel_scan,
+    unit_orders,
 )
 
 
@@ -70,6 +71,10 @@ class EquivalenceVerdict:
     ``consistent`` stays true there (the catalog keeps such entries as
     negative tests: GF(3)[D4] has a nilpotent unitary subgroup even though
     the criterion fails).
+
+    ``enumerated`` is True when the orders were counted on the enumerated V
+    and V*, and False when they come from the block laws (unit_orders) or
+    are unknown.
     """
 
     group_name: str
@@ -82,6 +87,7 @@ class EquivalenceVerdict:
     v_order: int | None
     vstar_order: int | None
     consistent: bool
+    enumerated: bool = False
 
 
 @dataclass(frozen=True)
@@ -249,33 +255,30 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
 # centralizer-power property
 
 def centralizer_power_property(G: gr.FiniteGroup, p: int) -> bool:
-    """For all non-commuting g, h: some h^(p^s), s <= log_p|G|, centralizes g,
-    and every commutator has p-power order.
+    """For all non-commuting g, h: some h^(p^s), s <= log_p|G|, centralizes g.
 
     Requires the group criterion to hold (raises PredicateNotSatisfied
     otherwise); the s bound is lossless at finite scale.  All pairs are
-    checked at once on G's tables: x has p-power order exactly when
-    x^(p^s_max) = 1, since an order that divides |G| and is a power of p
-    divides p^s_max.
+    checked at once on G's tables.  The paper's property also asks every
+    commutator to have p-power order; under the criterion every commutator
+    lies in G', a p-group, so that clause cannot fail and is not checked.
     """
     if not group_criterion(G, p):
         raise PredicateNotSatisfied(f"criterion fails for ({G.name}, p={p})")
     s_max = 0
     while p ** (s_max + 1) <= G.order:
         s_max += 1
-    m, x = G.mul, np.arange(G.order)
+    m = G.mul
     commute = m == m.T  # commute[g, h]: gh = hg
     reached = commute.copy()  # reached[g, h]: some h^(p^s) so far centralizes g
-    power = x  # h^(p^s) for every h
+    power = np.arange(G.order)  # h^(p^s) for every h
     for _ in range(s_max):
         step = power
         for _ in range(p - 1):
             step = m[step, power]
         power = step
         reached |= commute[:, power]
-    p_power_order = power == G.identity
-    commutators = m[m[m[G.inv[:, None], G.inv[None, :]], x[:, None]], x[None, :]]
-    return bool(reached.all() and p_power_order[commutators].all())
+    return bool(reached.all())
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +327,33 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     """Pit the fast criterion against brute force on one (group, prime) pair.
 
     An abelian or non-nilpotent G decides both statuses from its own table
-    (_status_from_group), whatever the budgets.  The unit groups are still
-    enumerated wherever they fit under enumeration_cap, for their orders;
-    only for a nilpotent non-abelian G do the statuses come from them.  All
-    failure modes land in skipped statuses; a skipped status never makes
-    the verdict inconsistent.
+    (_status_from_group), whatever the budgets.  V and V* are enumerated
+    only where a status needs them (a nilpotent non-abelian G), or at p = 2,
+    where |V*| has no law; each is enumerated when p^(|G|-1) fits under
+    enumeration_cap.  Otherwise both orders come from the block laws
+    (unit_orders), which run when sum_B p^dim(B) fits under the same cap,
+    and stay unknown above it.  All failure modes land in skipped statuses;
+    a skipped status never makes the verdict inconsistent.
     """
     algebra = GroupAlgebra(G, p)
     criterion = group_criterion(G, p)
     from_g = _status_from_group(algebra)
     v_status = vstar_status = from_g
     v_order = vstar_order = None
+    enumerated = from_g is None or p == 2
     try:
-        V = enumerate_units(algebra, cap=budgets.enumeration_cap)
+        if enumerated:
+            V = enumerate_units(algebra, cap=budgets.enumeration_cap)
+            Vstar = filter_unitary(V)
+            v_order, vstar_order = len(V), len(Vstar)
+        else:
+            v_order, vstar_order = unit_orders(algebra, cap=budgets.enumeration_cap)
     except BudgetExceeded as e:
+        enumerated = False
         if from_g is None:
             reason = f"enumeration budget exceeded (needs {e.required})"
             v_status = vstar_status = VStatus("skipped", reason=reason)
     else:
-        v_order = len(V)
-        Vstar = filter_unitary(V)
-        vstar_order = len(Vstar)
         if from_g is None:
             v_status = _nilpotency_status(V, budgets)
             vstar_status = _nilpotency_status(Vstar, budgets)
@@ -367,4 +376,5 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
         v_order=v_order,
         vstar_order=vstar_order,
         consistent=consistent,
+        enumerated=enumerated,
     )

@@ -4,12 +4,14 @@ enumerate_units builds the group of normalized units of FG, the oracle
 everything else is checked against, without testing candidates.  Let
 Q = G/O_p(G): FQ is split by the central idempotents of the normal
 p'-subgroups of Q into blocks (unit_blocks), and Gaussian elimination runs
-once per block on its coordinate vectors to find the units of the block.
-The normalized units of FQ are the sums of one unit from each block, and
-V(FG) is the union of their preimages under the coset-sum map, whose kernel
-is nilpotent.  The units are built as sorted mixed-radix codes, decoded once
-into the narrow rows a UnitGroup holds.  filter_unitary carves out the units
-fixed into inverses by the classical involution.
+on one coordinate vector of each scalar class of a block to find the units
+of the block.  The normalized units of FQ are the sums of one unit from
+each block, and V(FG) is the union of their preimages under the coset-sum
+map, whose kernel is nilpotent.  The units are built as sorted mixed-radix
+codes, decoded once into the narrow rows a UnitGroup holds.  filter_unitary
+carves out the units fixed into inverses by the classical involution.  For
+odd p, unit_orders counts |V| and |V*| from the units of the blocks by the
+block laws, without building either group.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
@@ -44,7 +46,8 @@ from . import groups as gr
 from ._gflinalg import (batch_invertible_mask, int_dtype, integer_array, mod_p, residues,
                         row_reduce, work_dtype)
 from .algebra import AlgebraElement, GroupAlgebra
-from .errors import BudgetExceeded, ContextMismatch, EngelInconclusive, NotAUnit
+from .errors import (BudgetExceeded, ContextMismatch, EngelInconclusive, NotAUnit,
+                     PreconditionViolated)
 
 ENUMERATION_CAP = 2**20
 ABSTRACT_GROUP_CAP = 4096
@@ -201,7 +204,7 @@ class UnitBlock:
     units: np.ndarray
 
 
-def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
+def unit_blocks(algebra: GroupAlgebra, cap: int | None = None) -> list[UnitBlock]:
     """The blocks of FQ given by the central idempotents of its normal p'-subgroups.
 
     For a normal subgroup K with p not dividing |K|, e_K = |K|^-1 sum_{k in K} k
@@ -212,6 +215,14 @@ def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
     is the direct sum of the blocks FQ*f.  A unit of FQ is a sum of units of
     the blocks, and x is a unit of FQ*f exactly when x + (1 - f) is a unit of
     FQ, which batch_invertible_mask decides on the regular matrices.
+
+    x is a unit exactly when lambda*x is, for every lambda in F_p^*, so the
+    elimination runs on one coordinate vector per scalar class: the one
+    whose most significant nonzero digit is 1, an index in the union over j
+    of [p^j, 2p^j).  Each unit among them marks its p - 1 multiples.  The
+    zero vector gives 1 - f, a zero divisor since f != 0, so never a unit.
+    Raises BudgetExceeded (carrying the required count) when
+    sum_B p^dim(B) > cap, before any mask is built.
     """
     Q, p = algebra.group, algebra.p
     closures = {K.members for K in (gr.normal_closure(Q, x) for x in Q.elements())
@@ -222,19 +233,45 @@ def unit_blocks(algebra: GroupAlgebra) -> list[UnitBlock]:
         e[list(members)] = pow(len(members), -1, p)
         split = [(algebra.multiply(f, e), f) for f in atoms]
         atoms = [a for fe, f in split for a in (fe, (f - fe) % p) if a.any()]
-    blocks = []
-    for f in atoms:
-        rows, pivots = row_reduce(f[algebra._ldiv], p)  # row g of f[_ldiv] is g*f
-        total = p ** pivots.size
-        units = np.empty(total, dtype=bool)
-        complement = (algebra._one_vec - f) % p
-        for lo in range(0, total, _CHUNK):
-            idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-            x = (_digits(idx, p, pivots.size) @ rows + complement) % p
-            x = x.astype(work_dtype(p))  # gathered into n x n matrices next
-            units[lo:lo + _CHUNK] = batch_invertible_mask(x[:, algebra.div], p)
-        blocks.append(UnitBlock(f, rows, pivots, units))
-    return blocks
+    # row g of f[_ldiv] is g*f
+    bases = [(f, *row_reduce(f[algebra._ldiv], p)) for f in atoms]
+    required = sum(p ** pivots.size for _, _, pivots in bases)
+    if cap is not None and required > cap:
+        raise BudgetExceeded(
+            f"block masks need {required} coordinate vectors, cap is {cap}", required)
+    return [UnitBlock(f, rows, pivots, _unit_mask(algebra, f, rows, pivots.size))
+            for f, rows, pivots in bases]
+
+
+def _unit_mask(algebra: GroupAlgebra, f: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+    """UnitBlock.units of the block FQ*f with basis rows, from one
+    elimination per scalar class of coordinate vectors (see unit_blocks)."""
+    p = algebra.p
+    units = np.zeros(p ** d, dtype=bool)
+    complement = (algebra._one_vec - f) % p
+    weights = p ** np.arange(d, dtype=np.int64)
+    reps = np.concatenate([np.arange(p ** j, 2 * p ** j, dtype=np.int64) for j in range(d)])
+    for lo in range(0, reps.size, _CHUNK):
+        digits = _digits(reps[lo:lo + _CHUNK], p, d)
+        x = (digits @ rows + complement) % p
+        x = x.astype(work_dtype(p))  # gathered into n x n matrices next
+        digits = digits[batch_invertible_mask(x[:, algebra.div], p)]
+        # the multiples lambda * c of each unit's coordinates, about _CHUNK at a time
+        step = max(1, _CHUNK // max(1, len(digits)))
+        for first in range(1, p, step):
+            lam = np.arange(first, min(first + step, p), dtype=np.int64)
+            units[mod_p(lam[:, None, None] * digits, p) @ weights] = True
+    return units
+
+
+def _block_units(block: UnitBlock, p: int) -> np.ndarray:
+    """The units of a block as vectors of FQ in int_dtype(p - 1), in index order."""
+    units = np.flatnonzero(block.units)
+    x = np.empty((units.size, block.rows.shape[1]), dtype=int_dtype(p - 1))
+    for lo in range(0, units.size, _CHUNK):
+        x[lo:lo + _CHUNK] = _digits(units[lo:lo + _CHUNK], p, block.pivots.size) \
+            @ block.rows % p
+    return x
 
 
 def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
@@ -253,7 +290,8 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     sum of the free digits of the coset.  So its code is code(D) +
     sum_q (I_q - S_q mod p) p^(n-1-r_q), computed in tiles of at most
     _CHUNK units, sorted, and decoded once into the rows UnitGroup keeps.
-    For N = 1 the quotient is G itself.  Raises BudgetExceeded
+    For N = 1 the quotient is G itself.  Where only the order is wanted,
+    unit_orders counts it from the same blocks.  Raises BudgetExceeded
     (carrying the required count) when p^(dim-1) > cap.  ``seed`` is unused.
     """
     n = algebra.dim
@@ -266,11 +304,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     m = Q.order
     factors = []  # per block, its units x with aug(x) = aug(f), as vectors of FQ
     for block in unit_blocks(GroupAlgebra(Q, p)):
-        units = np.flatnonzero(block.units)
-        x = np.empty((units.size, m), dtype=int_dtype(p - 1))
-        for lo in range(0, units.size, _CHUNK):
-            x[lo:lo + _CHUNK] = _digits(units[lo:lo + _CHUNK], p, block.pivots.size) \
-                @ block.rows % p
+        x = _block_units(block, p)
         factors.append(x[x.sum(axis=1) % p == block.idempotent.sum() % p])
     reps = np.unique(coset, return_index=True)[1]  # the least member of each coset
     free = np.setdiff1d(np.arange(n), reps)
@@ -300,6 +334,59 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     vectors = _decode(codes, n, p)
     del codes  # UnitGroup computes its own
     return UnitGroup(algebra, vectors)
+
+
+def _skew_dim(X: gr.FiniteGroup) -> int:
+    """k(X) = (|X| - #{x : x^2 = 1}) / 2, the dimension over GF(p), p odd, of
+    the skew elements x* = -x of FX: one g - g^-1 for each pair g != g^-1."""
+    return (X.order - int(np.count_nonzero(X.inv == np.arange(X.order)))) // 2
+
+
+def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
+    """|V| and |V*| for odd p, counted by the block laws without building
+    either group.
+
+    Let Q = G/O_p(G) and I the kernel of FG -> FQ, the nilpotent ideal
+    w(O_p(G))FG of dimension |G| - |Q|.  Units lift through I and FQ is the
+    direct sum of the blocks B of unit_blocks, and the scalars F* split off
+    the normalized units, so
+
+        |V| = p^(|G| - |Q|) * prod_B |U(B)| / (p - 1).
+
+    Each block idempotent is fixed by the involution, so sum_B x_B is
+    unitary exactly when x_B* x_B = f_B in every block: U*(FQ) is the
+    product of the U*(B).  The map is a *-map and, p being odd, the Cayley
+    transform x -> (1 + x)(1 - x)^-1 puts the unitary units of 1 + I in
+    bijection with the skew elements of I, of dimension k(G) - k(Q)
+    (_skew_dim), and unitary units lift through I.  The unitary scalars are
+    +-1, so
+
+        |V*| = p^(k(G) - k(Q)) * prod_B |U*(B)| / 2.
+
+    U*(B) is counted on the decoded units of all blocks together, with one
+    product per _CHUNK of them.  Raises BudgetExceeded when
+    sum_B p^dim(B) > cap, before any mask is built, and
+    PreconditionViolated at p = 2, where |V*| has no such law.
+    """
+    G, p = algebra.group, algebra.p
+    if p == 2:
+        raise PreconditionViolated("the unit count laws need an odd p")
+    Q, _ = gr.quotient(gr.p_core(G, p))
+    QA = GroupAlgebra(Q, p)
+    blocks = unit_blocks(QA, cap=cap)
+    units = [_block_units(b, p) for b in blocks]
+    x = np.concatenate(units)
+    block_of = np.repeat(np.arange(len(blocks)), [len(u) for u in units])
+    idempotents = np.stack([b.idempotent for b in blocks], axis=1)  # group axis first
+    unitary = np.empty(len(x), dtype=bool)
+    for lo in range(0, len(x), _CHUNK):
+        cols = np.ascontiguousarray(x[lo:lo + _CHUNK].T)
+        prod = QA.multiply(cols[Q.inv], cols)
+        unitary[lo:lo + _CHUNK] = (prod == idempotents[:, block_of[lo:lo + _CHUNK]]).all(axis=0)
+    n_unitary = np.bincount(block_of[unitary], minlength=len(blocks))
+    v_order = p ** (G.order - Q.order) * math.prod(len(u) for u in units) // (p - 1)
+    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary)) // 2
+    return v_order, vstar_order
 
 
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:

@@ -292,9 +292,9 @@ def test_8_inverse_oracle_crosscheck():
 # SHA-256 of the default catalog's reports.  A change that alters the report
 # bytes on purpose updates these and says so in CHANGES.md.
 REPORT_SHA256 = {
-    "json": "f707f2695ffe37cbb6b26cd6a4935a37f727b31e607f275d0b99dd7ae0fcebc7",
-    "csv": "11c74dc4fc49e7aaee670d0c855ab1ad3087b01e446ed22d3343640037c56259",
-    "text": "b57561890f3a940cd54f48868e6f56a4c20e7140aef2ddc18f0b00801946ab48",
+    "json": "4abd0033f2d9dc7ae231134204a8183fadce36482d3ce527b6f1d90c91574c1d",
+    "csv": "47272bd191b0793e6583cb3e0804ff31b57529e61a0e264fc44dd458cc2b38d6",
+    "text": "c93f3dbb21b3a412dc2bcd63cb06f08281ecb597415f331de8b809a701e7a8f6",
 }
 
 

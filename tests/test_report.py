@@ -68,7 +68,29 @@ def test_catalog_pass_multiply_count(monkeypatch):
 
     monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
     assert run_catalog(RunConfig()).passed
-    assert calls <= 1811
+    assert calls <= 1804
+
+
+def test_catalog_pass_enumerates_only_where_needed(monkeypatch):
+    # V is built for a status (D4 and Q8 are nilpotent and not abelian) or at
+    # p = 2, where |V*| has no law; every other entry takes its orders from the laws
+    enumerated = []
+    enumerate_units = m.theorem.enumerate_units
+
+    def spy(algebra, **kwargs):
+        enumerated.append((algebra.group.name, algebra.p))
+        return enumerate_units(algebra, **kwargs)
+
+    monkeypatch.setattr(m.theorem, "enumerate_units", spy)
+    report = run_catalog(RunConfig())
+    assert report.passed
+    names = [v.group_name for v in report.verdicts if v.p == 2]
+    assert enumerated == [(name, p) for name in names for p in (2, 3)
+                          if p == 2 or name in ("D4", "Q8")]
+    assert all(v.v_order is not None for v in report.verdicts)
+    # the law's |V| of a p-group is p^(|G|-1) by construction, so only an
+    # enumerated V is tallied: C3 and C3xC3 at p = 3 drop out
+    assert report.properties["unit_count_law"] == [6, 0]
 
 
 @pytest.mark.parametrize("p,label,tallies", [

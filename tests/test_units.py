@@ -14,7 +14,7 @@ import modunits as m
 from modunits import groups as gr
 from modunits import units as un
 from modunits.errors import (BudgetExceeded, ContextMismatch, EngelInconclusive,
-                             ModunitsError, NotAUnit, NotIntegral)
+                             ModunitsError, NotAUnit, NotIntegral, PreconditionViolated)
 
 
 def alg(spec, p):
@@ -130,7 +130,9 @@ def _quotient_blocks(spec, p):
 
 @pytest.mark.parametrize("spec,p", [
     ("catalog:S3", 2), ("catalog:D,6", 2), ("catalog:A4", 2), ("catalog:A4", 3),
-    ("catalog:D,4", 3), ("prod:catalog:S3|catalog:C,3", 2)])
+    ("catalog:D,4", 3), ("prod:catalog:S3|catalog:C,3", 2),
+    # p = 5: the masks mark lambda * c for lambda = 2, 3, 4 from one elimination
+    ("catalog:S3", 5), ("catalog:D,4", 5)])
 def test_block_masks_match_try_inverse(spec, p):
     QA, blocks = _quotient_blocks(spec, p)
     one, mul = QA._one_vec, QA.multiply
@@ -185,6 +187,49 @@ def test_block_unit_count_law(spec, p):
         count *= int(np.count_nonzero(b.units))
     assert count % (p - 1) == 0
     assert len(m.enumerate_units(A)) == count // (p - 1)
+
+
+def _enumerable(spec, p):
+    return p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= un.ENUMERATION_CAP
+
+
+@pytest.mark.parametrize("spec,p", [
+    (spec, p) for spec in [spec for _, spec in m.DEFAULT_CATALOG]
+    + ["catalog:D,5", "catalog:C,5", "catalog:C,8"] for p in (3, 5) if _enumerable(spec, p)])
+def test_unit_count_laws_match_enumeration(spec, p):
+    A = alg(spec, p)
+    V = m.enumerate_units(A)
+    assert un.unit_orders(A) == (len(V), len(m.filter_unitary(V)))
+
+
+@pytest.mark.parametrize("spec,p,orders", [
+    ("prod:catalog:S3|catalog:C,3", 3, (86_093_442, 4_374)),  # 3^17 candidates
+    ("catalog:D,5", 5, (1_562_500, 50)),  # 5^9 candidates
+])
+def test_unit_count_laws_above_the_enumeration_cap(spec, p, orders):
+    A = alg(spec, p)
+    with pytest.raises(BudgetExceeded):
+        m.enumerate_units(A)
+    assert un.unit_orders(A) == orders
+
+
+def test_unit_count_laws_refuse_blocks_above_the_cap_before_any_mask(monkeypatch):
+    # F5[A4] has a block of dimension 9: 5^9 coordinate vectors, above the cap
+    def refuse(*args):
+        raise AssertionError("batch_invertible_mask ran")
+
+    monkeypatch.setattr(un, "batch_invertible_mask", refuse)
+    with pytest.raises(BudgetExceeded) as err:
+        un.unit_orders(alg("catalog:A4", 5))
+    assert err.value.required == 5 ** 9 + 5 ** 2 + 5
+    v = m.verify_equivalence(m.build_group(m.parse_group_spec("catalog:A4")), 5)
+    assert v.v_order is None and v.vstar_order is None and not v.enumerated
+    assert v.v_status.kind == v.vstar_status.kind == "non_nilpotent"
+
+
+def test_unit_count_laws_need_an_odd_prime():
+    with pytest.raises(PreconditionViolated):
+        un.unit_orders(alg("catalog:S3", 2))
 
 
 def test_batch_invertibility_matches_per_element_inverse():
