@@ -125,24 +125,47 @@ def _require_central_of_order_p(ctx: GroupAlgebra, c: int) -> None:
         raise NotCentral(f"{G.labels[c]} is not central in {G.name}")
 
 
-def witness_skew(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
-    """The unitary unit 1 + (g - g^-1) * hat(c), for central c of order p.
-
-    Degenerates to 1 when g is its own inverse.
-    """
-    _require_central_of_order_p(ctx, c)
+def _unitary_family(ctx: GroupAlgebra, x: np.ndarray, c: int, kind: str) -> np.ndarray:
+    """The columns 1 + x_j * hat(c) of an (n, k) array, by one product
+    against hat(c) and one pairwise unitarity product; raises NotUnitary,
+    naming the first, unless every column is unitary."""
     h = ctx.hat(c)  # raises OrderMismatch unless |c| = p
-    G = ctx.group
-    w = ctx.one() + (ctx.embed(g) - ctx.embed(int(G.inv[g]))) * h
-    if not w.is_unitary():
-        raise NotUnitary(f"skew witness {w.to_text()} is not unitary")
+    w = (ctx._one_vec[:, None] + ctx.multiply(x, h.coeffs[:, None])) % ctx.p
+    bad = np.flatnonzero(~ctx.unitary_mask(w))
+    if bad.size:
+        text = AlgebraElement(ctx, w[:, bad[0]]).to_text()
+        raise NotUnitary(f"{kind} witness {text} is not unitary")
     return w
 
 
-def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
-    """The unitary unit 1 + g * hat(c) in characteristic 2.
+def _element_indices(ctx: GroupAlgebra, gs) -> np.ndarray:
+    gs = np.asarray(gs, dtype=np.int64).reshape(-1)
+    if not ((0 <= gs) & (gs < ctx.dim)).all():
+        raise ValueError(f"element indices {gs.tolist()} out of range")
+    return gs
 
-    Requires p = 2, c central of order 2, and g^2 in <c>.
+
+def skew_witnesses(ctx: GroupAlgebra, gs, c: int) -> np.ndarray:
+    """The unitary units 1 + (g - g^-1) * hat(c) for the g in gs, as the
+    columns of an (n, len(gs)) array, for central c of order p.
+
+    A column degenerates to 1 where g is its own inverse.
+    """
+    _require_central_of_order_p(ctx, c)
+    e = np.eye(ctx.dim, dtype=np.int64)[:, _element_indices(ctx, gs)]
+    return _unitary_family(ctx, e - e[ctx.group.inv], c, "skew")
+
+
+def witness_skew(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
+    """The unitary unit 1 + (g - g^-1) * hat(c): one column of skew_witnesses."""
+    return AlgebraElement(ctx, skew_witnesses(ctx, [g], c)[:, 0])
+
+
+def char2_witnesses(ctx: GroupAlgebra, gs, c: int) -> np.ndarray:
+    """The unitary units 1 + g * hat(c) in characteristic 2 for the g in gs,
+    as the columns of an (n, len(gs)) array.
+
+    Requires p = 2, c central of order 2, and g^2 in <c> for every g.
     """
     G = ctx.group
     if ctx.p != 2:
@@ -151,13 +174,15 @@ def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
         raise PreconditionViolated("c must be central")
     if gr.element_order(G, c) != 2:
         raise PreconditionViolated("c must have order 2")
-    gsq = int(G.mul[g, g])
-    if gsq not in (G.identity, c):
+    gs = _element_indices(ctx, gs)
+    if not np.isin(G.mul[gs, gs], (G.identity, c)).all():
         raise PreconditionViolated("g^2 must lie in <c>")
-    w = ctx.one() + ctx.embed(g) * ctx.hat(c)
-    if not w.is_unitary():
-        raise NotUnitary(f"char-2 witness {w.to_text()} is not unitary")
-    return w
+    return _unitary_family(ctx, np.eye(ctx.dim, dtype=np.int64)[:, gs], c, "char-2")
+
+
+def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
+    """The unitary unit 1 + g * hat(c): one column of char2_witnesses."""
+    return AlgebraElement(ctx, char2_witnesses(ctx, [g], c)[:, 0])
 
 
 def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int,

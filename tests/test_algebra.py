@@ -96,6 +96,33 @@ def test_multiply_matches_regular_matrix_oracle_in_every_shape(spec, p):
         assert (got[:, j] == M @ elems[8 - j].coeffs % p).all()
 
 
+@pytest.mark.parametrize("spec,p", [
+    ("catalog:S3", 2), ("catalog:S3", 5), ("catalog:Q8", 3), ("catalog:A4", 7),
+])
+def test_multiply_matches_the_oracle_either_side_of_the_width_cap(spec, p):
+    # a result of at most |G| columns is one matmul, a wider one the loop
+    algebra = alg(spec, p)
+    n = algebra.dim
+    rng = np.random.default_rng(n * p)
+    for width in (n - 1, n, n + 1):
+        a, b = rng.integers(0, p, size=(n, width)), rng.integers(0, p, size=(n, width))
+        left = [regular_matrix_oracle(algebra.from_coeffs(col)) for col in a.T]
+        # one element on the left: a_0 * b_j
+        assert (algebra.multiply(a[:, :1], b) == left[0] @ b % p).all()
+        # one element on the right: a_j * b_0
+        right = np.stack([M @ b[:, 0] for M in left], axis=1) % p
+        assert (algebra.multiply(a, b[:, :1]) == right).all()
+        # pairs: a_j * b_j
+        pairs = np.stack([M @ col for M, col in zip(left, b.T)], axis=1) % p
+        assert (algebra.multiply(a, b) == pairs).all()
+    # both operands broadcast: entry [:, i, j] is a_i * b_j
+    a, b = rng.integers(0, p, size=(n, 2)), rng.integers(0, p, size=(n, 3))
+    got = algebra.multiply(a[:, :, None], b[:, None, :])
+    assert got.shape == (n, 2, 3)
+    for i, col in enumerate(a.T):
+        assert (got[:, i, :] == regular_matrix_oracle(algebra.from_coeffs(col)) @ b % p).all()
+
+
 # the primes either side of each step of the kernel's integer type at |G| = 4,
 # where it accumulates sums of up to 4*(p-1)^2
 @pytest.mark.parametrize("p,dtype", [
@@ -108,20 +135,23 @@ def test_multiply_is_exact_at_every_integer_type_boundary(p, dtype):
     assert int_dtype(4 * (p - 1) ** 2) is dtype
     F = alg("catalog:C,4", p)
     top = np.full(4, p - 1, dtype=np.int64)  # every partial sum reaches the bound
-    many = np.full((4, 3), p - 1, dtype=np.int64)
-    shapes = [(top, top), (top[:, None], many), (many, many)]
-    for a, b in shapes:
-        got = F.multiply(a, b)
-        assert got.dtype == np.int64
-        assert (got == 4 * (p - 1) ** 2 % p).all()  # (p-1)^2 * |G| in each coefficient
+    # width 3 takes the matmul path, width 5 (above |G| = 4) the loop
+    for width in (3, 5):
+        many = np.full((4, width), p - 1, dtype=np.int64)
+        shapes = [(top, top), (top[:, None], many), (many, top[:, None]), (many, many)]
+        for a, b in shapes:
+            got = F.multiply(a, b)
+            assert got.dtype == np.int64
+            assert (got == 4 * (p - 1) ** 2 % p).all()  # (p-1)^2 * |G| in each coefficient
     rng = np.random.default_rng(p)
-    a, b = rng.integers(0, p, size=(4, 3)), rng.integers(0, p, size=(4, 3))
-    expected = F.multiply(a, b)
-    for k in (-1, 2**7 // p + 1, 2**15 // p + 1, 2**40 // p):
-        shift = k * p * rng.integers(-1, 2, size=(4, 3))  # unreduced, some negative
-        assert (F.multiply(a + shift, b - shift) == expected).all()
-        for j in range(3):
-            assert (F.multiply(a[:, j] + shift[:, j], b[:, j]) == expected[:, j]).all()
+    for width in (3, 5):
+        a, b = rng.integers(0, p, size=(4, width)), rng.integers(0, p, size=(4, width))
+        expected = F.multiply(a, b)
+        for k in (-1, 2**7 // p + 1, 2**15 // p + 1, 2**40 // p):
+            shift = k * p * rng.integers(-1, 2, size=(4, width))  # unreduced, some negative
+            assert (F.multiply(a + shift, b - shift) == expected).all()
+            for j in range(width):
+                assert (F.multiply(a[:, j] + shift[:, j], b[:, j]) == expected[:, j]).all()
 
 
 # the primes either side of the kernel's bound |G|*(p-1)^2 < 2^63 at |G| = 4

@@ -45,14 +45,81 @@ def test_report_passes_and_is_consistent(small_report):
     assert all(v.consistent for v in small_report.verdicts)
 
 
-def test_a_witness_that_is_not_unitary_fails_its_entry(monkeypatch):
-    # the witness constructors are the only unitarity check on the witness path
-    monkeypatch.setattr(m.AlgebraElement, "is_unitary", lambda self: False)
+@pytest.mark.parametrize("call,kind", [(0, "skew"), (1, "char-2")])
+def test_a_witness_that_is_not_unitary_fails_its_entry(monkeypatch, call, kind):
+    # GF(2)[C2] builds the skew family, then the char-2 family, for its one
+    # central c; the families' unitarity check is the only one on the witness
+    # path, so one column it rejects fails the entry, with the Engel identity,
+    # the other caller of witness_skew, stubbed out
+    monkeypatch.setattr(report_module, "verify_engel_expansion", lambda *args, **kw: True)
+    unitary_mask = m.GroupAlgebra.unitary_mask
+    calls = []
+
+    def one_bad_column(self, cols):
+        mask = unitary_mask(self, cols)
+        if len(calls) == call:
+            mask[-1] = False
+        calls.append(cols.shape)
+        return mask
+
+    monkeypatch.setattr(m.GroupAlgebra, "unitary_mask", one_bad_column)
     report = run_catalog(RunConfig(specs=("catalog:C,2",), primes=(2,)))
     (verdict,) = report.verdicts
+    assert calls == [(2, 2)] * (call + 1)  # the corrupted family was the last one built
     for status in (verdict.v_status, verdict.vstar_status):
-        assert status.reason.startswith("entry failed: ") and "not unitary" in status.reason
+        assert status.reason.startswith(f"entry failed: {kind} witness ")
+        assert status.reason.endswith(" is not unitary")
     assert not report.passed
+
+
+def _element_wise_families(ctx):
+    """The skew and char-2 families one (g, c) pair at a time, each unit
+    formed by AlgebraElement arithmetic: (tallies, exemplar records)."""
+    G, p = ctx.group, ctx.p
+    pairs = [(g, c) for c in m.central_order_p_elements(G, p) for g in G.elements()]
+    families = [(1, "witness_skew_unitary", pairs,
+                 lambda g, c: ctx.embed(g) - ctx.embed(int(G.inv[g])))]
+    if p == 2:
+        families.append((2, "witness_char2_unitary",
+                         [(g, c) for g, c in pairs if int(G.mul[g, g]) in (G.identity, c)],
+                         lambda g, c: ctx.embed(g)))
+    tallies, records = {}, []
+    for case, tally, inputs, factor in families:
+        for k, (g, c) in enumerate(inputs):
+            w = ctx.one() + factor(g, c) * ctx.hat(c)
+            assert (w.involution() * w).is_one() and w.augmentation() == 1
+            tallies[tally] = tallies.get(tally, 0) + 1
+            if k < 3:
+                records.append(m.WitnessRecord(
+                    case=case, group_name=G.name, p=p,
+                    inputs={"g": G.labels[g], "c": G.labels[c]},
+                    units=(w.to_text(),), checks={"unitary": True}))
+    return tallies, records
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("spec", m.report.DEFAULT_SPECS)
+def test_batched_witness_families_match_the_element_wise_constructions(spec, p):
+    ctx = m.GroupAlgebra(m.build_group(m.parse_group_spec(spec)), p)
+    G = ctx.group
+    report = VerificationReport(version="", config=SMALL)
+    report_module._run_witnesses(report, ctx)
+    tallies, records = _element_wise_families(ctx)
+    assert {k: v for k, v in report.properties.items()
+            if k in ("witness_skew_unitary", "witness_char2_unitary")} == \
+        {k: [v, 0] for k, v in tallies.items()}
+    assert [w for w in report.witnesses if w.case in (1, 2)] == records
+    for c in m.central_order_p_elements(G, p):
+        skew = m.theorem.skew_witnesses(ctx, G.elements(), c)
+        assert skew.shape == (G.order, G.order)
+        for g in G.elements():
+            assert m.AlgebraElement(ctx, skew[:, g]) == m.witness_skew(ctx, g, c)
+        if p == 2:
+            gs = [g for g in G.elements() if int(G.mul[g, g]) in (G.identity, c)]
+            char2 = m.theorem.char2_witnesses(ctx, gs, c)
+            assert char2.shape == (G.order, len(gs))
+            for col, g in zip(char2.T, gs):
+                assert m.AlgebraElement(ctx, col) == m.witness_char2(ctx, g, c)
 
 
 def test_catalog_pass_multiply_count(monkeypatch):
@@ -68,7 +135,7 @@ def test_catalog_pass_multiply_count(monkeypatch):
 
     monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
     assert run_catalog(RunConfig()).passed
-    assert calls <= 1804
+    assert calls <= 1356
 
 
 def test_catalog_pass_enumerates_only_where_needed(monkeypatch):

@@ -117,7 +117,8 @@ def test_witness_char2_c4():
 
 def test_witness_constructions_raise_typed_error_when_not_unitary(monkeypatch):
     # a typed error, not an assert that `python -O` would strip
-    monkeypatch.setattr(m.AlgebraElement, "is_unitary", lambda self: False)
+    monkeypatch.setattr(m.GroupAlgebra, "unitary_mask",
+                        lambda self, cols: np.zeros(cols.shape[1], dtype=bool))
     with pytest.raises(NotUnitary):
         m.witness_skew(F3_S3xC3, 0, CENTRALS[0])
     with pytest.raises(NotUnitary):
