@@ -6,9 +6,11 @@ The classical involution sends a group element to its inverse; a unit is
 supported.  Every product in GF(p)[G] goes through GroupAlgebra.multiply, an
 exact integer kernel that accumulates in the narrowest type holding
 |G|*(p-1)^2, the largest sum it forms; an algebra whose sums would not fit in
-int64 is refused.  The kernel takes one of two paths by the width of its
-result: up to |G| columns, one gather of a regular matrix and one matmul;
-wider, a loop over the support of the left factor.
+int64 is refused.  The kernel takes one of two paths by the shape of its
+operands: one element on the left against up to |G| columns, or up to |G|
+pairs whose gather stays under a fixed size, is one gather of regular
+matrices and one matmul; any other product is a loop over the support of the
+left factor.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from . import groups as gr
 from ._gflinalg import int_dtype, mod_p, residues, solve_mod_p
 from .errors import (AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch,
                      ShapeMismatch)
+
+
+# the most entries a pairwise product gathers into a[div]; pairs needing more
+# take the loop, whose temporaries are the size of the result
+_GATHER_CAP = 1 << 20
 
 
 class GroupAlgebra:
@@ -117,12 +124,15 @@ class GroupAlgebra:
         exceeds dim * (p-1)^2, which the narrow type holds, and the result
         is exact on either path:
 
-        - a result of at most dim columns is one matmul in the narrow type:
-          regular_matrix(a) @ b when a is one element, the matrix of right
-          multiplication by b, b[_ldiv.T], times a when b is one, and a
-          stacked matmul of a[div] with b for pairs of equal shape;
-        - a wider result, or a narrow one whose operands both broadcast,
-          sums a[g] * b[g^-1 k] in a loop over the support of a.
+        - one element on the left and a result of at most dim columns is one
+          matmul, regular_matrix(a) @ b, whose gather a[div] holds dim^2
+          entries, the size of the group's own table;
+        - pairs of equal shape, at most dim of them, are one stacked matmul
+          of a[div] with b while that gather, dim^2 entries per pair, holds
+          at most _GATHER_CAP entries;
+        - any other product, wider or with both operands broadcast or one
+          element on the right, sums a[g] * b[g^-1 k] in a loop over the
+          support of a, whose temporaries are the size of the result.
 
         The rule is fixed.  numpy's integer matmul has no BLAS, so it costs
         more per term than the loop, which in turn pays one numpy call per
@@ -130,8 +140,7 @@ class GroupAlgebra:
         p = 2 and 3, one element against m columns is faster by matmul up
         to m = dim and somewhat beyond, 1.5-5x slower at m = 1024, and
         7-15x slower at m = 16384, the unit layer's row blocks; pairs are
-        no faster by matmul at m = 16384.  The width cap also bounds a
-        gather by dim^3 narrow entries.
+        no faster by matmul at m = 16384.
         """
         a = residues(a, self.p, self._dtype)
         b = residues(b, self.p, self._dtype)
@@ -142,12 +151,10 @@ class GroupAlgebra:
         n = self.dim
         shape = np.broadcast_shapes(a.shape, b.shape)
         a2, b2 = a.reshape(n, -1), b.reshape(n, -1)
-        narrow = math.prod(shape) <= n * n
-        if narrow and a2.shape[1] == 1:
+        m = math.prod(shape[1:])
+        if m <= n and a2.shape[1] == 1:
             out = a2[:, 0][self.div] @ b2
-        elif narrow and b2.shape[1] == 1:
-            out = b2[:, 0][self._ldiv.T] @ a2
-        elif narrow and a.shape == b.shape:
+        elif m <= n and a.shape == b.shape and n * n * m <= _GATHER_CAP:
             out = np.einsum("khj,hj->kj", a2[self.div], b2)
         else:
             out = np.zeros(shape, dtype=self._dtype)
@@ -156,10 +163,10 @@ class GroupAlgebra:
         return mod_p(out, self.p).reshape(shape).astype(np.int64)
 
     def unitary_mask(self, cols: np.ndarray) -> np.ndarray:
-        """Which columns w of the (n, k) residue array cols are unitary:
-        augmentation 1 and w* w = 1, by one pairwise product."""
+        """Which columns w of the (n, k) residue array cols are unitary,
+        w* w = 1, by one pairwise product.  Augmentation is not tested."""
         prod = self.multiply(cols[self.group.inv], cols)
-        return (cols.sum(axis=0) % self.p == 1) & (prod == self._one_vec[:, None]).all(axis=0)
+        return (prod == self._one_vec[:, None]).all(axis=0)
 
     def random_element(self, rng) -> "AlgebraElement":
         return AlgebraElement(self, rng.integers(0, self.p, size=self.dim).astype(np.int64))
@@ -264,7 +271,7 @@ class AlgebraElement:
 
     def is_unitary(self) -> bool:
         """Augmentation 1 and involution * self = 1."""
-        return bool(self.algebra.unitary_mask(self.coeffs[:, None])[0])
+        return self.augmentation() == 1 and (self.involution() * self).is_one()
 
     def to_text(self) -> str:
         """Canonical form: nonzero terms 'coef*label' joined with ' + '."""

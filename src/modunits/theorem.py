@@ -128,10 +128,10 @@ def _require_central_of_order_p(ctx: GroupAlgebra, c: int) -> None:
 def _unitary_family(ctx: GroupAlgebra, x: np.ndarray, c: int, kind: str) -> np.ndarray:
     """The columns 1 + x_j * hat(c) of an (n, k) array, by one product
     against hat(c) and one pairwise unitarity product; raises NotUnitary,
-    naming the first, unless every column is unitary."""
-    h = ctx.hat(c)  # raises OrderMismatch unless |c| = p
-    w = (ctx._one_vec[:, None] + ctx.multiply(x, h.coeffs[:, None])) % ctx.p
-    bad = np.flatnonzero(~ctx.unitary_mask(w))
+    naming the first, unless every column is unitary of augmentation 1."""
+    h = ctx.hat(c)  # raises OrderMismatch unless |c| = p; central, so x * h = h * x
+    w = (ctx._one_vec[:, None] + ctx.multiply(h.coeffs[:, None], x)) % ctx.p
+    bad = np.flatnonzero(~(ctx.unitary_mask(w) & (w.sum(axis=0) % ctx.p == 1)))
     if bad.size:
         text = AlgebraElement(ctx, w[:, bad[0]]).to_text()
         raise NotUnitary(f"{kind} witness {text} is not unitary")

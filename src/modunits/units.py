@@ -397,8 +397,7 @@ def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
     mask = np.empty(len(V), dtype=bool)
     for lo in range(0, len(V), _CHUNK):
         block = np.ascontiguousarray(V.vectors[lo:lo + _CHUNK].T)  # group axis first
-        prod = alg.multiply(block[alg.group.inv], block)
-        mask[lo:lo + _CHUNK] = (prod == alg._one_vec[:, None]).all(axis=0)
+        mask[lo:lo + _CHUNK] = alg.unitary_mask(block)
     return UnitGroup(alg, V.vectors[mask])
 
 

@@ -45,27 +45,33 @@ def test_report_passes_and_is_consistent(small_report):
     assert all(v.consistent for v in small_report.verdicts)
 
 
-@pytest.mark.parametrize("call,kind", [(0, "skew"), (1, "char-2")])
-def test_a_witness_that_is_not_unitary_fails_its_entry(monkeypatch, call, kind):
+@pytest.mark.parametrize("family,kind", [("skew_witnesses", "skew"),
+                                         ("char2_witnesses", "char-2")])
+def test_a_witness_that_is_not_unitary_fails_its_entry(monkeypatch, family, kind):
     # GF(2)[C2] builds the skew family, then the char-2 family, for its one
     # central c; the families' unitarity check is the only one on the witness
-    # path, so one column it rejects fails the entry, with the Engel identity,
-    # the other caller of witness_skew, stubbed out
+    # path, so a last column it rejects while one family is built fails the
+    # entry, with the Engel identity, the other caller of witness_skew, stubbed out
     monkeypatch.setattr(report_module, "verify_engel_expansion", lambda *args, **kw: True)
+    construct = getattr(report_module, family)
     unitary_mask = m.GroupAlgebra.unitary_mask
-    calls = []
+    built = []
 
-    def one_bad_column(self, cols):
+    def last_column_rejected(self, cols):
         mask = unitary_mask(self, cols)
-        if len(calls) == call:
-            mask[-1] = False
-        calls.append(cols.shape)
+        mask[-1] = False
         return mask
 
-    monkeypatch.setattr(m.GroupAlgebra, "unitary_mask", one_bad_column)
+    def corrupted(*args):
+        built.append(args)
+        with monkeypatch.context() as patch:
+            patch.setattr(m.GroupAlgebra, "unitary_mask", last_column_rejected)
+            return construct(*args)
+
+    monkeypatch.setattr(report_module, family, corrupted)
     report = run_catalog(RunConfig(specs=("catalog:C,2",), primes=(2,)))
     (verdict,) = report.verdicts
-    assert calls == [(2, 2)] * (call + 1)  # the corrupted family was the last one built
+    assert len(built) == 1  # the corrupted family, built once, failed the entry
     for status in (verdict.v_status, verdict.vstar_status):
         assert status.reason.startswith(f"entry failed: {kind} witness ")
         assert status.reason.endswith(" is not unitary")

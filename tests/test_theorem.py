@@ -1,6 +1,8 @@
 """Criterion, witness constructions, expansion identity, equivalence verdicts."""
 
 import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,23 @@ def test_witness_constructions_raise_typed_error_when_not_unitary(monkeypatch):
         m.witness_skew(F3_S3xC3, 0, CENTRALS[0])
     with pytest.raises(NotUnitary):
         m.witness_char2(alg("catalog:C,2", 2), 0, 1)
+
+
+def test_a_witness_family_holds_a_few_group_sized_arrays():
+    # the skew family of GF(2)[C256] is 256 columns; its unitarity product
+    # takes the loop, since one gather for all pairs would hold 256^3 int16
+    # entries, 32 MiB, where a (256, 256) int64 array is 0.5 MiB
+    G = m.build_group(m.parse_group_spec("catalog:C,256"), cap=256)
+    ctx = m.GroupAlgebra(G, 2)
+    (c,) = m.central_order_p_elements(G, 2)
+    tracemalloc.start()
+    try:
+        w = th.skew_witnesses(ctx, G.elements(), c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (256, 256)
+    assert peak < 8 * w.nbytes
 
 
 def test_witness_char2_guards():
