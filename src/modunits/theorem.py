@@ -22,8 +22,6 @@ from .units import (
     ENGEL_BUDGET,
     ENUMERATION_CAP,
     UnitGroup,
-    as_abstract_group,
-    closure_subgroup,
     enumerate_units,
     filter_unitary,
     find_non_engel_pair,
@@ -31,6 +29,8 @@ from .units import (
     non_engel_scan,
     unit_orders,
 )
+# unused here: bound so that tracing wrappers, which look them up on this module, resolve
+from .units import as_abstract_group, closure_subgroup  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,23 @@ def group_criterion(G: gr.FiniteGroup, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # witness constructions
 
-def _require_central_of_order_p(ctx: GroupAlgebra, c: int) -> None:
+def _element_indices(ctx: GroupAlgebra, gs) -> np.ndarray:
+    gs = np.asarray(gs, dtype=np.int64).reshape(-1)
+    if not ((0 <= gs) & (gs < ctx.dim)).all():
+        raise ValueError(f"element indices {gs.tolist()} out of range")
+    return gs
+
+
+def _element_index(ctx: GroupAlgebra, g) -> int:
+    return int(_element_indices(ctx, g)[0])
+
+
+def _require_central_of_order_p(ctx: GroupAlgebra, c: int) -> int:
     G = ctx.group
+    c = _element_index(ctx, c)
     if gr.centralizer(G, c).order != G.order:
         raise NotCentral(f"{G.labels[c]} is not central in {G.name}")
+    return c
 
 
 def _unitary_family(ctx: GroupAlgebra, x: np.ndarray, c: int, kind: str) -> np.ndarray:
@@ -138,20 +151,13 @@ def _unitary_family(ctx: GroupAlgebra, x: np.ndarray, c: int, kind: str) -> np.n
     return w
 
 
-def _element_indices(ctx: GroupAlgebra, gs) -> np.ndarray:
-    gs = np.asarray(gs, dtype=np.int64).reshape(-1)
-    if not ((0 <= gs) & (gs < ctx.dim)).all():
-        raise ValueError(f"element indices {gs.tolist()} out of range")
-    return gs
-
-
 def skew_witnesses(ctx: GroupAlgebra, gs, c: int) -> np.ndarray:
     """The unitary units 1 + (g - g^-1) * hat(c) for the g in gs, as the
     columns of an (n, len(gs)) array, for central c of order p.
 
     A column degenerates to 1 where g is its own inverse.
     """
-    _require_central_of_order_p(ctx, c)
+    c = _require_central_of_order_p(ctx, c)
     e = np.eye(ctx.dim, dtype=np.int64)[:, _element_indices(ctx, gs)]
     return _unitary_family(ctx, e - e[ctx.group.inv], c, "skew")
 
@@ -170,6 +176,7 @@ def char2_witnesses(ctx: GroupAlgebra, gs, c: int) -> np.ndarray:
     G = ctx.group
     if ctx.p != 2:
         raise PreconditionViolated("p must be 2")
+    c = _element_index(ctx, c)
     if gr.centralizer(G, c).order != G.order:
         raise PreconditionViolated("c must be central")
     if gr.element_order(G, c) != 2:
@@ -185,16 +192,22 @@ def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
     return AlgebraElement(ctx, char2_witnesses(ctx, [g], c)[:, 0])
 
 
-def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int,
-                     cap: int = ABSTRACT_GROUP_CAP) -> WitnessRecord:
+def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord:
     """A non-nilpotent unitary subgroup from two non-commuting involutions.
 
-    Builds w = 1 + ((ab) - (ab)^-1) * hat(c) and closes {w, a}; for odd p the
-    result is the non-abelian group of order 2p, which is not nilpotent.
+    Builds w = 1 + ((ab) - (ab)^-1) * hat(c) and checks the defining
+    relations of D_2p = <r, s | r^p, s^2, (sr)^2> on r = w, s = a: w^p = 1
+    and (a w)^2 = 1, with a^2 = 1 given.  So <w, a> is a quotient of D_2p.
+    For odd p the normal subgroups of D_2p are 1, C_p and D_2p, and w != 1
+    rules out the last two, so <w, a> is D_2p: of order 2p, non-abelian and
+    not nilpotent.  Each subgroup_* check is True exactly when w != 1 and
+    the relations hold, which takes p products and no closure.
     """
     G = ctx.group
-    if ctx.p <= 2:
+    p = ctx.p
+    if p <= 2:
         raise PreconditionViolated("p must be odd")
+    a, b, c = (int(x) for x in _element_indices(ctx, [a, b, c]))
     if gr.element_order(G, a) != 2:
         raise PreconditionViolated("a must have order 2")
     if gr.element_order(G, b) != 2:
@@ -205,21 +218,24 @@ def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int,
     if gr.element_order(G, ab) <= 2:
         raise PreconditionViolated("ab must have order > 2")
     w = witness_skew(ctx, ab, c)  # checks centrality and |c| = p
-    sub = closure_subgroup([w, ctx.embed(a)], cap=cap)
-    abstract = as_abstract_group(sub, cap=cap)
-    order = len(sub)
-    klass = gr.nilpotency_class(abstract)
+    w_p = w.coeffs
+    for _ in range(p - 1):
+        w_p = ctx.multiply(w_p, w.coeffs)
+    aw = w.coeffs[G.mul[a]]  # (a w)[k] = w[a^-1 k], and a^-1 = a
+    one = ctx._one_vec
+    dihedral = bool((w.coeffs != one).any() and (w_p == one).all()
+                    and (ctx.multiply(aw, aw) == one).all())
     checks = {
         "witness_unitary": True,  # witness_skew raises NotUnitary otherwise
-        "subgroup_order_even": order % 2 == 0,
-        "subgroup_order_2p_with_p_gt_1": order % 2 == 0 and order // 2 > 1,
-        "subgroup_non_abelian": not abstract.is_abelian(),
-        "subgroup_non_nilpotent": klass is gr.NOT_NILPOTENT,
+        "subgroup_order_even": dihedral,
+        "subgroup_order_2p_with_p_gt_1": dihedral,
+        "subgroup_non_abelian": dihedral,
+        "subgroup_non_nilpotent": dihedral,
     }
     return WitnessRecord(
         case=3,
         group_name=G.name,
-        p=ctx.p,
+        p=p,
         inputs={"a": G.labels[a], "b": G.labels[b], "c": G.labels[c]},
         units=(w.to_text(),),
         checks=checks,
@@ -247,19 +263,21 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
     1 + hat(c) * ((g^(h^k) - g) - (g^(-h^k) - g^(-1))).  witness_skew has
     checked that w is unitary, and h is, so every z = (z, h) of the orbit
     is a commutator of unitary units and unitary itself: its inverse is
-    z^-1 = z*, and no step solves a linear system.  The orbit takes three
-    products a step; the sums of both forms are integer columns from G's
-    table, each binomial reduced mod p, and all meet hat(c) in one product.
+    z^-1 = z*, and no step solves a linear system.  A step is
+    z <- z* (h^-1 z h), one product: z* and the conjugate are coefficient
+    permutations, (h^-1 z h)[k] = z[h k h^-1].  The sums of both forms are
+    integer columns from G's table, each binomial reduced mod p, and all
+    meet hat(c) in one product.
     """
     G = ctx.group
     p = ctx.p
-    z = witness_skew(ctx, g, c)
-    h_bar = ctx.embed(h)
-    h_inv_bar = ctx.embed(int(G.inv[h]))
+    h = _element_index(ctx, h)
+    z = witness_skew(ctx, g, c).coeffs
+    conj = G.mul[G.mul[h], G.inv[h]]  # conj[k] = h k h^-1
     orbit = np.empty((G.order, n), dtype=np.int64)  # column i: the state after i + 1 steps
     for i in range(n):
-        z = z.involution() * h_inv_bar * z * h_bar
-        orbit[:, i] = z.coeffs
+        z = ctx.multiply(z[G.inv], z[conj])
+        orbit[:, i] = z
 
     # column j of d is g^(h^j) - g^(-h^j), j = 0..n; row k-1 of binomials holds
     # (-1)^(k-j) C(k, j) mod p, which math.comb makes 0 for j > k
@@ -353,19 +371,19 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
 
     An abelian or non-nilpotent G decides both statuses from its own table
     (_status_from_group), whatever the budgets.  V and V* are enumerated
-    only where a status needs them (a nilpotent non-abelian G), or at p = 2,
-    where |V*| has no law; each is enumerated when p^(|G|-1) fits under
-    enumeration_cap.  Otherwise both orders come from the block laws
-    (unit_orders), which run when sum_B p^dim(B) fits under the same cap,
-    and stay unknown above it.  All failure modes land in skipped statuses;
-    a skipped status never makes the verdict inconsistent.
+    only where a status needs them (a nilpotent non-abelian G), or at p = 2
+    when O_2(G) != 1, where |V*| has no law; each is enumerated when
+    p^(|G|-1) fits under enumeration_cap.  Otherwise both orders come from
+    the block laws (unit_orders), which run when sum_B p^dim(B) fits under
+    the same cap, and stay unknown above it.  All failure modes land in
+    skipped statuses; a skipped status never makes the verdict inconsistent.
     """
     algebra = GroupAlgebra(G, p)
     criterion = group_criterion(G, p)
     from_g = _status_from_group(algebra)
     v_status = vstar_status = from_g
     v_order = vstar_order = None
-    enumerated = from_g is None or p == 2
+    enumerated = from_g is None or (p == 2 and gr.p_core(G, p).order > 1)
     try:
         if enumerated:
             V = enumerate_units(algebra, cap=budgets.enumeration_cap)

@@ -10,8 +10,8 @@ each block, and V(FG) is the union of their preimages under the coset-sum
 map, whose kernel is nilpotent.  The units are built as sorted mixed-radix
 codes, decoded once into the narrow rows a UnitGroup holds.  filter_unitary
 carves out the units fixed into inverses by the classical involution.  For
-odd p, unit_orders counts |V| and |V*| from the units of the blocks by the
-block laws, without building either group.
+odd p, and for p = 2 when O_2(G) = 1, unit_orders counts |V| and |V*| from
+the units of the blocks by the block laws, without building either group.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
@@ -343,8 +343,8 @@ def _skew_dim(X: gr.FiniteGroup) -> int:
 
 
 def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
-    """|V| and |V*| for odd p, counted by the block laws without building
-    either group.
+    """|V| and |V*| for odd p, and for p = 2 when O_2(G) = 1, counted by the
+    block laws without building either group.
 
     Let Q = G/O_p(G) and I the kernel of FG -> FQ, the nilpotent ideal
     w(O_p(G))FG of dimension |G| - |Q|.  Units lift through I and FQ is the
@@ -359,19 +359,25 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
     transform x -> (1 + x)(1 - x)^-1 puts the unitary units of 1 + I in
     bijection with the skew elements of I, of dimension k(G) - k(Q)
     (_skew_dim), and unitary units lift through I.  The unitary scalars are
-    +-1, so
+    the l with l^2 = 1, gcd(2, p - 1) of them, so
 
-        |V*| = p^(k(G) - k(Q)) * prod_B |U*(B)| / 2.
+        |V*| = p^(k(G) - k(Q)) * prod_B |U*(B)| / gcd(2, p - 1).
+
+    At p = 2 the Cayley transform is not defined, but where O_2(G) = 1,
+    Q = G, I = 0 and F_2^* = 1, so both laws hold with their powers of p
+    equal to 1: |V| = prod_B |U(B)| and |V*| = prod_B |U*(B)|.
 
     U*(B) is counted on the decoded units of all blocks together, with one
     product per _CHUNK of them.  Raises BudgetExceeded when
     sum_B p^dim(B) > cap, before any mask is built, and
-    PreconditionViolated at p = 2, where |V*| has no such law.
+    PreconditionViolated at p = 2 when O_2(G) != 1, where |V*| has no such
+    law.
     """
     G, p = algebra.group, algebra.p
-    if p == 2:
-        raise PreconditionViolated("the unit count laws need an odd p")
-    Q, _ = gr.quotient(gr.p_core(G, p))
+    core = gr.p_core(G, p)
+    if p == 2 and core.order > 1:
+        raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
+    Q, _ = gr.quotient(core)
     QA = GroupAlgebra(Q, p)
     blocks = unit_blocks(QA, cap=cap)
     units = [_block_units(b, p) for b in blocks]
@@ -385,7 +391,8 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
         unitary[lo:lo + _CHUNK] = (prod == idempotents[:, block_of[lo:lo + _CHUNK]]).all(axis=0)
     n_unitary = np.bincount(block_of[unitary], minlength=len(blocks))
     v_order = p ** (G.order - Q.order) * math.prod(len(u) for u in units) // (p - 1)
-    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary)) // 2
+    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary)) \
+        // math.gcd(2, p - 1)
     return v_order, vstar_order
 
 

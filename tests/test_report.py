@@ -141,12 +141,14 @@ def test_catalog_pass_multiply_count(monkeypatch):
 
     monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
     assert run_catalog(RunConfig()).passed
-    assert calls <= 1356
+    assert calls == 995
 
 
 def test_catalog_pass_enumerates_only_where_needed(monkeypatch):
     # V is built for a status (D4 and Q8 are nilpotent and not abelian) or at
-    # p = 2, where |V*| has no law; every other entry takes its orders from the laws
+    # p = 2 where O_2(G) != 1, where |V*| has no law; every other entry, S3,
+    # S3xC3 and the groups of odd order at p = 2 among them, takes its orders
+    # from the laws
     enumerated = []
     enumerate_units = m.theorem.enumerate_units
 
@@ -158,12 +160,28 @@ def test_catalog_pass_enumerates_only_where_needed(monkeypatch):
     report = run_catalog(RunConfig())
     assert report.passed
     names = [v.group_name for v in report.verdicts if v.p == 2]
+    o2_trivial = ("C3", "C3xC3", "S3", "S3xC3")
     assert enumerated == [(name, p) for name in names for p in (2, 3)
-                          if p == 2 or name in ("D4", "Q8")]
+                          if (p == 2 and name not in o2_trivial) or name in ("D4", "Q8")]
     assert all(v.v_order is not None for v in report.verdicts)
     # the law's |V| of a p-group is p^(|G|-1) by construction, so only an
     # enumerated V is tallied: C3 and C3xC3 at p = 3 drop out
     assert report.properties["unit_count_law"] == [6, 0]
+
+
+def test_catalog_pass_builds_no_closure_and_no_cayley_table(monkeypatch):
+    # the dihedral witness is checked by its defining relations, so nothing
+    # on the default pass closes a subgroup or tabulates one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure or a Cayley table was built")
+
+    for name in ("closure_subgroup", "as_abstract_group"):
+        monkeypatch.setattr(m.theorem, name, refuse)
+        monkeypatch.setattr(m.units, name, refuse)
+    monkeypatch.setattr(m.units, "_product_rows", refuse)
+    report = run_catalog(RunConfig())
+    assert report.passed
+    assert report.properties["witness_dihedral_checks"] == [12, 0]
 
 
 @pytest.mark.parametrize("p,label,tallies", [

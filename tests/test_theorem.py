@@ -182,6 +182,93 @@ def test_witness_dihedral_guards():
         m.witness_dihedral(F3_S3xC3, z, INVOLUTIONS[0], CENTRALS[0])
 
 
+def _dihedral_triples(G, p):
+    """The (a, b, c) the catalog pass hands witness_dihedral."""
+    involutions = [x for x in G.elements() if m.element_order(G, x) == 2]
+    return [(a, b, c) for c in m.central_order_p_elements(G, p)
+            for a in involutions for b in involutions
+            if m.commutator(G, a, b) != G.identity
+            and m.element_order(G, int(G.mul[a, b])) > 2]
+
+
+def _dihedral_oracle(ctx, w, a):
+    """The subgroup checks of witness_dihedral, on the closure of {w, a} and
+    its Cayley table."""
+    sub = m.closure_subgroup([w, ctx.embed(a)])
+    abstract = m.as_abstract_group(sub)
+    return {
+        "witness_unitary": True,
+        "subgroup_order_even": len(sub) % 2 == 0,
+        "subgroup_order_2p_with_p_gt_1": len(sub) == 2 * ctx.p,
+        "subgroup_non_abelian": not abstract.is_abelian(),
+        "subgroup_non_nilpotent": m.nilpotency_class(abstract) is m.NOT_NILPOTENT,
+    }
+
+
+@pytest.mark.parametrize("specs,p,count", [
+    ([spec for _, spec in m.DEFAULT_CATALOG], 3, 12),
+    (["prod:catalog:D,7|catalog:C,3"], 3, 84),
+    (["prod:catalog:D,5|catalog:C,5"], 5, 80),
+], ids=["default-catalog", "D7xC3", "D5xC5"])
+def test_witness_dihedral_relations_match_the_closure(specs, p, count):
+    checked = 0
+    for spec in specs:
+        A = alg(spec, p)
+        for a, b, c in _dihedral_triples(A.group, p):
+            rec = m.witness_dihedral(A, a, b, c)
+            w = m.witness_skew(A, int(A.group.mul[a, b]), c)
+            assert rec.checks == _dihedral_oracle(A, w, a), (spec, a, b, c)
+            assert rec.passed
+            checked += 1
+    assert checked == count
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda w, c: w.algebra.one(),  # relations hold, but <1, a> has order 2
+    lambda w, c: w * w.algebra.embed(c),  # of order p, but (a w c)^2 = c^2
+    lambda w, c: w.algebra.embed(c),  # central, so <c, a> is abelian
+    lambda w, c: w + w.algebra.one(),  # not a unit
+    lambda w, c: w + w.algebra.embed(1) - w.algebra.embed(2),  # one unit moved off w
+], ids=["one", "times-c", "central", "non-unit", "perturbed"])
+def test_witness_dihedral_fails_on_a_corrupted_w(monkeypatch, corrupt):
+    a, b = INVOLUTIONS[0], INVOLUTIONS[1]
+    c = CENTRALS[0]
+    witness_skew = th.witness_skew
+    corrupted = corrupt(witness_skew(F3_S3xC3, int(S3xC3.mul[a, b]), c), c)
+    monkeypatch.setattr(th, "witness_skew", lambda *args: corrupted)
+    rec = m.witness_dihedral(F3_S3xC3, a, b, c)
+    assert rec.units == (corrupted.to_text(),)
+    assert not rec.passed
+    if corrupted.augmentation() == 1 and corrupted.try_inverse() is not None:
+        assert not all(_dihedral_oracle(F3_S3xC3, corrupted, a).values())
+
+
+def test_witness_indices_out_of_range_raise_value_error():
+    A2 = alg("catalog:D,4", 2)
+    g, h = INVOLUTIONS[0], INVOLUTIONS[1]
+    c = CENTRALS[0]
+    for bad in (-17, -1, S3xC3.order, S3xC3.order + 5):
+        with pytest.raises(ValueError, match="out of range"):
+            m.witness_skew(F3_S3xC3, 1, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            th.skew_witnesses(F3_S3xC3, [1, 2], bad)
+        with pytest.raises(ValueError, match="out of range"):
+            m.witness_skew(F3_S3xC3, bad, c)
+        for args in ((bad, h, c), (g, bad, c), (g, h, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                m.witness_dihedral(F3_S3xC3, *args)
+        for args in ((bad, h, c), (g, bad, c), (g, h, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                m.verify_engel_expansion(F3_S3xC3, *args, n=3)
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            m.witness_char2(A2, 0, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            th.char2_witnesses(A2, [0, 1], bad)
+        with pytest.raises(ValueError, match="out of range"):
+            m.witness_char2(A2, bad, A2.group.labels.index("r2"))
+
+
 # ---------------------------------------------------------------------------
 # expansion identity
 
@@ -249,27 +336,46 @@ def test_engel_expansion_holds_at_every_orbit_length(spec, p):
             assert m.verify_engel_expansion(A, g, h, c, n) is True, (g, h, c, n)
 
 
+@pytest.mark.parametrize("spec,p", [("prod:catalog:A4|catalog:C,2", 2),
+                                     ("prod:catalog:A4|catalog:C,3", 3)])
+def test_engel_expansion_tells_conjugation_by_h_from_h_inverse(spec, p):
+    # S3xC3, D4, Q8 and C6 have inner automorphisms of order <= 2 on every
+    # g - g^-1, so only a 3-cycle h of A4 can tell an orbit conjugated the
+    # wrong way round
+    A = alg(spec, p)
+    G = A.group
+    c = m.central_order_p_elements(G, p)[0]
+    differ = 0
+    for g in G.elements():
+        for h in G.elements():
+            gh, gh_inv = (int(G.mul[G.mul[G.inv[x], g], x]) for x in (h, G.inv[h]))
+            if gh == gh_inv or m.element_order(G, g) <= 2:
+                continue
+            assert m.verify_engel_expansion(A, g, h, c, n=4), (g, h)
+            differ += 1
+    assert differ > 0
+
+
 @pytest.mark.parametrize("bad_step", [0, 4, 8])
 def test_engel_expansion_fails_on_a_corrupted_orbit_state(monkeypatch, bad_step):
     g = S3xC3.labels.index("((1 2 3),a)")
     h = S3xC3.labels.index("((1 2),a)")  # not an involution, so h^-1 != h
-    h_bar = F3_S3xC3.embed(h)
     assert m.verify_engel_expansion(F3_S3xC3, g, h, CENTRALS[0], n=9)
-    mul = m.AlgebraElement.__mul__
-    last_factors = 0  # each orbit step ends with a product by h
+    multiply = m.GroupAlgebra.multiply
+    steps = 0  # each orbit step is the one product of two single elements, z* (h^-1 z h)
 
-    def corrupting(self, other):
-        nonlocal last_factors
-        out = mul(self, other)
-        if isinstance(other, m.AlgebraElement) and other == h_bar:
-            last_factors += 1
-            if last_factors == bad_step + 1:
-                return out + F3_S3xC3.one()
+    def corrupting(self, a, b):
+        nonlocal steps
+        out = multiply(self, a, b)
+        if np.ndim(a) == 1:
+            steps += 1
+            if steps == bad_step + 1:
+                return (out + self._one_vec) % self.p
         return out
 
-    monkeypatch.setattr(m.AlgebraElement, "__mul__", corrupting)
+    monkeypatch.setattr(m.GroupAlgebra, "multiply", corrupting)
     assert not m.verify_engel_expansion(F3_S3xC3, g, h, CENTRALS[0], n=9)
-    assert last_factors > bad_step  # the corrupted state was formed
+    assert steps > bad_step  # the corrupted state was formed
 
 
 # ---------------------------------------------------------------------------

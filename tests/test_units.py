@@ -193,9 +193,16 @@ def _enumerable(spec, p):
     return p ** (m.build_group(m.parse_group_spec(spec)).order - 1) <= un.ENUMERATION_CAP
 
 
+# at p = 2 the laws need O_2(G) = 1: S3 and the groups of odd order
+_O2_TRIVIAL = ["catalog:S3", "catalog:C,3", "prod:catalog:C,3|catalog:C,3",
+               "prod:catalog:S3|catalog:C,3", "catalog:D,5", "catalog:D,7", "catalog:D,9",
+               "catalog:C,5", "catalog:C,7", "catalog:C,9", "prod:catalog:C,3|catalog:C,5"]
+
+
 @pytest.mark.parametrize("spec,p", [
     (spec, p) for spec in [spec for _, spec in m.DEFAULT_CATALOG]
-    + ["catalog:D,5", "catalog:C,5", "catalog:C,8"] for p in (3, 5) if _enumerable(spec, p)])
+    + ["catalog:D,5", "catalog:C,5", "catalog:C,8"] for p in (3, 5) if _enumerable(spec, p)]
+    + [(spec, 2) for spec in _O2_TRIVIAL])
 def test_unit_count_laws_match_enumeration(spec, p):
     A = alg(spec, p)
     V = m.enumerate_units(A)
@@ -228,8 +235,11 @@ def test_unit_count_laws_refuse_blocks_above_the_cap_before_any_mask(monkeypatch
 
 
 def test_unit_count_laws_need_an_odd_prime():
-    with pytest.raises(PreconditionViolated):
-        un.unit_orders(alg("catalog:S3", 2))
+    # or p = 2 with O_2(G) = 1: D6 and A4 have a normal 2-subgroup, S3 has none
+    for spec in ("catalog:D,6", "catalog:A4"):
+        with pytest.raises(PreconditionViolated):
+            un.unit_orders(alg(spec, 2))
+    assert un.unit_orders(alg("catalog:S3", 2)) == (12, 12)
 
 
 def test_batch_invertibility_matches_per_element_inverse():
