@@ -6,8 +6,9 @@ construction, so groups and subgroups can be shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -210,30 +211,48 @@ def left_normed_commutator(G: FiniteGroup, x: int, y: int, n: int) -> int:
     return z
 
 
+def first_non_engel(state: np.ndarray, one: int, step: Callable) -> int:
+    """Index of the first column of ``state`` whose orbit never reaches
+    ``one``, or the number of columns when every orbit does.
+
+    Row 0 of column k is z for pair k, from z = x; other rows ride along.
+    ``step(k, s)`` moves the columns s of the pairs k one step, z <- (z, y).
+    The orbits run together and a pair drops out at ``one``, a fixed point.
+    A finite orbit that misses ``one`` cycles, so each pair keeps one z: x,
+    then z after steps 1, 2, 4, ... (Brent, BIT 20, 1980).  It is non-Engel
+    once z comes back to it, by step 2^(j+1) for the least 2^j that is at
+    least the tail and the cycle length.  Then only the pairs before it keep
+    running.
+    """
+    pair, saved = np.arange(state.shape[1]), state[0]
+    first, steps = pair.size, 0
+    while True:
+        live = (state[0] != one) & (pair < first)
+        if not live.any():
+            return first
+        pair, state, saved = pair[live], state[:, live], saved[live]
+        state, steps = step(pair, state), steps + 1
+        first = int(pair[state[0] == saved].min(initial=first))
+        if steps & (steps - 1) == 0:
+            saved = state[0]
+
+
 def non_engel_pair(G: FiniteGroup) -> tuple[int, int] | None:
     """The first pair (x, y) in row-major order whose orbit z <- (z, y) from
     z = x never reaches the identity, or None when there is none: exactly
     when G is nilpotent, as a finite Engel group is nilpotent (Zorn).
 
-    The orbits of a block of rows run together on the table, and a pair
-    drops out once its orbit reaches 1, so on a nilpotent G of class c the
-    loop ends after c steps.  An orbit that reaches 1 does so within
-    |G| - 1 steps, through distinct states, so a pair still running after
-    |G| steps never does.
+    The orbits of a block of rows run through first_non_engel on the table,
+    so on a nilpotent G of class c each block ends after c steps.
     """
-    n, m, e = G.order, G.mul, G.identity
+    n, m = G.order, G.mul
     rows = max(1, _PAIRS_PER_BLOCK // n)
     for lo in range(0, n, rows):
-        idx = np.arange(lo * n, min(lo + rows, n) * n, dtype=np.int64)
-        z, y = idx // n, idx % n
-        for _ in range(n):
-            live = z != e
-            idx, z, y = idx[live], z[live], y[live]
-            if not idx.size:
-                break
-            z = m[m[m[G.inv[z], G.inv[y]], z], y]
-        else:
-            return divmod(int(idx[0]), n)
+        x, y = np.divmod(np.arange(lo * n, min(lo + rows, n) * n), n)
+        k = first_non_engel(x[None], G.identity,
+                            lambda k, z: m[m[m[G.inv[z], G.inv[y[k]]], z], y[k]])
+        if k < x.size:
+            return int(x[k]), int(y[k])
     return None
 
 
@@ -346,7 +365,9 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     when it lies in O_p(G); the qualifying elements therefore form O_p(G).
     """
     _require_prime(p)
-    return Subgroup(G, tuple(x for x in G.elements() if is_p_group(normal_closure(G, x), p)))
+    q = math.gcd(G.order, p ** G.order.bit_length())  # x^q = 1 iff x has p-power order
+    return Subgroup(G, tuple(x for x in G.elements() if G.power(x, q) == G.identity
+                             and is_p_group(normal_closure(G, x), p)))
 
 
 def normal_closure(G: FiniteGroup, x: int) -> Subgroup:

@@ -8,6 +8,7 @@ the enumerated normalized unit group and of its unitary subgroup.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -373,24 +374,24 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     (_status_from_group), whatever the budgets.  V and V* are enumerated
     only where a status needs them (a nilpotent non-abelian G), or at p = 2
     when O_2(G) != 1, where |V*| has no law; each is enumerated when
-    p^(|G|-1) fits under enumeration_cap.  Otherwise both orders come from
-    the block laws (unit_orders), which run when sum_B p^dim(B) fits under
-    the same cap, and stay unknown above it.  All failure modes land in
-    skipped statuses; a skipped status never makes the verdict inconsistent.
+    p^(|G|-1) fits under enumeration_cap.  Otherwise, also when that cap
+    skips a nilpotent non-abelian G, both orders come from the block laws
+    (unit_orders) where they apply and sum_B p^dim(B) fits under the same
+    cap.  All failure modes land in skipped statuses; a skipped status never
+    makes the verdict inconsistent.
     """
     algebra = GroupAlgebra(G, p)
     criterion = group_criterion(G, p)
     from_g = _status_from_group(algebra)
     v_status = vstar_status = from_g
     v_order = vstar_order = None
-    enumerated = from_g is None or (p == 2 and gr.p_core(G, p).order > 1)
+    has_law = p > 2 or gr.p_core(G, p).order == 1  # where unit_orders counts both
+    enumerated = from_g is None or not has_law
     try:
         if enumerated:
             V = enumerate_units(algebra, cap=budgets.enumeration_cap)
             Vstar = filter_unitary(V)
             v_order, vstar_order = len(V), len(Vstar)
-        else:
-            v_order, vstar_order = unit_orders(algebra, cap=budgets.enumeration_cap)
     except BudgetExceeded as e:
         enumerated = False
         if from_g is None:
@@ -400,6 +401,9 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
         if from_g is None:
             v_status = _nilpotency_status(V, budgets)
             vstar_status = _nilpotency_status(Vstar, budgets)
+    if not enumerated and has_law:
+        with contextlib.suppress(BudgetExceeded):  # the orders stay unknown
+            v_order, vstar_order = unit_orders(algebra, cap=budgets.enumeration_cap)
 
     consistent = True
     if algebra.is_modular:

@@ -16,18 +16,19 @@ the units of the blocks by the block laws, without building either group.
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
 table.  non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded
-pairs) look for a non-Engel pair with batched Engel orbits, each run until
-it reaches 1 or repeats a state, so every pair they look at is decided
-exactly.  The verdict needs these three only when G is nilpotent and not
-abelian: G is a subgroup of V* and V, so an abelian G makes them abelian,
-and a non-Engel pair of G's own table proves them non-nilpotent.  All three
-move through U by batched products, each checked to be a member, with
-independent batches fused into one _products call; inverses are powers,
-except that the series takes those of its commutators from the same
-products.  closure_subgroup closes generators under products alone (u^-1
-is a power of u), one breadth-first level per multiply, with its members
-kept as sorted codes; as_abstract_group turns a unit set into a
-Cayley-table group, so that ``groups`` can check them.
+pairs) run batches of Engel orbits through groups.first_non_engel, which
+also runs G's own: each until it reaches 1 or, by Brent's rule, comes back
+to the state it saved after steps 1, 2, 4, ..., so a pair is decided
+exactly in constant state.  The verdict needs these three only when G is
+nilpotent and not abelian: G is a subgroup of V* and V, so an abelian G
+makes them abelian, and a non-Engel pair of G's own table proves them
+non-nilpotent.  All three move through U by batched products, each checked
+to be a member, with independent batches fused into one _products call;
+inverses are powers, except that the series takes those of its commutators
+from the same products.  closure_subgroup closes generators under products
+alone (u^-1 is a power of u), one breadth-first level per multiply, with
+its members kept as sorted codes; as_abstract_group turns a unit set into
+a Cayley-table group, so that ``groups`` can check them.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -53,6 +54,7 @@ ENUMERATION_CAP = 2**20
 ABSTRACT_GROUP_CAP = 4096
 ENGEL_BUDGET = 400
 _CHUNK = 1 << 14
+_ENGEL_BATCH = 200  # pairs per batch of the Engel searches; ENGEL_BUDGET is two batches
 
 
 class UnitGroup:
@@ -636,47 +638,24 @@ def engel_test(x: AlgebraElement, y: AlgebraElement, n_max: int = 256) -> EngelO
 
 def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarray,
                      y_inv: np.ndarray) -> int:
-    """Index of the first pair (x[k], y[k]) whose orbit z <- (z, y) from z = x
-    repeats a state other than 1, the pairs engel_test calls nontrivial;
-    len(x) when there is none.
+    """groups.first_non_engel on the pairs (x[k], y[k]) of positions in U,
+    each orbit carrying z^-1, as (z, y)^-1 = y^-1 z^-1 y z: a step is six
+    products in two _products calls, the four independent ones, then two."""
+    def step(k, state):
+        z, z_inv = state
+        yk, yk_inv = y[k], y_inv[k]
+        zy_inv, zy, yz_inv, yz = _fused_products(U, (z_inv, yk_inv), (z, yk),
+                                                 (yk_inv, z_inv), (yk, z))
+        return np.stack(_fused_products(U, (zy_inv, zy), (yz_inv, yz)))
 
-    The orbits run together.  Each carries z^-1 along, since
-    (z, y)^-1 = y^-1 z^-1 y z, so a step is six products and no elimination,
-    in two _products calls: the four independent ones, then the two that
-    combine them.
-    Once a pair repeats, only the pairs before it keep running.  An orbit
-    stays inside U, so within |U| steps it reaches 1 or repeats a state, and
-    the loop ends.
-    """
-    one = U.one_position
-    visited = np.zeros((x.size, len(U)), dtype=bool)
-    row, z, z_inv = np.arange(x.size), x.copy(), x_inv.copy()
-    first = x.size
-    while True:
-        seen, moving = visited[row, z], z != one
-        if (seen & moving).any():
-            first = min(first, int(row[seen & moving].min()))
-        live = moving & ~seen & (row < first)
-        if not live.any():
-            return first
-        row, z, z_inv = row[live], z[live], z_inv[live]
-        visited[row, z] = True
-        yr, yr_inv = y[row], y_inv[row]
-        zy_inv, zy, yz_inv, yz = _fused_products(U, (z_inv, yr_inv), (z, yr),
-                                                 (yr_inv, z_inv), (yr, z))
-        z, z_inv = _fused_products(U, (zy_inv, zy), (yz_inv, yz))
-
-
-def _pair_block(U: UnitGroup) -> int:
-    """Pairs per batch of _first_non_engel: bounds its visited flags at 4 MiB."""
-    return max(1, (1 << 22) // len(U))
+    return gr.first_non_engel(np.stack([x, x_inv]), U.one_position, step)
 
 
 def non_engel_scan(U: UnitGroup, max_pairs: int | None = None
                    ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """The first pair (x, y) of positions in row-major order, among the first
     max_pairs (all |U|^2 by default), whose orbit z <- (z, y) from z = x
-    repeats a state other than 1: the first pair engel_test calls nontrivial.
+    never reaches 1: the first pair engel_test calls nontrivial.
 
     A finite Engel group is nilpotent (Zorn), so on a non-nilpotent U the
     scan of all pairs always returns a pair.  The inverses come from one
@@ -685,12 +664,10 @@ def non_engel_scan(U: UnitGroup, max_pairs: int | None = None
     m = len(U)
     inv = _inverses(U, np.arange(m))
     total = m * m if max_pairs is None else min(max_pairs, m * m)
-    block = min(m, _pair_block(U))  # at most a row: the first witness is usually in row 0
-    for lo in range(0, total, block):
-        idx = np.arange(lo, min(lo + block, total), dtype=np.int64)
-        x, y = idx // m, idx % m
+    for lo in range(0, total, _ENGEL_BATCH):
+        x, y = np.divmod(np.arange(lo, min(lo + _ENGEL_BATCH, total)), m)
         k = _first_non_engel(U, x, y, inv[x], inv[y])
-        if k < idx.size:
+        if k < x.size:
             return U.element(int(x[k])), U.element(int(y[k]))
     return None
 
@@ -700,18 +677,15 @@ def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0
     """Seeded random search for a pair witnessing non-nilpotency.
 
     Draws ``budget`` pairs (x, y) uniformly from U and returns the first whose
-    Engel orbit is nontrivial; the orbits run batched through
-    _first_non_engel, with inverses x^(|U|-1), and each drawn pair is decided
-    exactly.  None means that no drawn pair is non-Engel; it is not a proof
-    that every pair is Engel.
+    Engel orbit never reaches 1, with inverses x^(|U|-1); each drawn pair is
+    decided exactly.  None means that no drawn pair is non-Engel; it is not
+    a proof that every pair is Engel.
     """
     rng = random.Random(seed)
-    m = len(U)
-    draws = np.array([rng.randrange(m) for _ in range(2 * budget)], dtype=np.int64)
+    draws = np.array([rng.randrange(len(U)) for _ in range(2 * budget)], dtype=np.int64)
     pairs = draws.reshape(-1, 2)  # drawn x, then y, for each attempt
-    block = _pair_block(U)
-    for lo in range(0, budget, block):
-        x, y = pairs[lo:lo + block, 0], pairs[lo:lo + block, 1]
+    for lo in range(0, budget, _ENGEL_BATCH):
+        x, y = pairs[lo:lo + _ENGEL_BATCH].T
         x_inv, y_inv = np.split(_inverses(U, np.concatenate([x, y])), 2)
         k = _first_non_engel(U, x, y, x_inv, y_inv)
         if k < x.size:

@@ -253,6 +253,72 @@ def test_non_engel_pair_runs_in_row_blocks(monkeypatch):
     assert m.non_engel_pair(GROUPS["A4"])[0] == 1
 
 
+def _first_non_engel_reference(maps, starts):
+    """The first pair k whose orbit under maps[k] from starts[k] never
+    reaches 0, by a set of the states visited; len(starts) when none."""
+    for k, z in enumerate(starts):
+        seen = set()
+        while z != 0 and z not in seen:
+            seen.add(z)
+            z = maps[k][z]
+        if z != 0:
+            return k
+    return len(starts)
+
+
+def _run_first_non_engel(maps, starts):
+    """gr.first_non_engel with the step z <- maps[k][z], carrying a copy of
+    z in a second row that the step checks is moved along with it."""
+    maps = np.asarray(maps)
+
+    def step(k, state):
+        assert (state[0] == state[1]).all()
+        return maps[k, state]
+
+    return gr.first_non_engel(np.array([starts, starts]), 0, step)
+
+
+def _orbit(tail, cycle, n=16):
+    """A map of range(n) that fixes 0, and a start whose orbit passes `tail`
+    states and then cycles through `cycle` others; with cycle 0 it reaches 0
+    after the tail."""
+    f = np.zeros(n, dtype=np.int64)
+    path = np.arange(1, tail + cycle + 1)
+    f[path[:-1]] = path[1:]
+    if cycle:
+        f[path[-1]] = path[tail]
+    return f, (1 if path.size else 0)
+
+
+@pytest.mark.parametrize("orbits,first", [
+    ([(5, 2)], 0),                      # tail longer than the cycle
+    ([(1, 6)], 0),                      # cycle longer than the tail
+    ([(3, 0), (0, 1)], 1),              # a fixed point other than 1
+    ([(2, 0), (4, 1)], 1),              # a fixed point after a tail
+    ([(0, 0), (2, 0)], 2),              # an orbit that starts at 1, and none non-Engel
+    ([(7, 5), (0, 1)], 0),              # pair 1 is detected first, pair 0 is returned
+    ([(9, 0), (0, 1), (3, 4)], 1),      # pair 0 reaches 1 only after pair 1 is detected
+], ids=["tail>cycle", "cycle>tail", "fixed", "fixed-after-tail", "starts-at-1",
+        "later-detected-first", "earlier-reaches-1-late"])
+def test_first_non_engel_on_chosen_orbits(orbits, first):
+    maps, starts = zip(*(_orbit(tail, cycle) for tail, cycle in orbits))
+    assert _first_non_engel_reference(maps, starts) == first
+    assert _run_first_non_engel(maps, list(starts)) == first
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_non_engel_on_random_maps(data):
+    n = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(1, 6))
+    maps = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    for f in maps:
+        f[0] = 0  # 0 plays the identity, a fixed point of every orbit
+    starts = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    assert _run_first_non_engel(maps, starts) == _first_non_engel_reference(maps, starts)
+
+
 # ---------------------------------------------------------------------------
 # p-groups
 
@@ -322,6 +388,14 @@ def test_p_core_known_groups(spec, p, labels):
     N = gr.p_core(G, p)
     assert {G.labels[x] for x in N.members} == labels
     assert N.is_normal()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_p_core_matches_per_element_definition(p):
+    # p_core skips the elements whose order is not a power of p
+    for G in GROUPS.values():
+        members = tuple(x for x in G.elements() if gr.is_p_group(gr.normal_closure(G, x), p))
+        assert gr.p_core(G, p).members == members, G.name
 
 
 def test_p_core_of_d10_at_2_is_its_center():

@@ -141,7 +141,7 @@ def test_catalog_pass_multiply_count(monkeypatch):
 
     monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
     assert run_catalog(RunConfig()).passed
-    assert calls == 995
+    assert calls == 1007
 
 
 def test_catalog_pass_enumerates_only_where_needed(monkeypatch):
@@ -565,14 +565,30 @@ def test_cli_report_bytes_do_not_depend_on_optimize_flag():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(m.__file__).parents[1]), env.get("PYTHONPATH")]))
-    args = ["-m", "modunits.cli", "verify", "--spec", "catalog:S3", "--p", "3"]
-    plain, optimized = (subprocess.run([sys.executable, *flags, *args],
-                                       capture_output=True, env=env)
-                        for flags in ([], ["-O"]))
-    assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == plain.returncode, optimized.stderr
-    assert optimized.stdout == plain.stdout
-    assert plain.stdout
+    for args in (["verify", "--spec", "catalog:S3", "--p", "3"], ["catalog"]):
+        plain, optimized = (subprocess.run([sys.executable, *flags, "-m", "modunits.cli", *args],
+                                           capture_output=True, env=env)
+                            for flags in ([], ["-O"]))
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == plain.returncode, optimized.stderr
+        assert optimized.stdout == plain.stdout
+        assert plain.stdout
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's quick-start block runs as written and gives the values
+    its comments state."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick_start = readme.split("## Quick start", 1)[1]
+    block = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert len(scope["V"]) == 12
+    assert (scope["x"].to_text(), scope["y"].to_text()) == ("1*(1 3)", "1*(1 2)")
+    assert [t.size for t in m.lower_central_series_of_units(scope["V"])] == [12, 3, 3]
+    assert capsys.readouterr().out == "False non_nilpotent True\n"
 
 
 def test_console_script_installed():

@@ -518,6 +518,24 @@ def test_verify_equivalence_skips_explicitly_over_the_enumeration_cap():
     assert v.v_order is None and v.consistent
 
 
+@pytest.mark.parametrize("spec,orders", [
+    ("catalog:D,8", (2_211_840, 1_024)),
+    ("prod:catalog:D,4|catalog:C,2", (294_912, 8_192)),
+    ("prod:catalog:Q8|catalog:C,2", (294_912, 73_728)),
+    ("prod:catalog:D,4|catalog:C,3", (16_529_940_864, 419_904)),
+    ("prod:catalog:Q8|catalog:C,3", (16_529_940_864, 1_259_712)),
+], ids=["D8", "D4xC2", "Q8xC2", "D4xC3", "Q8xC3"])
+def test_skipped_unit_groups_take_their_orders_from_the_laws(spec, orders):
+    # G is nilpotent and not abelian, and 3^(|G|-1) candidates are above
+    # enumeration_cap: both statuses stay skipped, and the block laws count
+    # |V| and |V*| without enumerating either
+    v = m.verify_equivalence(group(spec), 3)
+    assert (v.v_order, v.vstar_order) == orders and not v.enumerated
+    assert v.v_status.skipped and v.vstar_status.skipped
+    assert v.v_status.reason.startswith("enumeration budget exceeded")
+    assert v.consistent
+
+
 @pytest.mark.parametrize("spec,v_class,vstar_class", [
     ("catalog:D,8", 4, 3),
     ("prod:catalog:D,4|catalog:C,2", 2, 2),

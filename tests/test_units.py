@@ -722,10 +722,12 @@ def test_batched_search_matches_element_search(spec, p, which, budget):
 
 def test_batched_search_runs_in_blocks(monkeypatch):
     U = _unit_group("catalog:D,6", 2, "V")
-    monkeypatch.setattr(un, "_pair_block", lambda U: 3)
+    monkeypatch.setattr(un, "_ENGEL_BATCH", 3)
     for seed in range(6):
         got = m.find_non_engel_pair(U, budget=20, seed=seed)
         assert got == _find_non_engel_pair_reference(U, 20, seed)
+    S3 = _unit_group("catalog:S3", 2, "V")  # its first witness lies past the first batch
+    assert m.non_engel_scan(S3) == _scan_non_engel(_table("catalog:S3", 2, "V"), S3)
 
 
 @pytest.mark.parametrize("spec,p,order_less_one", [
