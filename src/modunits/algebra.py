@@ -7,10 +7,9 @@ supported.  Every product in GF(p)[G] goes through GroupAlgebra.multiply, an
 exact integer kernel that accumulates in the narrowest type holding
 |G|*(p-1)^2, the largest sum it forms; an algebra whose sums would not fit in
 int64 is refused.  The kernel takes one of two paths by the shape of its
-operands: one element on the left against up to |G| columns, or up to |G|
-pairs whose gather stays under a fixed size, is one gather of regular
-matrices and one matmul; any other product is a loop over the support of the
-left factor.
+operands: one element on the left against up to |G| columns is one gather of
+its regular matrix and one matmul; any other product is a loop over the
+support of the left factor.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ from . import groups as gr
 from ._gflinalg import int_dtype, mod_p, residues, solve_mod_p
 from .errors import (AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch,
                      ShapeMismatch)
-
-
-# the most entries a pairwise product gathers into a[div]; pairs needing more
-# take the loop, whose temporaries are the size of the result
-_GATHER_CAP = 1 << 20
 
 
 class GroupAlgebra:
@@ -127,11 +121,8 @@ class GroupAlgebra:
         - one element on the left and a result of at most dim columns is one
           matmul, regular_matrix(a) @ b, whose gather a[div] holds dim^2
           entries, the size of the group's own table;
-        - pairs of equal shape, at most dim of them, are one stacked matmul
-          of a[div] with b while that gather, dim^2 entries per pair, holds
-          at most _GATHER_CAP entries;
-        - any other product, wider or with both operands broadcast or one
-          element on the right, sums a[g] * b[g^-1 k] in a loop over the
+        - any other product, pairs, wider, with both operands broadcast or
+          one element on the right, sums a[g] * b[g^-1 k] in a loop over the
           support of a, whose temporaries are the size of the result.
 
         The rule is fixed.  numpy's integer matmul has no BLAS, so it costs
@@ -139,8 +130,9 @@ class GroupAlgebra:
         g in the support of a.  Measured on S3, A4, D8, D10 and D4xC3 at
         p = 2 and 3, one element against m columns is faster by matmul up
         to m = dim and somewhat beyond, 1.5-5x slower at m = 1024, and
-        7-15x slower at m = 16384, the unit layer's row blocks; pairs are
-        no faster by matmul at m = 16384.
+        7-15x slower at m = 16384, the unit layer's row blocks.  Pairs as
+        one stacked matmul of a[div] with b measured level with the loop, at
+        m = 16384 and on the benchmark's workloads, so they take the loop.
         """
         a = residues(a, self.p, self._dtype)
         b = residues(b, self.p, self._dtype)
@@ -154,8 +146,6 @@ class GroupAlgebra:
         m = math.prod(shape[1:])
         if m <= n and a2.shape[1] == 1:
             out = a2[:, 0][self.div] @ b2
-        elif m <= n and a.shape == b.shape and n * n * m <= _GATHER_CAP:
-            out = np.einsum("khj,hj->kj", a2[self.div], b2)
         else:
             out = np.zeros(shape, dtype=self._dtype)
             for g in np.flatnonzero(a2.any(axis=1)):

@@ -4,14 +4,17 @@ enumerate_units builds the group of normalized units of FG, the oracle
 everything else is checked against, without testing candidates.  Let
 Q = G/O_p(G): FQ is split by the central idempotents of the normal
 p'-subgroups of Q into blocks (unit_blocks), and Gaussian elimination runs
-on one coordinate vector of each scalar class of a block to find the units
-of the block.  The normalized units of FQ are the sums of one unit from
-each block, and V(FG) is the union of their preimages under the coset-sum
-map, whose kernel is nilpotent.  The units are built as sorted mixed-radix
-codes, decoded once into the narrow rows a UnitGroup holds.  filter_unitary
-carves out the units fixed into inverses by the classical involution.  For
-odd p, and for p = 2 when O_2(G) = 1, unit_orders counts |V| and |V*| from
-the units of the blocks by the block laws, without building either group.
+on one coordinate vector of each scalar class of a block; the units among
+them and their scalar multiples are the units of the block, kept as
+vectors of FQ.  V's image in FQ, the normalized units of FQ, is the sums of
+one unit of each block with the augmentation of its idempotent, and
+_image_units is the one place that derives it.  enumerate_units lifts it:
+V(FG) is the union of the preimages of those sums under the coset-sum map,
+whose kernel is nilpotent, built as sorted mixed-radix codes and decoded
+once into the narrow rows a UnitGroup holds.  filter_unitary carves out
+the units fixed into inverses by the classical involution.  For odd p, and
+for p = 2 when O_2(G) = 1, unit_orders counts |V| and |V*| from the same
+image by the block laws, without building either group.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
@@ -98,6 +101,11 @@ class UnitGroup:
         return self.vectors.shape[0]
 
     def element(self, i: int) -> AlgebraElement:
+        """The member at position i; raises ValueError outside [0, |U|), so
+        that the -1 of index_of for an absent element is not read as the
+        last member."""
+        if not 0 <= i < len(self):
+            raise ValueError(f"position {i} out of range for {len(self)} units")
         return AlgebraElement(self.algebra, self.vectors[i].astype(np.int64))
 
     def __iter__(self) -> Iterator[AlgebraElement]:
@@ -195,9 +203,9 @@ class UnitBlock:
     """The block FQ*f of a group algebra FQ cut out by a central idempotent f.
 
     ``rows`` is the reduced row-echelon basis of FQ*f and ``pivots`` its pivot
-    columns, so the coordinates of a member x are x[pivots].  ``units`` marks,
-    for every coordinate vector c with index sum_j c_j p^j, whether its
-    element is a unit of the block.
+    columns, so the coordinates of a member x are x[pivots].  ``units`` holds
+    the units of the block, distinct vectors of FQ in int_dtype(p - 1), one
+    per row.
     """
 
     idempotent: np.ndarray
@@ -221,10 +229,10 @@ def unit_blocks(algebra: GroupAlgebra, cap: int | None = None) -> list[UnitBlock
     x is a unit exactly when lambda*x is, for every lambda in F_p^*, so the
     elimination runs on one coordinate vector per scalar class: the one
     whose most significant nonzero digit is 1, an index in the union over j
-    of [p^j, 2p^j).  Each unit among them marks its p - 1 multiples.  The
-    zero vector gives 1 - f, a zero divisor since f != 0, so never a unit.
-    Raises BudgetExceeded (carrying the required count) when
-    sum_B p^dim(B) > cap, before any mask is built.
+    of [p^j, 2p^j).  Each unit c @ rows among them gives its p - 1 multiples.
+    The zero vector gives 1 - f, a zero divisor since f != 0, so never a
+    unit.  Raises BudgetExceeded (carrying the required count) when
+    sum_B p^dim(B) > cap, before any elimination.
     """
     Q, p = algebra.group, algebra.p
     closures = {K.members for K in (gr.normal_closure(Q, x) for x in Q.elements())
@@ -240,40 +248,49 @@ def unit_blocks(algebra: GroupAlgebra, cap: int | None = None) -> list[UnitBlock
     required = sum(p ** pivots.size for _, _, pivots in bases)
     if cap is not None and required > cap:
         raise BudgetExceeded(
-            f"block masks need {required} coordinate vectors, cap is {cap}", required)
-    return [UnitBlock(f, rows, pivots, _unit_mask(algebra, f, rows, pivots.size))
+            f"block units need {required} coordinate vectors, cap is {cap}", required)
+    return [UnitBlock(f, rows, pivots, _units_of_block(algebra, f, rows))
             for f, rows, pivots in bases]
 
 
-def _unit_mask(algebra: GroupAlgebra, f: np.ndarray, rows: np.ndarray, d: int) -> np.ndarray:
+def _units_of_block(algebra: GroupAlgebra, f: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """UnitBlock.units of the block FQ*f with basis rows, from one
     elimination per scalar class of coordinate vectors (see unit_blocks)."""
-    p = algebra.p
-    units = np.zeros(p ** d, dtype=bool)
+    p, d = algebra.p, rows.shape[0]
     complement = (algebra._one_vec - f) % p
-    weights = p ** np.arange(d, dtype=np.int64)
     reps = np.concatenate([np.arange(p ** j, 2 * p ** j, dtype=np.int64) for j in range(d)])
+    parts = []
     for lo in range(0, reps.size, _CHUNK):
-        digits = _digits(reps[lo:lo + _CHUNK], p, d)
-        x = (digits @ rows + complement) % p
-        x = x.astype(work_dtype(p))  # gathered into n x n matrices next
-        digits = digits[batch_invertible_mask(x[:, algebra.div], p)]
-        # the multiples lambda * c of each unit's coordinates, about _CHUNK at a time
-        step = max(1, _CHUNK // max(1, len(digits)))
-        for first in range(1, p, step):
-            lam = np.arange(first, min(first + step, p), dtype=np.int64)
-            units[mod_p(lam[:, None, None] * digits, p) @ weights] = True
-    return units
+        x = _digits(reps[lo:lo + _CHUNK], p, d) @ rows % p
+        mats = ((x + complement) % p).astype(work_dtype(p))[:, algebra.div]
+        x = x[batch_invertible_mask(mats, p)]
+        parts.extend((lam * x % p).astype(int_dtype(p - 1)) for lam in range(1, p))
+    return np.concatenate(parts)
 
 
-def _block_units(block: UnitBlock, p: int) -> np.ndarray:
-    """The units of a block as vectors of FQ in int_dtype(p - 1), in index order."""
-    units = np.flatnonzero(block.units)
-    x = np.empty((units.size, block.rows.shape[1]), dtype=int_dtype(p - 1))
-    for lo in range(0, units.size, _CHUNK):
-        x[lo:lo + _CHUNK] = _digits(units[lo:lo + _CHUNK], p, block.pivots.size) \
-            @ block.rows % p
-    return x
+def _image_units(algebra: GroupAlgebra, cap: int | None = None
+                 ) -> tuple[gr.Subgroup, GroupAlgebra, np.ndarray,
+                            list[tuple[np.ndarray, np.ndarray]]]:
+    """V's image in FQ, Q = G/O_p(G): O_p(G), the algebra FQ, the coset of
+    each element of G, and for each block B of FQ (unit_blocks, with its
+    cap) the pair of its idempotent f and its units x with aug(x) = aug(f),
+    as vectors of FQ.
+
+    The normalized units of FQ are the sums of one such unit of each block:
+    aug is a ring map onto F_p, so aug(f) is 0 or 1 and aug(x) =
+    aug(x f) = aug(x) aug(f).  The idempotents are orthogonal and sum to 1,
+    so exactly one block, the principal one, has aug(f) = 1; every unit of
+    the others has augmentation 0, and the principal block's units of
+    augmentation 1 are one in each scalar class, |U(B)| / (p - 1).
+    """
+    p = algebra.p
+    core = gr.p_core(algebra.group, p)
+    Q, coset = gr.quotient(core)
+    QA = GroupAlgebra(Q, p)
+    blocks = [(b.idempotent,
+               b.units[b.units.sum(axis=1, dtype=np.int64) % p == b.idempotent.sum() % p])
+              for b in unit_blocks(QA, cap=cap)]
+    return core, QA, coset, blocks
 
 
 def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
@@ -284,9 +301,8 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     the nilpotent ideal w(N)FG, so u is a unit exactly when its image is
     (Passman 1977), and FQ is the direct sum of the blocks of unit_blocks.
     The normalized units of FQ are thus the sums I of one unit x of each
-    block FQ*f with aug(x) = aug(f): only the principal block has
-    aug(f) = 1, and every unit of the others has augmentation 0.  V(FG) is
-    the union of the preimages of these units: a unit is a pair (I, D) of
+    block with aug(x) = aug(f) (_image_units).  V(FG) is the union of the
+    preimages of these units: a unit is a pair (I, D) of
     an image unit and the free digits D on all but the least member r_q of
     each coset q, and that member takes I_q - S_q mod p, where S_q is the
     sum of the free digits of the coset.  So its code is code(D) +
@@ -302,18 +318,14 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     if required > cap:
         raise BudgetExceeded(
             f"enumeration needs {required} candidates, cap is {cap}", required)
-    Q, coset = gr.quotient(gr.p_core(algebra.group, p))
-    m = Q.order
-    factors = []  # per block, its units x with aug(x) = aug(f), as vectors of FQ
-    for block in unit_blocks(GroupAlgebra(Q, p)):
-        x = _block_units(block, p)
-        factors.append(x[x.sum(axis=1) % p == block.idempotent.sum() % p])
+    _, QA, coset, blocks = _image_units(algebra)
+    m = QA.dim
     reps = np.unique(coset, return_index=True)[1]  # the least member of each coset
     free = np.setdiff1d(np.arange(n), reps)
     in_coset = np.zeros((free.size, m), dtype=np.int64)
     in_coset[np.arange(free.size), coset[free]] = 1
     weights = _code_weights(n, p)
-    n_image, n_free = math.prod(map(len, factors)), p ** free.size
+    n_image, n_free = math.prod(len(x) for _, x in blocks), p ** free.size
     codes = np.empty((n_image, n_free), dtype=weights.dtype)
     # tiles of at most _CHUNK units: a block of image units by a block of free digits
     d_step = min(n_free, _CHUNK)
@@ -326,7 +338,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
         for i_lo in range(0, n_image, i_step):
             idx = np.arange(i_lo, min(i_lo + i_step, n_image), dtype=np.int64)
             image = np.zeros((idx.size, 1, m), dtype=np.int64)
-            for x in factors:
+            for _, x in blocks:
                 idx, i = np.divmod(idx, len(x))
                 image[:, 0] += x[i]
             codes[i_lo:i_lo + i_step, d_lo:d_lo + d_step] = (
@@ -349,52 +361,45 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
     block laws without building either group.
 
     Let Q = G/O_p(G) and I the kernel of FG -> FQ, the nilpotent ideal
-    w(O_p(G))FG of dimension |G| - |Q|.  Units lift through I and FQ is the
-    direct sum of the blocks B of unit_blocks, and the scalars F* split off
-    the normalized units, so
+    w(O_p(G))FG of dimension |G| - |Q|.  Units lift through I, and the
+    normalized units of FQ are the sums of one unit x_B of each block B
+    with aug(x_B) = aug(f_B), N_B of them (_image_units), so
 
-        |V| = p^(|G| - |Q|) * prod_B |U(B)| / (p - 1).
+        |V| = p^(|G| - |Q|) * prod_B |N_B|.
 
     Each block idempotent is fixed by the involution, so sum_B x_B is
-    unitary exactly when x_B* x_B = f_B in every block: U*(FQ) is the
-    product of the U*(B).  The map is a *-map and, p being odd, the Cayley
-    transform x -> (1 + x)(1 - x)^-1 puts the unitary units of 1 + I in
-    bijection with the skew elements of I, of dimension k(G) - k(Q)
-    (_skew_dim), and unitary units lift through I.  The unitary scalars are
-    the l with l^2 = 1, gcd(2, p - 1) of them, so
+    unitary exactly when x_B* x_B = f_B in every block: V*(FQ) is the
+    product of the unitary members N*_B of the N_B.  The map is a *-map
+    and, p being odd, the Cayley transform x -> (1 + x)(1 - x)^-1 puts the
+    unitary units of 1 + I in bijection with the skew elements of I, of
+    dimension k(G) - k(Q) (_skew_dim), and unitary units lift through I, so
 
-        |V*| = p^(k(G) - k(Q)) * prod_B |U*(B)| / gcd(2, p - 1).
+        |V*| = p^(k(G) - k(Q)) * prod_B |N*_B|.
 
     At p = 2 the Cayley transform is not defined, but where O_2(G) = 1,
-    Q = G, I = 0 and F_2^* = 1, so both laws hold with their powers of p
-    equal to 1: |V| = prod_B |U(B)| and |V*| = prod_B |U*(B)|.
+    Q = G and I = 0, so both laws hold with their powers of p equal to 1.
 
-    U*(B) is counted on the decoded units of all blocks together, with one
-    product per _CHUNK of them.  Raises BudgetExceeded when
-    sum_B p^dim(B) > cap, before any mask is built, and
-    PreconditionViolated at p = 2 when O_2(G) != 1, where |V*| has no such
-    law.
+    N*_B is counted on the units of all blocks together, with one product
+    per _CHUNK of them.  Raises BudgetExceeded when sum_B p^dim(B) > cap,
+    before any elimination, and PreconditionViolated at p = 2 when
+    O_2(G) != 1, where |V*| has no such law.
     """
     G, p = algebra.group, algebra.p
-    core = gr.p_core(G, p)
+    core, QA, _, blocks = _image_units(algebra, cap)
     if p == 2 and core.order > 1:
         raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
-    Q, _ = gr.quotient(core)
-    QA = GroupAlgebra(Q, p)
-    blocks = unit_blocks(QA, cap=cap)
-    units = [_block_units(b, p) for b in blocks]
-    x = np.concatenate(units)
-    block_of = np.repeat(np.arange(len(blocks)), [len(u) for u in units])
-    idempotents = np.stack([b.idempotent for b in blocks], axis=1)  # group axis first
+    Q = QA.group
+    x = np.concatenate([u for _, u in blocks])
+    block_of = np.repeat(np.arange(len(blocks)), [len(u) for _, u in blocks])
+    idempotents = np.stack([f for f, _ in blocks], axis=1)  # group axis first
     unitary = np.empty(len(x), dtype=bool)
     for lo in range(0, len(x), _CHUNK):
         cols = np.ascontiguousarray(x[lo:lo + _CHUNK].T)
         prod = QA.multiply(cols[Q.inv], cols)
         unitary[lo:lo + _CHUNK] = (prod == idempotents[:, block_of[lo:lo + _CHUNK]]).all(axis=0)
     n_unitary = np.bincount(block_of[unitary], minlength=len(blocks))
-    v_order = p ** (G.order - Q.order) * math.prod(len(u) for u in units) // (p - 1)
-    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary)) \
-        // math.gcd(2, p - 1)
+    v_order = p ** (G.order - Q.order) * math.prod(len(u) for _, u in blocks)
+    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary))
     return v_order, vstar_order
 
 
@@ -651,21 +656,19 @@ def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarr
     return gr.first_non_engel(np.stack([x, x_inv]), U.one_position, step)
 
 
-def non_engel_scan(U: UnitGroup, max_pairs: int | None = None
-                   ) -> tuple[AlgebraElement, AlgebraElement] | None:
-    """The first pair (x, y) of positions in row-major order, among the first
-    max_pairs (all |U|^2 by default), whose orbit z <- (z, y) from z = x
-    never reaches 1: the first pair engel_test calls nontrivial.
+def non_engel_scan(U: UnitGroup) -> tuple[AlgebraElement, AlgebraElement] | None:
+    """The first pair (x, y) of positions in row-major order whose orbit
+    z <- (z, y) from z = x never reaches 1: the first pair engel_test calls
+    nontrivial.
 
     A finite Engel group is nilpotent (Zorn), so on a non-nilpotent U the
-    scan of all pairs always returns a pair.  The inverses come from one
-    table of x^(|U|-1) over U.
+    scan always returns a pair.  The inverses come from one table of
+    x^(|U|-1) over U.
     """
     m = len(U)
     inv = _inverses(U, np.arange(m))
-    total = m * m if max_pairs is None else min(max_pairs, m * m)
-    for lo in range(0, total, _ENGEL_BATCH):
-        x, y = np.divmod(np.arange(lo, min(lo + _ENGEL_BATCH, total)), m)
+    for lo in range(0, m * m, _ENGEL_BATCH):
+        x, y = np.divmod(np.arange(lo, min(lo + _ENGEL_BATCH, m * m)), m)
         k = _first_non_engel(U, x, y, inv[x], inv[y])
         if k < x.size:
             return U.element(int(x[k])), U.element(int(y[k]))

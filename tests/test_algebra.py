@@ -100,8 +100,8 @@ def test_multiply_matches_regular_matrix_oracle_in_every_shape(spec, p):
     ("catalog:S3", 2), ("catalog:S3", 5), ("catalog:Q8", 3), ("catalog:A4", 7),
 ])
 def test_multiply_matches_the_oracle_either_side_of_the_width_cap(spec, p):
-    # one element on the left and pairs are one matmul up to |G| columns and
-    # the loop above; one element on the right is always the loop
+    # one element on the left is one matmul up to |G| columns and the loop
+    # above; pairs and one element on the right are always the loop
     algebra = alg(spec, p)
     n = algebra.dim
     rng = np.random.default_rng(n * p)
@@ -126,10 +126,10 @@ def test_multiply_matches_the_oracle_either_side_of_the_width_cap(spec, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_pairs_above_the_gather_cap_take_the_loop_and_match_the_oracle(p):
-    # |G| = 128: 64 pairs gather 128^2 * 64 = 2^20 entries, the cap, and 65 more
+    # |G| = 128: the regular matrices of 64 pairs hold 128^2 * 64 = 2^20
+    # entries, and of 65 more; pairs take the loop at any width
     algebra = m.GroupAlgebra(m.build_group(m.parse_group_spec("catalog:C,128"), cap=128), p)
     n = algebra.dim
-    assert n * n * 64 == m.algebra._GATHER_CAP
     rng = np.random.default_rng(p)
     for width in (64, 65):
         a, b = rng.integers(0, p, size=(n, width)), rng.integers(0, p, size=(n, width))
@@ -150,8 +150,8 @@ def test_multiply_is_exact_at_every_integer_type_boundary(p, dtype):
     assert int_dtype(4 * (p - 1) ** 2) is dtype
     F = alg("catalog:C,4", p)
     top = np.full(4, p - 1, dtype=np.int64)  # every partial sum reaches the bound
-    # at width 3 one element on the left and pairs take the matmul path, at
-    # width 5 (above |G| = 4) the loop; one element on the right is the loop
+    # at width 3 one element on the left takes the matmul path, at width 5
+    # (above |G| = 4) the loop; pairs and one element on the right take the loop
     for width in (3, 5):
         many = np.full((4, width), p - 1, dtype=np.int64)
         shapes = [(top, top), (top[:, None], many), (many, top[:, None]), (many, many)]

@@ -575,20 +575,51 @@ def test_cli_report_bytes_do_not_depend_on_optimize_flag():
         assert plain.stdout
 
 
-def test_readme_quick_start_runs(capsys):
-    """The README's quick-start block runs as written and gives the values
-    its comments state."""
+def _readme_block(heading, fence):
     from pathlib import Path
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    quick_start = readme.split("## Quick start", 1)[1]
-    block = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    return readme.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's quick-start block runs as written and gives the values
+    its comments state."""
+    block = _readme_block("## Quick start", "```python\n")
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
     assert len(scope["V"]) == 12
     assert (scope["x"].to_text(), scope["y"].to_text()) == ("1*(1 3)", "1*(1 2)")
     assert [t.size for t in m.lower_central_series_of_units(scope["V"])] == [12, 3, 3]
     assert capsys.readouterr().out == "False non_nilpotent True\n"
+
+
+def test_readme_config_block_parses_to_its_values():
+    block = _readme_block("### Config files", "```\n")
+    assert block.startswith("# run.cfg\n")
+    assert parse_config_file(block) == RunConfig(
+        primes=(2, 3), specs=("catalog:C,2", "prod:catalog:S3|catalog:C,3"),
+        enumeration_cap=1048576, abstract_cap=4096, engel_budget=400, seed=0,
+        output_format="json")
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    """Each command of the README's command-line block exits with code 0,
+    with its report written under tmp_path."""
+    import shlex
+
+    block = _readme_block("## Command line", "```sh\n")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("modunits ")]
+    assert [args[1] for args in commands] == ["verify", "catalog", "witness", "enumerate-units"]
+    for i, (_, *args) in enumerate(commands):
+        if "--out" in args:
+            at = args.index("--out") + 1
+            args[at] = str(tmp_path / args[at])
+        else:
+            args += ["--out", str(tmp_path / f"command{i}.out")]
+        assert cli.main(args) == 0, args
+        assert (tmp_path / args[args.index("--out") + 1]).stat().st_size > 0, args
+    assert capsys.readouterr().out == ""
 
 
 def test_console_script_installed():

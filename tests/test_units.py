@@ -66,7 +66,7 @@ def test_enumeration_is_deterministic_across_runs_and_chunk_sizes(monkeypatch):
     pairs = (("catalog:S3", 2), ("catalog:A4", 2), ("catalog:D,6", 3))
     first = [m.enumerate_units(alg(spec, p)).vectors for spec, p in pairs]
     again = [m.enumerate_units(alg(spec, p)).vectors for spec, p in pairs]
-    monkeypatch.setattr(un, "_CHUNK", 8)  # many chunks, in the masks and the lift
+    monkeypatch.setattr(un, "_CHUNK", 8)  # many chunks, in the blocks and the lift
     chunked = [m.enumerate_units(alg(spec, p)).vectors for spec, p in pairs]
     for (spec, p), a, b, c in zip(pairs, first, again, chunked):
         assert a.tobytes() == b.tobytes() == c.tobytes(), (spec, p)
@@ -131,7 +131,7 @@ def _quotient_blocks(spec, p):
 @pytest.mark.parametrize("spec,p", [
     ("catalog:S3", 2), ("catalog:D,6", 2), ("catalog:A4", 2), ("catalog:A4", 3),
     ("catalog:D,4", 3), ("prod:catalog:S3|catalog:C,3", 2),
-    # p = 5: the masks mark lambda * c for lambda = 2, 3, 4 from one elimination
+    # p = 5: one elimination gives the units lambda * c for lambda = 2, 3, 4
     ("catalog:S3", 5), ("catalog:D,4", 5)])
 def test_block_masks_match_try_inverse(spec, p):
     QA, blocks = _quotient_blocks(spec, p)
@@ -149,12 +149,35 @@ def test_block_masks_match_try_inverse(spec, p):
     assert sum(b.pivots.size for b in blocks) == QA.dim
     for b in blocks:
         d = b.pivots.size
-        assert b.units.shape == (p ** d,)
         assert (mul(b.rows.T, b.idempotent[:, None]).T == b.rows).all()  # rows lie in FQ*f
+        assert b.units.shape[1] == QA.dim
+        units = [tuple(row) for row in b.units.tolist()]
+        assert len(set(units)) == len(units)  # distinct rows
+        expected = []  # c @ rows for every coordinate vector c whose x is a unit
         for i in range(p ** d):
             c = np.array([i // p ** j % p for j in range(d)], dtype=np.int64)
             x = (c @ b.rows + one - b.idempotent) % p
-            assert b.units[i] == (QA.from_coeffs(x).try_inverse() is not None), (d, i)
+            if QA.from_coeffs(x).try_inverse() is not None:
+                expected.append(tuple((c @ b.rows % p).tolist()))
+        assert sorted(units) == sorted(expected), d
+
+
+@pytest.mark.parametrize("spec,p", [
+    (spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3, 5)])
+def test_only_the_principal_block_has_units_of_augmentation_one(spec, p):
+    # aug is a ring map onto F_p, so aug(f) is 0 or 1 and aug(x) = aug(x) aug(f)
+    # for x in FQ*f: V's image in FQ takes, from each block, its units x with
+    # aug(x) = aug(f)
+    QA, blocks = _quotient_blocks(spec, p)
+    augs = [int(b.idempotent.sum() % p) for b in blocks]
+    assert sorted(augs) == [0] * (len(blocks) - 1) + [1]
+    for b, aug in zip(blocks, augs):
+        unit_augs = b.units.sum(axis=1, dtype=np.int64) % p
+        if aug == 0:
+            assert not unit_augs.any()
+        else:
+            assert len(b.units) % (p - 1) == 0
+            assert np.count_nonzero(unit_augs == 1) == len(b.units) // (p - 1)
 
 
 @pytest.mark.parametrize("spec,p,dims", [
@@ -184,7 +207,7 @@ def test_block_unit_count_law(spec, p):
     QA, blocks = _quotient_blocks(spec, p)
     count = p ** (A.dim - QA.dim)
     for b in blocks:
-        count *= int(np.count_nonzero(b.units))
+        count *= len(b.units)
     assert count % (p - 1) == 0
     assert len(m.enumerate_units(A)) == count // (p - 1)
 
@@ -274,6 +297,18 @@ def test_unit_group_contains_one_and_membership():
     assert A.one() in V
     assert A.zero() not in V
     assert V.index_of(A.embed(1)) >= 0
+
+
+def test_element_refuses_positions_outside_the_unit_group():
+    # -1 is the "absent" of index_of, not the last unit
+    A = alg("catalog:S3", 2)
+    V = m.enumerate_units(A)
+    x = A.one() + A.embed(1)
+    assert len(V) == 12 and V.index_of(x) == -1
+    for i in (V.index_of(x), len(V), -len(V)):
+        with pytest.raises(ValueError, match="out of range"):
+            V.element(i)
+    assert [V.index_of(V.element(i)) for i in (0, len(V) - 1)] == [0, len(V) - 1]
 
 
 def test_unit_group_rejects_non_closed_set():
@@ -799,6 +834,32 @@ def _scan_non_engel(A, U, max_pairs=None):
     return None
 
 
+class _PairsSpent(Exception):
+    pass
+
+
+def _bounded_scan(monkeypatch, U, max_pairs):
+    """non_engel_scan(U) on its first max_pairs pairs, a multiple of its
+    batch: each batch it runs is checked to hold the next pairs in row-major
+    order, and the scan is stopped, giving None, at the first batch past
+    max_pairs."""
+    assert max_pairs % un._ENGEL_BATCH == 0
+    run_batch, scanned = un._first_non_engel, [0]
+
+    def bounded(U, x, y, x_inv, y_inv):
+        if scanned[0] >= max_pairs:
+            raise _PairsSpent
+        assert (x * len(U) + y).tolist() == list(range(scanned[0], scanned[0] + len(x)))
+        scanned[0] += len(x)
+        return run_batch(U, x, y, x_inv, y_inv)
+
+    monkeypatch.setattr(un, "_first_non_engel", bounded)
+    try:
+        return m.non_engel_scan(U)
+    except _PairsSpent:
+        return None
+
+
 # the 21 non-abelian unit groups with a Cayley table: V and V* of the
 # enumerable non-abelian catalog entries wherever |U| <= 4096, and V* of D8@2
 # and Q8xC2@2
@@ -833,25 +894,17 @@ def test_series_from_generators_matches_table_series(spec, p, which):
 
 
 @pytest.mark.parametrize("spec,p,which", TABLED, ids=TABLED_IDS)
-def test_batched_witness_matches_reference_scan(spec, p, which):
+def test_batched_witness_matches_reference_scan(monkeypatch, spec, p, which):
     # a pair budget, because a nilpotent U has no witness and all |U|^2 pairs
     # of D8@2's V* take minutes
     U = _unit_group(spec, p, which)
     reference = _scan_non_engel(_table(spec, p, which), U, max_pairs=200_000)
-    pair = m.non_engel_scan(U, max_pairs=200_000)
+    pair = _bounded_scan(monkeypatch, U, 200_000)
     if reference is None:
         assert pair is None
     else:
         assert (pair[0], pair[1]) == reference
         assert m.engel_test(*pair, n_max=len(U)).nontrivial
-
-
-def test_non_engel_scan_honours_its_pair_budget():
-    U = _unit_group("catalog:S3", 2, "V")
-    x, y = _scan_non_engel(_table("catalog:S3", 2, "V"), U)
-    k = U.index_of(x) * len(U) + U.index_of(y)  # row-major index of the first witness
-    assert m.non_engel_scan(U, max_pairs=k) is None
-    assert m.non_engel_scan(U, max_pairs=k + 1) == (x, y)
 
 
 @pytest.mark.parametrize("spec,p,which", [("catalog:D,4", 2, "V"), ("catalog:A4", 2, "V")])
