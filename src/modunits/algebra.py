@@ -92,8 +92,11 @@ class GroupAlgebra:
         """Sum of all powers of c; requires |c| = p.
 
         When c is also central this element is central with square zero,
-        which is what the witness constructions rely on.
+        which is what the witness constructions rely on.  Raises ValueError
+        for an index c outside [0, |G|), as embed does.
         """
+        if not 0 <= c < self.dim:
+            raise ValueError(f"element index {c} out of range")
         if gr.element_order(self.group, c) != self.p:
             raise OrderMismatch(
                 f"hat needs an element of order {self.p}, "

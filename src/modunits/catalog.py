@@ -13,7 +13,7 @@ comma form.
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -248,29 +248,17 @@ def _perm_table_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-    return _perm_table_group(f"S{n}", perms)
-
-
-def _parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    par = 0
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        par ^= (length - 1) & 1
-    return par
+    """S_n, generated by the n-cycle (1 2 ... n) and the transposition (1 2)."""
+    cycle = tuple(range(1, n)) + (0,) if n else ()
+    swap = (1, 0) + tuple(range(2, n)) if n > 1 else tuple(range(n))
+    return perm_closure((cycle, swap), math.factorial(n), f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
-    perms = [tuple(p) for p in itertools.permutations(range(n)) if _parity(tuple(p)) == 0]
-    return _perm_table_group(f"A{n}", perms)
+    """A_n, generated by the 3-cycles (1 2 k) for k = 3..n; A_n = 1 for n < 3."""
+    gens = tuple((1, k) + tuple(range(2, k)) + (0,) + tuple(range(k + 1, n))
+                 for k in range(2, n)) or (tuple(range(n)),)
+    return perm_closure(gens, max(1, math.factorial(n) // 2), f"A{n}")
 
 
 def perm_closure(generators: tuple[tuple[int, ...], ...], cap: int, name: str = "") -> FiniteGroup:

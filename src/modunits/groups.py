@@ -15,24 +15,7 @@ import numpy as np
 from .errors import NotPrime
 
 
-class _NotNilpotent:
-    """Distinct result value for a lower central series that stabilizes above 1."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NOT_NILPOTENT"
-
-    def __bool__(self):
-        return False
-
-
-NOT_NILPOTENT = _NotNilpotent()
+NOT_NILPOTENT = None  # what nilpotency_class returns for a group that is not nilpotent
 
 _PAIRS_PER_BLOCK = 1 << 16  # pairs per block of non_engel_pair, rounded to whole rows
 
@@ -340,13 +323,14 @@ def lower_central_series(G: GroupLike) -> list[Subgroup]:
         cur = nxt
 
 
-def nilpotency_class(G: GroupLike) -> int | _NotNilpotent:
-    """Least c with gamma_{c+1} trivial, or NOT_NILPOTENT if the series stalls."""
+def nilpotency_class(G: GroupLike) -> int | None:
+    """Least c with gamma_{c+1} trivial, or None (NOT_NILPOTENT) when the
+    series stalls above 1."""
     series = lower_central_series(G)
     for i, term in enumerate(series):
         if term.order == 1:
             return i
-    return NOT_NILPOTENT
+    return None
 
 
 def is_p_group(H: GroupLike, p: int) -> bool:

@@ -180,7 +180,7 @@ def _run_witnesses(report: VerificationReport, ctx: GroupAlgebra) -> None:
                 report.witnesses.append(WitnessRecord(
                     case=case, group_name=G.name, p=p,
                     inputs={"g": G.labels[g], "c": G.labels[c]},
-                    units=(AlgebraElement(ctx, col).to_text(),), checks={"unitary": True}))
+                    units=(AlgebraElement(ctx, col).to_text(),)))
                 recorded += 1
     if p == 2:
         return  # the dihedral construction needs odd p

@@ -93,7 +93,13 @@ class EquivalenceVerdict:
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    """One witness construction and the checks it went through."""
+    """One witness construction and the checks it went through.
+
+    ``checks`` holds only facts computed at run time that can come out
+    False: a dihedral record has its one subgroup_is_D2p, and a skew or
+    char-2 record none, since its constructor raises NotUnitary unless the
+    unit is unitary.  ``passed`` is True when every check is.
+    """
 
     case: int  # CLI-facing case id: 1, 2 or 3
     group_name: str
@@ -111,10 +117,13 @@ class WitnessRecord:
 # the fast predicate
 
 def group_criterion(G: gr.FiniteGroup, p: int) -> bool:
-    """True iff G is nilpotent and its derived subgroup is a p-group."""
-    if gr.nilpotency_class(G) is gr.NOT_NILPOTENT:
-        return False
-    return gr.is_p_group(gr.derived_subgroup(G), p)
+    """True iff G is nilpotent and its derived subgroup is a p-group.
+
+    Both come from one lower central series: G is nilpotent when it ends at
+    1, and its second term, which it always has, is G' = gamma_2.
+    """
+    series = gr.lower_central_series(G)
+    return series[-1].order == 1 and gr.is_p_group(series[1], p)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +210,10 @@ def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord
     and (a w)^2 = 1, with a^2 = 1 given.  So <w, a> is a quotient of D_2p.
     For odd p the normal subgroups of D_2p are 1, C_p and D_2p, and w != 1
     rules out the last two, so <w, a> is D_2p: of order 2p, non-abelian and
-    not nilpotent.  Each subgroup_* check is True exactly when w != 1 and
-    the relations hold, which takes p products and no closure.
+    not nilpotent.  The record's one check, subgroup_is_D2p, is True exactly
+    when w != 1 and the relations hold, which takes p products and no
+    closure.  It checks no unitarity: witness_skew raises NotUnitary unless
+    w is unitary.
     """
     G = ctx.group
     p = ctx.p
@@ -226,20 +237,13 @@ def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord
     one = ctx._one_vec
     dihedral = bool((w.coeffs != one).any() and (w_p == one).all()
                     and (ctx.multiply(aw, aw) == one).all())
-    checks = {
-        "witness_unitary": True,  # witness_skew raises NotUnitary otherwise
-        "subgroup_order_even": dihedral,
-        "subgroup_order_2p_with_p_gt_1": dihedral,
-        "subgroup_non_abelian": dihedral,
-        "subgroup_non_nilpotent": dihedral,
-    }
     return WitnessRecord(
         case=3,
         group_name=G.name,
         p=p,
         inputs={"a": G.labels[a], "b": G.labels[b], "c": G.labels[c]},
         units=(w.to_text(),),
-        checks=checks,
+        checks={"subgroup_is_D2p": dihedral},
     )
 
 

@@ -92,7 +92,7 @@ class UnitGroup:
         self._codes = codes
         self.vectors = vectors
         self.vectors.setflags(write=False)
-        pos = self.position_of_vector(algebra._one_vec)
+        pos = self.position_of_vector(algebra._one_vec) if codes.size else -1
         if pos < 0:
             raise ValueError("unit set does not contain 1")
         self.one_position = pos
@@ -130,8 +130,6 @@ class UnitGroup:
         mat = integer_array(mat)
         if mat.size and (mat.min() < 0 or mat.max() >= self.algebra.p):
             mat = residues(mat, self.algebra.p, np.int64)
-        if len(self) == 0:
-            return np.full(mat.shape[0], -1, dtype=np.int64)
         codes = _codes(mat, self._weights)
         idx = np.searchsorted(self._codes, codes)
         idx[idx >= len(self)] = 0

@@ -291,6 +291,14 @@ def test_hat_rejects_wrong_order():
         alg("catalog:C,4", 2).hat(1)  # order 4 at p = 2
 
 
+def test_hat_rejects_indices_outside_the_group():
+    A = alg("prod:catalog:S3|catalog:C,3", 3)
+    for bad in (-16, -1, A.group.order, A.group.order + 5):
+        with pytest.raises(ValueError, match="out of range"):
+            A.hat(bad)
+    assert A.hat(2).support() == (0, 1, 2)  # -16 + |G| = 2, which stays accepted
+
+
 def test_hat_central_when_element_central():
     A = alg("prod:catalog:S3|catalog:C,3", 3)
     c = m.central_order_p_elements(A.group, 3)[0]

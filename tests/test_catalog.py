@@ -1,9 +1,11 @@
 """Spec-grammar tests: parsing, canonical printing, construction caps."""
 
+import itertools
+
 import pytest
 
 import modunits as m
-from modunits.catalog import perm_closure, spec_to_text
+from modunits.catalog import _perm_table_group, perm_closure, spec_to_text
 from modunits.errors import ClosureExceedsCap, InvalidSpec
 
 
@@ -116,6 +118,28 @@ def test_perm_closure_cap():
         m.build_group(spec, cap=64)
     G = m.build_group(spec, cap=120)
     assert G.order == 120
+
+
+def _parity(perm):
+    seen, parity = set(), 0
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        parity ^= max(length - 1, 0) & 1
+    return parity
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_symmetric_and_alternating_match_the_enumerated_permutations(n):
+    # reference: every permutation of n points, or every even one, in one table
+    perms = list(itertools.permutations(range(n)))
+    for built, ref in ((m.symmetric(n), _perm_table_group(f"S{n}", perms)),
+                       (m.alternating(n), _perm_table_group(
+                           f"A{n}", [q for q in perms if _parity(q) == 0]))):
+        assert (built.name, built.labels, built.identity) == (ref.name, ref.labels, ref.identity)
+        assert (built.mul == ref.mul).all()
 
 
 def test_perm_closure_direct():

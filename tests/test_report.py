@@ -99,7 +99,7 @@ def _element_wise_families(ctx):
                 records.append(m.WitnessRecord(
                     case=case, group_name=G.name, p=p,
                     inputs={"g": G.labels[g], "c": G.labels[c]},
-                    units=(w.to_text(),), checks={"unitary": True}))
+                    units=(w.to_text(),)))
     return tallies, records
 
 
@@ -496,7 +496,7 @@ def test_cli_witness_case3(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["records"]
-    assert all(r["checks"]["subgroup_non_nilpotent"] for r in doc["records"])
+    assert all(r["checks"]["subgroup_is_D2p"] for r in doc["records"])
 
 
 def test_cli_witness_no_applicable_inputs(capsys):

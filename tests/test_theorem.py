@@ -164,7 +164,7 @@ def test_witness_char2_guards():
 def test_witness_dihedral_s3xc3():
     rec = m.witness_dihedral(F3_S3xC3, INVOLUTIONS[0], INVOLUTIONS[1], CENTRALS[0])
     assert rec.passed
-    assert rec.checks["subgroup_non_nilpotent"]
+    assert rec.checks == {"subgroup_is_D2p": True}
     assert rec.case == 3
 
 
@@ -192,12 +192,11 @@ def _dihedral_triples(G, p):
 
 
 def _dihedral_oracle(ctx, w, a):
-    """The subgroup checks of witness_dihedral, on the closure of {w, a} and
-    its Cayley table."""
+    """The facts that witness_dihedral's one check stands for, on the closure
+    of {w, a} and its Cayley table."""
     sub = m.closure_subgroup([w, ctx.embed(a)])
     abstract = m.as_abstract_group(sub)
     return {
-        "witness_unitary": True,
         "subgroup_order_even": len(sub) % 2 == 0,
         "subgroup_order_2p_with_p_gt_1": len(sub) == 2 * ctx.p,
         "subgroup_non_abelian": not abstract.is_abelian(),
@@ -217,7 +216,11 @@ def test_witness_dihedral_relations_match_the_closure(specs, p, count):
         for a, b, c in _dihedral_triples(A.group, p):
             rec = m.witness_dihedral(A, a, b, c)
             w = m.witness_skew(A, int(A.group.mul[a, b]), c)
-            assert rec.checks == _dihedral_oracle(A, w, a), (spec, a, b, c)
+            assert list(rec.checks) == ["subgroup_is_D2p"]
+            facts = _dihedral_oracle(A, w, a)
+            assert len(facts) == 4
+            for fact, held in facts.items():
+                assert held == rec.checks["subgroup_is_D2p"], (spec, a, b, c, fact)
             assert rec.passed
             checked += 1
     assert checked == count

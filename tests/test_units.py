@@ -322,6 +322,14 @@ def test_unit_group_rejects_non_closed_set():
             m.as_abstract_group(U)
 
 
+def test_unit_group_refuses_a_set_without_one():
+    # so no unit group is empty, and positions_of needs no empty case
+    A = alg("catalog:C,3", 3)
+    for rows in (np.zeros((0, 3), dtype=np.int8), A.embed(1).coeffs[None, :]):
+        with pytest.raises(ValueError, match="does not contain 1"):
+            un.UnitGroup(A, rows)
+
+
 def test_verify_closure_on_catalog_unit_groups():
     # the exhaustive table check passes on V and V* of every default-catalog
     # entry with |V| <= 1536, and on every witness_dihedral closure
