@@ -80,12 +80,18 @@ class GroupAlgebra:
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, self._one_vec.copy())
 
+    def _element_indices(self, gs) -> np.ndarray:
+        """gs as a flat int64 array of element indices; raises ValueError
+        unless each lies in [0, |G|)."""
+        gs = np.asarray(gs, dtype=np.int64).reshape(-1)
+        if not ((0 <= gs) & (gs < self.dim)).all():
+            raise ValueError(f"element indices {gs.tolist()} out of range")
+        return gs
+
     def embed(self, g: int) -> "AlgebraElement":
         """The basis element for one group element."""
-        if not 0 <= g < self.dim:
-            raise ValueError(f"element index {g} out of range")
         vec = np.zeros(self.dim, dtype=np.int64)
-        vec[g] = 1
+        vec[self._element_indices(g)] = 1
         return AlgebraElement(self, vec)
 
     def hat(self, c: int) -> "AlgebraElement":
@@ -95,8 +101,7 @@ class GroupAlgebra:
         which is what the witness constructions rely on.  Raises ValueError
         for an index c outside [0, |G|), as embed does.
         """
-        if not 0 <= c < self.dim:
-            raise ValueError(f"element index {c} out of range")
+        c = int(self._element_indices(c)[0])
         if gr.element_order(self.group, c) != self.p:
             raise OrderMismatch(
                 f"hat needs an element of order {self.p}, "

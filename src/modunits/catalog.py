@@ -25,8 +25,6 @@ from .groups import FiniteGroup
 DEFAULT_ORDER_CAP = 64
 MAX_PERM_POINT = 4096  # checked before a permutation of that degree is built
 
-_FIXED_CATALOG = {"Q8": 8, "S3": 6, "S4": 24, "A4": 12}
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -293,48 +291,45 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
     return FiniteGroup(name or f"{A.name}x{B.name}", mul, identity=ident, labels=labels)
 
 
-def _spec_order_bound(spec: GroupSpec) -> int | None:
-    """Exact order when it is known without generating."""
-    if spec.kind == "catalog":
-        if spec.name == "C":
-            return spec.param
-        if spec.name == "D":
-            return 2 * spec.param
-        return _FIXED_CATALOG[spec.name]
-    if spec.kind == "prod":
-        lo = _spec_order_bound(spec.factors[0])
-        hi = _spec_order_bound(spec.factors[1])
-        if lo is not None and hi is not None:
-            return lo * hi
-    return None
+# fixed catalog name -> (order, constructor); build_group checks the order
+# against its cap before it calls the constructor
+_FIXED_CATALOG = {
+    "Q8": (8, quaternion8),
+    "S3": (6, lambda: symmetric(3)),
+    "S4": (24, lambda: symmetric(4)),
+    "A4": (12, lambda: alternating(4)),
+}
 
 
 def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Materialize the Cayley-table group a spec describes; order must stay <= cap."""
-    known = _spec_order_bound(spec)
-    if known is not None and known > cap:
-        raise ClosureExceedsCap(f"{spec_to_text(spec)} has order {known} > cap {cap}")
-    if spec.kind == "catalog":
-        if spec.name == "C":
-            return cyclic(spec.param)
-        if spec.name == "D":
-            return dihedral(spec.param)
-        if spec.name == "Q8":
-            return quaternion8()
-        if spec.name == "S3":
-            return symmetric(3)
-        if spec.name == "S4":
-            return symmetric(4)
-        if spec.name == "A4":
-            return alternating(4)
-        raise InvalidSpec(f"unknown catalog name {spec.name!r}")
+    """Materialize the Cayley-table group a spec describes.
+
+    Each node of the spec is checked against cap once, before its table is
+    built: a permutation group during its closure, a catalog group by its
+    known order, and a product by the orders of its two built factors.  So
+    every group it builds, each factor of a product included, has order at
+    most cap; raises ClosureExceedsCap otherwise, and InvalidSpec for an
+    unknown catalog name or spec kind.
+    """
     if spec.kind == "perm":
         return perm_closure(spec.generators, cap)
-    if spec.kind == "prod":
-        left = build_group(spec.factors[0], cap)
-        right = build_group(spec.factors[1], cap)
-        return direct_product(left, right)
-    raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
+    if spec.kind == "catalog":
+        if spec.name == "C":
+            order, construct = spec.param, lambda: cyclic(spec.param)
+        elif spec.name == "D":
+            order, construct = 2 * spec.param, lambda: dihedral(spec.param)
+        elif spec.name in _FIXED_CATALOG:
+            order, construct = _FIXED_CATALOG[spec.name]
+        else:
+            raise InvalidSpec(f"unknown catalog name {spec.name!r}")
+    elif spec.kind == "prod":
+        left, right = (build_group(factor, cap) for factor in spec.factors)
+        order, construct = left.order * right.order, lambda: direct_product(left, right)
+    else:
+        raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
+    if order > cap:
+        raise ClosureExceedsCap(f"{spec_to_text(spec)} has order {order} > cap {cap}")
+    return construct()
 
 
 # display name -> spec text; chosen to exercise every branch of the theorem check

@@ -333,13 +333,18 @@ def nilpotency_class(G: GroupLike) -> int | None:
     return None
 
 
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n >= 1, as gcd(n, p^b) with
+    b = n.bit_length(): p^b > n, so p^b is a power of p at least that large.
+    n is a power of p (1 included) exactly when p_part(n, p) == n."""
+    return math.gcd(n, p ** n.bit_length())
+
+
 def is_p_group(H: GroupLike, p: int) -> bool:
-    """True iff the order is a power of p (order 1 counts)."""
+    """True iff the order is a power of p (order 1 counts), that is, its own
+    p_part."""
     _require_prime(p)
-    n = H.order
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return p_part(H.order, p) == H.order
 
 
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
@@ -347,9 +352,11 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
 
     The normal closure of x is a normal subgroup, so it is a p-group exactly
     when it lies in O_p(G); the qualifying elements therefore form O_p(G).
+    Only x with x^q = 1, q = p_part(|G|, p), have p-power order, so the
+    closure is taken of those alone.
     """
     _require_prime(p)
-    q = math.gcd(G.order, p ** G.order.bit_length())  # x^q = 1 iff x has p-power order
+    q = p_part(G.order, p)
     return Subgroup(G, tuple(x for x in G.elements() if G.power(x, q) == G.identity
                              and is_p_group(normal_closure(G, x), p)))
 

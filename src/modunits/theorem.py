@@ -129,15 +129,8 @@ def group_criterion(G: gr.FiniteGroup, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # witness constructions
 
-def _element_indices(ctx: GroupAlgebra, gs) -> np.ndarray:
-    gs = np.asarray(gs, dtype=np.int64).reshape(-1)
-    if not ((0 <= gs) & (gs < ctx.dim)).all():
-        raise ValueError(f"element indices {gs.tolist()} out of range")
-    return gs
-
-
 def _element_index(ctx: GroupAlgebra, g) -> int:
-    return int(_element_indices(ctx, g)[0])
+    return int(ctx._element_indices(g)[0])
 
 
 def _require_central_of_order_p(ctx: GroupAlgebra, c: int) -> int:
@@ -168,7 +161,7 @@ def skew_witnesses(ctx: GroupAlgebra, gs, c: int) -> np.ndarray:
     A column degenerates to 1 where g is its own inverse.
     """
     c = _require_central_of_order_p(ctx, c)
-    e = np.eye(ctx.dim, dtype=np.int64)[:, _element_indices(ctx, gs)]
+    e = np.eye(ctx.dim, dtype=np.int64)[:, ctx._element_indices(gs)]
     return _unitary_family(ctx, e - e[ctx.group.inv], c, "skew")
 
 
@@ -191,7 +184,7 @@ def char2_witnesses(ctx: GroupAlgebra, gs, c: int) -> np.ndarray:
         raise PreconditionViolated("c must be central")
     if gr.element_order(G, c) != 2:
         raise PreconditionViolated("c must have order 2")
-    gs = _element_indices(ctx, gs)
+    gs = ctx._element_indices(gs)
     if not np.isin(G.mul[gs, gs], (G.identity, c)).all():
         raise PreconditionViolated("g^2 must lie in <c>")
     return _unitary_family(ctx, np.eye(ctx.dim, dtype=np.int64)[:, gs], c, "char-2")
@@ -205,9 +198,12 @@ def witness_char2(ctx: GroupAlgebra, g: int, c: int) -> AlgebraElement:
 def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord:
     """A non-nilpotent unitary subgroup from two non-commuting involutions.
 
-    Builds w = 1 + ((ab) - (ab)^-1) * hat(c) and checks the defining
-    relations of D_2p = <r, s | r^p, s^2, (sr)^2> on r = w, s = a: w^p = 1
-    and (a w)^2 = 1, with a^2 = 1 given.  So <w, a> is a quotient of D_2p.
+    Builds w = 1 + ((ab) - (ab)^-1) * hat(c).  For involutions a and b,
+    (ab)^2 = 1 exactly when ab = b^-1 a^-1 = ba, so a and b that do not
+    commute give ab of order > 2 with no check of its own: ab != (ab)^-1.
+    It checks the defining relations of D_2p = <r, s | r^p, s^2, (sr)^2>
+    on r = w, s = a: w^p = 1 and (a w)^2 = 1, with a^2 = 1 given.  So
+    <w, a> is a quotient of D_2p.
     For odd p the normal subgroups of D_2p are 1, C_p and D_2p, and w != 1
     rules out the last two, so <w, a> is D_2p: of order 2p, non-abelian and
     not nilpotent.  The record's one check, subgroup_is_D2p, is True exactly
@@ -219,7 +215,7 @@ def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord
     p = ctx.p
     if p <= 2:
         raise PreconditionViolated("p must be odd")
-    a, b, c = (int(x) for x in _element_indices(ctx, [a, b, c]))
+    a, b, c = (int(x) for x in ctx._element_indices([a, b, c]))
     if gr.element_order(G, a) != 2:
         raise PreconditionViolated("a must have order 2")
     if gr.element_order(G, b) != 2:
@@ -227,8 +223,6 @@ def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord
     if gr.commutator(G, a, b) == G.identity:
         raise PreconditionViolated("a and b must not commute")
     ab = int(G.mul[a, b])
-    if gr.element_order(G, ab) <= 2:
-        raise PreconditionViolated("ab must have order > 2")
     w = witness_skew(ctx, ab, c)  # checks centrality and |c| = p
     w_p = w.coeffs
     for _ in range(p - 1):
@@ -250,12 +244,6 @@ def witness_dihedral(ctx: GroupAlgebra, a: int, b: int, c: int) -> WitnessRecord
 # ---------------------------------------------------------------------------
 # the commutator expansion identity
 
-def _is_p_power(k: int, p: int) -> bool:
-    while k % p == 0:
-        k //= p
-    return k == 1
-
-
 def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) -> bool:
     """Check the closed form of the iterated commutator of 1+(g-g^-1)hat(c) with h.
 
@@ -276,6 +264,8 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
     """
     G = ctx.group
     p = ctx.p
+    if n < 1:
+        raise PreconditionViolated(f"n must be >= 1, got {n}")
     h = _element_index(ctx, h)
     z = witness_skew(ctx, g, c).coeffs
     conj = G.mul[G.mul[h], G.inv[h]]  # conj[k] = h k h^-1
@@ -292,7 +282,7 @@ def verify_engel_expansion(ctx: GroupAlgebra, g: int, h: int, c: int, n: int) ->
     d = basis[:, m[m[G.inv[hj], g], hj]] - basis[:, m[m[G.inv[hj], G.inv[g]], hj]]
     binomials = np.array([[(-1) ** (k + j) * math.comb(k, j) % p for j in range(n + 1)]
                           for k in range(1, n + 1)], dtype=np.int64).reshape(n, n + 1)
-    ks = [k for k in range(1, n + 1) if _is_p_power(k, p)]
+    ks = [k for k in range(1, n + 1) if gr.p_part(k, p) == k]
     sums = np.hstack([d @ binomials.T, d[:, ks] - d[:, :1]])  # general, then collapsed
     steps = list(range(n)) + [k - 1 for k in ks]
     forms = (ctx.one().coeffs[:, None] + ctx.multiply(ctx.hat(c).coeffs[:, None], sums)) % p

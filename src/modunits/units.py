@@ -174,10 +174,12 @@ def _codes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _decode(codes: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The rows in int_dtype(p - 1) whose codes are ``codes``, one digit at a
-    time from the least significant, _CHUNK rows at a time.  numpy
-    vectorises floor division by a scalar but not the remainder, so the
-    digit is x - (x // p) * p."""
+    """The rows in int_dtype(p - 1) whose codes are ``codes``: column 0 holds
+    the most significant base-p digit, so the rows of [p^j, 2p^j) are the
+    vectors whose first nonzero coordinate, in column n-1-j, is 1, one per
+    scalar class (unit_blocks).  One digit at a time from the least
+    significant, _CHUNK rows at a time; numpy vectorises floor division by
+    a scalar but not the remainder, so the digit is x - (x // p) * p."""
     out = np.empty((len(codes), n), dtype=int_dtype(p - 1))
     for lo in range(0, len(codes), _CHUNK):
         x = codes[lo:lo + _CHUNK]
@@ -190,11 +192,6 @@ def _decode(codes: np.ndarray, n: int, p: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-def _digits(idx: np.ndarray, p: int, d: int) -> np.ndarray:
-    """The d base-p digits of each index, least significant first."""
-    return mod_p(idx[:, None] // p ** np.arange(d, dtype=np.int64), p)
-
 
 @dataclass(frozen=True)
 class UnitBlock:
@@ -226,8 +223,9 @@ def unit_blocks(algebra: GroupAlgebra, cap: int | None = None) -> list[UnitBlock
 
     x is a unit exactly when lambda*x is, for every lambda in F_p^*, so the
     elimination runs on one coordinate vector per scalar class: the one
-    whose most significant nonzero digit is 1, an index in the union over j
-    of [p^j, 2p^j).  Each unit c @ rows among them gives its p - 1 multiples.
+    whose first nonzero coordinate is 1, decoded (_decode) from an index in
+    the union over j of [p^j, 2p^j).  Each unit c @ rows among them gives
+    its p - 1 multiples.
     The zero vector gives 1 - f, a zero divisor since f != 0, so never a
     unit.  Raises BudgetExceeded (carrying the required count) when
     sum_B p^dim(B) > cap, before any elimination.
@@ -259,7 +257,7 @@ def _units_of_block(algebra: GroupAlgebra, f: np.ndarray, rows: np.ndarray) -> n
     reps = np.concatenate([np.arange(p ** j, 2 * p ** j, dtype=np.int64) for j in range(d)])
     parts = []
     for lo in range(0, reps.size, _CHUNK):
-        x = _digits(reps[lo:lo + _CHUNK], p, d) @ rows % p
+        x = _decode(reps[lo:lo + _CHUNK], d, p) @ rows % p
         mats = ((x + complement) % p).astype(work_dtype(p))[:, algebra.div]
         x = x[batch_invertible_mask(mats, p)]
         parts.extend((lam * x % p).astype(int_dtype(p - 1)) for lam in range(1, p))
@@ -329,8 +327,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     d_step = min(n_free, _CHUNK)
     i_step = max(1, _CHUNK // d_step)
     for d_lo in range(0, n_free, d_step):
-        digits = _digits(np.arange(d_lo, min(d_lo + d_step, n_free), dtype=np.int64),
-                         p, free.size)
+        digits = _decode(np.arange(d_lo, min(d_lo + d_step, n_free)), free.size, p)
         free_codes = digits @ weights[free]
         sums = digits @ in_coset  # S: the sum of the free digits in each coset
         for i_lo in range(0, n_image, i_step):

@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modunits as m
-from modunits.catalog import _perm_table_group, perm_closure, spec_to_text
+from modunits.catalog import GroupSpec, _perm_table_group, perm_closure, spec_to_text
 from modunits.errors import ClosureExceedsCap, InvalidSpec
 
 
@@ -109,6 +110,51 @@ def test_order_cap_enforced():
     with pytest.raises(ClosureExceedsCap):
         build("prod:catalog:S4|catalog:C,3")  # order 72
     build("prod:catalog:S4|catalog:C,3", cap=128)
+
+
+def test_order_cap_covers_a_product_with_a_perm_factor():
+    # S3 x C3 has 18 elements; only the product node can tell
+    with pytest.raises(ClosureExceedsCap, match="has order 18 > cap 16"):
+        build("prod:perm:(1 2 3);(1 2)|catalog:C,3", cap=16)
+    with pytest.raises(ClosureExceedsCap, match="has order 300 > cap 64"):
+        build("prod:perm:(1 2 3 4 5);(1 2 3)|catalog:C,5")  # A5 x C5
+    assert build("prod:perm:(1 2 3);(1 2)|catalog:C,3", cap=18).order == 18
+
+
+def test_hand_built_unknown_catalog_name_is_an_invalid_spec():
+    with pytest.raises(InvalidSpec, match="unknown catalog name 'X'"):
+        m.build_group(GroupSpec("catalog", name="X"))
+
+
+_CATALOG_TEXTS = (st.sampled_from(["Q8", "S3", "S4", "A4"])
+                  | st.builds("{}{}{}".format, st.sampled_from("CD"), st.sampled_from([",", ""]),
+                              st.integers(1, 40))).map("catalog:{}".format)
+_CYCLE = st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True).map(
+    lambda pts: "(" + " ".join(map(str, pts)) + ")")
+_PERM_TEXTS = st.lists(st.lists(_CYCLE, min_size=1, max_size=2).map("".join),
+                       min_size=1, max_size=3).map(lambda gens: "perm:" + ";".join(gens))
+_SPEC_TEXTS = st.recursive(_CATALOG_TEXTS | _PERM_TEXTS,
+                           lambda inner: st.tuples(inner, inner).map("prod:{0[0]}|{0[1]}".format),
+                           max_leaves=4)
+
+
+def _order(spec):
+    """The order of the group a spec describes, by its leaves, with no cap."""
+    if spec.kind == "prod":
+        return _order(spec.factors[0]) * _order(spec.factors[1])
+    return m.build_group(spec, cap=120).order  # at most S5 or D40
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SPEC_TEXTS, st.integers(1, 64))
+def test_build_group_keeps_every_accepted_spec_under_its_cap(text, cap):
+    spec = m.parse_group_spec(text)
+    order = _order(spec)
+    if order > cap:
+        with pytest.raises(ClosureExceedsCap):
+            m.build_group(spec, cap)
+    else:
+        assert m.build_group(spec, cap).order == order
 
 
 def test_perm_closure_cap():

@@ -330,6 +330,16 @@ def test_is_p_group():
     assert m.is_p_group(m.subgroup_generated(S3, [S3.identity]), 5)
 
 
+def test_p_part_agrees_with_the_division_loop():
+    for p in (2, 3, 5, 7, 11):
+        for n in range(1, 5001):
+            k, part = n, 1
+            while k % p == 0:
+                k, part = k // p, part * p
+            assert gr.p_part(n, p) == part, (n, p)
+            assert (gr.p_part(n, p) == n) == (k == 1), (n, p)
+
+
 def test_is_p_group_rejects_composite():
     with pytest.raises(NotPrime):
         m.is_p_group(GROUPS["C4"], 4)

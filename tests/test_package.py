@@ -1,6 +1,8 @@
-"""Package hygiene: no dangling export and no orphaned private helper."""
+"""Package hygiene: no dangling export, no orphaned private helper, and a README
+Layout block that names every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import modunits as m
@@ -50,3 +52,11 @@ def test_every_private_module_name_is_used_outside_its_definition():
                        for node in _mentions(other_tree, name, other == module)):
                 unused.append(f"{module}:{name}")
     assert not unused
+
+
+def test_readme_layout_names_every_module():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^  (\w+\.py)\b", block, flags=re.MULTILINE))
+    modules = {path.name for path in SRC.glob("*.py")} - {"__init__.py"}
+    assert listed == modules

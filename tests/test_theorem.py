@@ -327,16 +327,29 @@ def test_engel_expansion_solves_no_linear_system(monkeypatch, spec, p):
                                      ("prod:catalog:D,4|catalog:C,2", 2), ("catalog:C,6", 3),
                                      ("catalog:D,4", 2), ("catalog:Q8", 2)])
 def test_engel_expansion_holds_at_every_orbit_length(spec, p):
-    # n = 0 checks nothing; at n = 70, C(70, 35) is past int64, so each
-    # binomial must be reduced mod p before it enters an array
+    # at n = 70, C(70, 35) is past int64, so each binomial must be reduced
+    # mod p before it enters an array
     A = alg(spec, p)
     cents = m.central_order_p_elements(A.group, p)
     rng = np.random.default_rng(17)
     for _ in range(3):
         g, h = (int(x) for x in rng.integers(0, A.group.order, size=2))
         c = cents[int(rng.integers(0, len(cents)))]
-        for n in (0, 1, 16, 70):
+        for n in (1, 16, 70):
             assert m.verify_engel_expansion(A, g, h, c, n) is True, (g, h, c, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_engel_expansion_refuses_n_below_one_before_any_product(n, monkeypatch):
+    # n = 0 would compare no orbit state and pass vacuously, n = -1 would
+    # reach numpy as a negative array dimension
+    def refuse(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(m.GroupAlgebra, "multiply", refuse)
+    c = CENTRALS[0]
+    with pytest.raises(PreconditionViolated, match="n must be >= 1"):
+        m.verify_engel_expansion(F3_S3xC3, 1, 2, c, n)
 
 
 @pytest.mark.parametrize("spec,p", [("prod:catalog:A4|catalog:C,2", 2),
@@ -384,6 +397,12 @@ def test_engel_expansion_fails_on_a_corrupted_orbit_state(monkeypatch, bad_step)
 # ---------------------------------------------------------------------------
 # centralizer powers
 
+def _is_p_power(k, p):
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
 def _reference_centralizer_power_property(G, p):
     """The definition, pair by pair: some h^(p^s), s <= log_p|G|, centralizes
     g, and (g, h) has p-power order, for every non-commuting g, h."""
@@ -398,7 +417,7 @@ def _reference_centralizer_power_property(G, p):
             k = m.commutator(G, g, h)
             if k == G.identity:
                 continue
-            if not th._is_p_power(m.element_order(G, k), p):
+            if not _is_p_power(m.element_order(G, k), p):
                 return False
             t = h
             for _ in range(s_max + 1):

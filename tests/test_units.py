@@ -75,7 +75,8 @@ def test_enumeration_is_deterministic_across_runs_and_chunk_sizes(monkeypatch):
 def _candidate_vectors(p, n, identity, lo, hi):
     """Aug-1 candidates lo..hi: free digits on non-identity slots, identity fixed."""
     vec = np.zeros((hi - lo, n), dtype=np.int64)
-    vec[:, np.arange(n) != identity] = un._digits(np.arange(lo, hi, dtype=np.int64), p, n - 1)
+    idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+    vec[:, np.arange(n) != identity] = idx // p ** np.arange(n - 1, dtype=np.int64) % p
     vec[:, identity] = (1 - vec.sum(axis=1)) % p
     return vec
 
