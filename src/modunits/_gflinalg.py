@@ -1,8 +1,8 @@
 """Dense exact linear algebra over the prime field GF(p).
 
-One reduced row-echelon routine, which also solves linear systems, plus a
-batched elimination that decides invertibility for many small matrices at
-once (the unit-enumeration hot path).
+One reduced row-echelon routine, plus a batched elimination that decides
+invertibility for many small matrices at once (the unit-enumeration hot
+path).
 
 Each kernel runs in the narrowest integer type that holds every value it can
 form (int_dtype), and reduces its input mod p before narrowing it, so no
@@ -76,21 +76,6 @@ def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         pivots.append(col)
         row += 1
     return R[:row].astype(np.int64), np.array(pivots, dtype=np.int64)
-
-
-def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
-    """Solve mat @ x = rhs over GF(p); None if inconsistent.
-
-    When the matrix is rank-deficient but the system is consistent, one
-    solution is returned (free variables set to zero).
-    """
-    n = mat.shape[1]
-    rows, pivots = row_reduce(np.column_stack([mat, rhs]), p)
-    if pivots.size and pivots[-1] == n:  # a pivot in rhs: some row reads 0 = 1
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    x[pivots] = rows[:, n]
-    return x
 
 
 def mod_p(x: np.ndarray, p: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import int_dtype, mod_p, residues, solve_mod_p
+from ._gflinalg import int_dtype, mod_p, residues, row_reduce
 from .errors import (AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, OrderMismatch,
                      ShapeMismatch)
 
@@ -257,15 +257,14 @@ class AlgebraElement:
         return self.coeffs[self.algebra.div]
 
     def try_inverse(self) -> "AlgebraElement | None":
-        """Two-sided inverse, or None when the element is not a unit."""
+        """Two-sided inverse, or None for a non-unit: the last column of [regular_matrix | 1]
+        row-reduced over GF(p), when its pivots are 0..n-1 (x y = 1 solvable makes x a unit)."""
         alg = self.algebra
-        sol = solve_mod_p(self.regular_matrix(), alg._one_vec, alg.p)
-        if sol is None:
+        rows, pivots = row_reduce(np.column_stack([self.regular_matrix(), alg._one_vec]), alg.p)
+        if pivots.tolist() != list(range(alg.dim)):
             return None
-        b = AlgebraElement(alg, sol % alg.p)
-        if not (self * b).is_one() or not (b * self).is_one():  # defensive recheck
-            return None
-        return b
+        b = AlgebraElement(alg, np.ascontiguousarray(rows[:, -1]))
+        return b if (self * b).is_one() and (b * self).is_one() else None  # defensive recheck
 
     def is_unitary(self) -> bool:
         """Augmentation 1 and involution * self = 1."""

@@ -154,13 +154,16 @@ def spec_to_text(spec: GroupSpec) -> str:
             return f"catalog:{spec.name},{spec.param}"
         return f"catalog:{spec.name}"
     if spec.kind == "perm":
+        _check_permutations(spec.generators)
         return "perm:" + ";".join(_perm_to_cycles(g) for g in spec.generators)
     if spec.kind == "prod":
         return "prod:" + spec_to_text(spec.factors[0]) + "|" + spec_to_text(spec.factors[1])
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
-def _perm_to_cycles(perm: tuple[int, ...]) -> str:
+def _perm_to_cycles(perm: tuple[int, ...], points=None) -> str:
+    """perm in cycle notation, point i printed as points[i] + 1 (default i + 1)."""
+    points = range(len(perm)) if points is None else points
     seen = set()
     parts = []
     for start in range(len(perm)):
@@ -173,7 +176,7 @@ def _perm_to_cycles(perm: tuple[int, ...]) -> str:
             cyc.append(nxt)
             seen.add(nxt)
             nxt = perm[nxt]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
+        parts.append("(" + " ".join(str(points[x] + 1) for x in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -231,7 +234,9 @@ def _compose(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x[y[i]] for i in range(len(x)))
 
 
-def _perm_table_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
+def _perm_table_group(name: str, perms: list[tuple[int, ...]], points=None) -> FiniteGroup:
+    """The table of perms, the identity first and the rest in sorted order;
+    labels name point i as points[i] (_perm_to_cycles)."""
     deg = len(perms[0])
     ident = tuple(range(deg))
     ordered = [ident] + sorted(p for p in perms if p != ident)
@@ -241,7 +246,7 @@ def _perm_table_group(name: str, perms: list[tuple[int, ...]]) -> FiniteGroup:
     for i, a in enumerate(ordered):
         for j, b in enumerate(ordered):
             mul[i, j] = index[_compose(a, b)]
-    labels = [_perm_to_cycles(p) for p in ordered]
+    labels = [_perm_to_cycles(p, points) for p in ordered]
     return FiniteGroup(name, mul, identity=0, labels=labels)
 
 
@@ -259,16 +264,43 @@ def alternating(n: int) -> FiniteGroup:
     return perm_closure(gens, max(1, math.factorial(n) // 2), f"A{n}")
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_permutations(generators: tuple[tuple[int, ...], ...]) -> None:
+    """Raises InvalidSpec unless generators are one or more tuples of integers,
+    each a permutation of 0..deg-1 for one common deg."""
+    if not generators:
+        raise InvalidSpec("a permutation group needs at least one generator")
+    for g in generators:
+        if not (isinstance(g, tuple) and all(_is_int(i) for i in g)
+                and sorted(g) == list(range(len(generators[0])))):
+            raise InvalidSpec(f"generators must be permutations of one degree, got {g!r}")
+
+
 def perm_closure(generators: tuple[tuple[int, ...], ...], cap: int, name: str = "") -> FiniteGroup:
-    """Breadth-first closure of permutation generators."""
-    deg = len(generators[0])
-    ident = tuple(range(deg))
+    """Breadth-first closure of permutation generators, on the points they move.
+
+    Every element fixes the other points, so the sorted order of the full
+    permutations is that of their restrictions to the moved points, and the
+    table is the same; the labels print the original point numbers.  Raises
+    InvalidSpec, before any closure, unless the generators are permutations
+    of one common degree (_check_permutations), and ClosureExceedsCap once
+    the closure passes cap elements.
+    """
+    _check_permutations(generators)
+    moved = [i for i in range(len(generators[0])) if any(g[i] != i for g in generators)]
+    local = {pt: k for k, pt in enumerate(moved)}
+    gens = [tuple(local[g[pt]] for pt in moved) for g in generators]
+    ident = tuple(range(len(moved)))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in generators:
+            for g in gens:
                 y = _compose(x, g)
                 if y not in seen:
                     seen.add(y)
@@ -277,7 +309,7 @@ def perm_closure(generators: tuple[tuple[int, ...], ...], cap: int, name: str = 
                             f"generated order exceeds cap {cap}")
                     nxt.append(y)
         frontier = nxt
-    return _perm_table_group(name or f"perm<{len(seen)}>", list(seen))
+    return _perm_table_group(name or f"perm<{len(seen)}>", list(seen), moved)
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
@@ -308,21 +340,32 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     built: a permutation group during its closure, a catalog group by its
     known order, and a product by the orders of its two built factors.  So
     every group it builds, each factor of a product included, has order at
-    most cap; raises ClosureExceedsCap otherwise, and InvalidSpec for an
-    unknown catalog name or spec kind.
+    most cap; raises ClosureExceedsCap otherwise.  A hand-built spec is
+    checked in the fields its kind reads, before any table: InvalidSpec for
+    an unknown spec kind or catalog name, a C or D parameter that is not an
+    integer >= 1 (a bool is refused), a parameter on a fixed name, a product
+    without exactly two GroupSpec factors, and generators that are not
+    permutations of one common degree (perm_closure).
     """
     if spec.kind == "perm":
         return perm_closure(spec.generators, cap)
     if spec.kind == "catalog":
-        if spec.name == "C":
-            order, construct = spec.param, lambda: cyclic(spec.param)
+        n = spec.param
+        if spec.name in ("C", "D") and not (_is_int(n) and n >= 1):
+            raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
+        if spec.name in _FIXED_CATALOG and n is not None:
+            raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
+        if spec.name == "C":  # int(n): a numpy 2 * n could wrap below the cap
+            order, construct = int(n), lambda: cyclic(n)
         elif spec.name == "D":
-            order, construct = 2 * spec.param, lambda: dihedral(spec.param)
+            order, construct = 2 * int(n), lambda: dihedral(n)
         elif spec.name in _FIXED_CATALOG:
             order, construct = _FIXED_CATALOG[spec.name]
         else:
             raise InvalidSpec(f"unknown catalog name {spec.name!r}")
     elif spec.kind == "prod":
+        if len(spec.factors) != 2 or not all(isinstance(f, GroupSpec) for f in spec.factors):
+            raise InvalidSpec(f"a product takes two GroupSpec factors, got {spec.factors!r}")
         left, right = (build_group(factor, cap) for factor in spec.factors)
         order, construct = left.order * right.order, lambda: direct_product(left, right)
     else:

@@ -362,9 +362,11 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
 
         |V| = p^(|G| - |Q|) * prod_B |N_B|.
 
-    Each block idempotent is fixed by the involution, so sum_B x_B is
-    unitary exactly when x_B* x_B = f_B in every block: V*(FQ) is the
-    product of the unitary members N*_B of the N_B.  The map is a *-map
+    Each block idempotent f_B is central and fixed by the involution, and
+    x_B = x_B f_B, so (x_B + 1 - f_B)* (x_B + 1 - f_B) = x_B* x_B + 1 - f_B:
+    sum_B x_B is unitary exactly when x_B* x_B = f_B in every block, that is
+    when each x_B + 1 - f_B is unitary.  V*(FQ) is the product of the
+    unitary members N*_B of the N_B.  The map is a *-map
     and, p being odd, the Cayley transform x -> (1 + x)(1 - x)^-1 puts the
     unitary units of 1 + I in bijection with the skew elements of I, of
     dimension k(G) - k(Q) (_skew_dim), and unitary units lift through I, so
@@ -374,8 +376,8 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
     At p = 2 the Cayley transform is not defined, but where O_2(G) = 1,
     Q = G and I = 0, so both laws hold with their powers of p equal to 1.
 
-    N*_B is counted on the units of all blocks together, with one product
-    per _CHUNK of them.  Raises BudgetExceeded when sum_B p^dim(B) > cap,
+    N*_B is counted on the units x_B + 1 - f_B of all blocks in one pass of
+    _unitary_rows.  Raises BudgetExceeded when sum_B p^dim(B) > cap,
     before any elimination, and PreconditionViolated at p = 2 when
     O_2(G) != 1, where |V*| has no such law.
     """
@@ -384,30 +386,27 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
     if p == 2 and core.order > 1:
         raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
     Q = QA.group
-    x = np.concatenate([u for _, u in blocks])
+    shifted = np.concatenate([((u + (QA._one_vec - f)) % p).astype(u.dtype) for f, u in blocks])
     block_of = np.repeat(np.arange(len(blocks)), [len(u) for _, u in blocks])
-    idempotents = np.stack([f for f, _ in blocks], axis=1)  # group axis first
-    unitary = np.empty(len(x), dtype=bool)
-    for lo in range(0, len(x), _CHUNK):
-        cols = np.ascontiguousarray(x[lo:lo + _CHUNK].T)
-        prod = QA.multiply(cols[Q.inv], cols)
-        unitary[lo:lo + _CHUNK] = (prod == idempotents[:, block_of[lo:lo + _CHUNK]]).all(axis=0)
-    n_unitary = np.bincount(block_of[unitary], minlength=len(blocks))
+    n_unitary = np.bincount(block_of[_unitary_rows(QA, shifted)], minlength=len(blocks))
     v_order = p ** (G.order - Q.order) * math.prod(len(u) for _, u in blocks)
     vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary))
     return v_order, vstar_order
 
 
+def _unitary_rows(algebra: GroupAlgebra, rows: np.ndarray) -> np.ndarray:
+    """algebra.unitary_mask of each row of rows, tested in blocks of _CHUNK
+    rows, which bounds the temporaries."""
+    mask = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), _CHUNK):
+        mask[lo:lo + _CHUNK] = algebra.unitary_mask(np.ascontiguousarray(rows[lo:lo + _CHUNK].T))
+    return mask
+
+
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
-    """The members with u* u = 1, a subgroup of V.  Members of V are normalized,
-    so augmentation needs no test.  Rows are tested in blocks of _CHUNK, which
-    bounds the temporaries.  ``seed`` is unused."""
-    alg = V.algebra
-    mask = np.empty(len(V), dtype=bool)
-    for lo in range(0, len(V), _CHUNK):
-        block = np.ascontiguousarray(V.vectors[lo:lo + _CHUNK].T)  # group axis first
-        mask[lo:lo + _CHUNK] = alg.unitary_mask(block)
-    return UnitGroup(alg, V.vectors[mask])
+    """The members with u* u = 1 (_unitary_rows), a subgroup of V.  Members of V
+    are normalized, so augmentation needs no test.  ``seed`` is unused."""
+    return UnitGroup(V.algebra, V.vectors[_unitary_rows(V.algebra, V.vectors)])
 
 
 def closure_subgroup(units: Iterable[AlgebraElement],

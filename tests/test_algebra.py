@@ -369,12 +369,11 @@ def test_row_reduce_is_a_reduced_echelon_basis_of_the_row_space(p):
 
 
 def test_gflinalg_reduces_before_it_narrows():
-    from modunits._gflinalg import batch_invertible_mask, row_reduce, solve_mod_p
+    from modunits._gflinalg import batch_invertible_mask, row_reduce
 
     zero = np.array([[2**31 + 1]])  # 0 mod 3, but not once cast to int32
     assert batch_invertible_mask(zero[None], 3).tolist() == [False]
     assert row_reduce(zero, 3)[1].size == 0
-    assert solve_mod_p(zero, np.array([1]), 3) is None
 
 
 def test_residues_keeps_an_in_range_input_narrow_and_reduces_negative_entries():
@@ -445,7 +444,7 @@ def test_multiply_refuses_a_shape_that_does_not_fit(a, b):
 
 @pytest.mark.parametrize("p", [3, 101])
 def test_gflinalg_ignores_multiples_of_p_in_its_input(p):
-    from modunits._gflinalg import batch_invertible_mask, row_reduce, solve_mod_p
+    from modunits._gflinalg import batch_invertible_mask, row_reduce
 
     rng = np.random.default_rng(p)
     mats = rng.integers(0, p, size=(64, 4, 4))
@@ -457,29 +456,9 @@ def test_gflinalg_ignores_multiples_of_p_in_its_input(p):
     mask = batch_invertible_mask(mats, p)
     assert 0 < mask.sum() < mask.size
     assert (batch_invertible_mask(raw, p) == mask).all()
-    rhs = rng.integers(0, p, size=4)
     for M, R in zip(mats[:8], raw[:8]):
         for got, want in zip(row_reduce(R, p), row_reduce(M, p)):
             assert (got == want).all()
-        x, y = solve_mod_p(R, rhs - 3 * p, p), solve_mod_p(M, rhs, p)
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert (x == y).all()
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_solve_mod_p_finds_a_solution_exactly_when_one_exists(p):
-    from modunits._gflinalg import solve_mod_p
-
-    rng = np.random.default_rng(10 + p)
-    for _ in range(40):
-        mat = rng.integers(0, p, size=(3, 3)) * rng.integers(0, 2, size=(1, 3))
-        rhs = rng.integers(0, p, size=3)
-        x = solve_mod_p(mat, rhs, p)
-        solvable = tuple(rhs) in _span(mat.T, p)
-        assert (x is not None) == solvable
-        if x is not None:
-            assert ((mat @ x - rhs) % p == 0).all()
 
 
 def test_try_inverse_matches_exhaustive_search_tiny():
@@ -493,6 +472,23 @@ def test_try_inverse_matches_exhaustive_search_tiny():
                 assert hits == []
             else:
                 assert hits == [inv]
+
+
+@pytest.mark.parametrize("spec,p", [("catalog:S3", 101), ("catalog:C,6", 65521),
+                                    ("catalog:Q8", 10007)])
+def test_try_inverse_at_large_primes_is_two_sided_and_agrees_with_the_mask(spec, p):
+    # row_reduce works in int16, int64 and int32 here; x(1 - g) is a zero divisor
+    A = alg(spec, p)
+    rng = np.random.default_rng(p)
+    xs = [A.random_element(rng) for _ in range(24)]
+    xs += [x * (A.one() - A.embed(g)) for x, g in zip(xs[:8], itertools.cycle(range(1, A.dim)))]
+    mask = _gf.batch_invertible_mask(np.stack([x.regular_matrix() for x in xs]), p)
+    assert 0 < mask.sum() < mask.size
+    for x, is_unit in zip(xs, mask):
+        inv = x.try_inverse()
+        assert (inv is not None) == is_unit
+        if inv is not None:
+            assert (x * inv).is_one() and (inv * x).is_one()
 
 
 def test_unit_group_is_closed_under_inverse_and_star():

@@ -1,11 +1,14 @@
 """Spec-grammar tests: parsing, canonical printing, construction caps."""
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import modunits as m
+from modunits import catalog as cat
 from modunits.catalog import GroupSpec, _perm_table_group, perm_closure, spec_to_text
 from modunits.errors import ClosureExceedsCap, InvalidSpec
 
@@ -124,6 +127,57 @@ def test_order_cap_covers_a_product_with_a_perm_factor():
 def test_hand_built_unknown_catalog_name_is_an_invalid_spec():
     with pytest.raises(InvalidSpec, match="unknown catalog name 'X'"):
         m.build_group(GroupSpec("catalog", name="X"))
+
+
+_C2 = GroupSpec("catalog", name="C", param=2)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("catalog", name="C"),
+    GroupSpec("catalog", name="D", param=-2),
+    GroupSpec("catalog", name="C", param=0),
+    GroupSpec("catalog", name="C", param=2.5),
+    GroupSpec("catalog", name="C", param=True),
+    GroupSpec("catalog", name="Q8", param=3),
+    GroupSpec("prod", factors=(_C2,)),
+    GroupSpec("prod", factors=(_C2, _C2, _C2)),
+    GroupSpec("prod", factors=(_C2, "catalog:C,2")),
+    GroupSpec("perm"),
+    GroupSpec("perm", generators=((1, 0), (0, 1, 2))),
+    GroupSpec("perm", generators=((0, 0),)),  # looped forever in _perm_to_cycles
+    GroupSpec("perm", generators=((1.0, 0.0),)),
+], ids=["C-no-param", "D-negative", "C-zero", "C-float", "C-bool", "Q8-param", "prod-one",
+        "prod-three", "prod-text-factor", "perm-none", "perm-unequal-degrees",
+        "perm-not-bijective", "perm-float-points"])
+def test_hand_built_spec_with_a_bad_field_is_an_invalid_spec(spec, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cat, "FiniteGroup", no_table)
+    with pytest.raises(InvalidSpec):
+        m.build_group(spec)
+    if spec.kind == "perm":
+        with pytest.raises(InvalidSpec):
+            perm_closure(spec.generators, cap=64)
+        with pytest.raises(InvalidSpec):
+            spec_to_text(spec)
+
+
+def test_hand_built_spec_takes_numpy_integers():
+    assert m.build_group(GroupSpec("catalog", name="D", param=np.int64(3))).order == 6
+    assert m.build_group(GroupSpec("perm", generators=(tuple(np.array([1, 2, 0])),))).order == 3
+    with pytest.raises(ClosureExceedsCap):  # 2 * n wraps in int64
+        m.build_group(GroupSpec("catalog", name="D", param=np.int64(2**62)))
+
+
+def test_a_permutation_group_is_built_on_its_moved_points():
+    # the closure runs on the 64 moved points, not on tuples of 4096 points
+    low = build("perm:(" + " ".join(map(str, range(1, 65))) + ")")
+    high = build("perm:(" + " ".join(map(str, range(4033, 4097))) + ")")
+    assert (low.mul == high.mul).all() and low.identity == high.identity
+    shifted = [re.sub(r"\d+", lambda pt: str(int(pt.group()) + 4032), label)
+               for label in low.labels]
+    assert list(high.labels) == shifted and high.labels != low.labels
 
 
 _CATALOG_TEXTS = (st.sampled_from(["Q8", "S3", "S4", "A4"])

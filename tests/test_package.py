@@ -1,5 +1,5 @@
-"""Package hygiene: no dangling export, no orphaned private helper, and a README
-Layout block that names every module."""
+"""Package hygiene: no dangling export, no orphaned private helper or GF(p)
+kernel, and a README Layout block that names every module."""
 
 import ast
 import re
@@ -52,6 +52,19 @@ def test_every_private_module_name_is_used_outside_its_definition():
                        for node in _mentions(other_tree, name, other == module)):
                 unused.append(f"{module}:{name}")
     assert not unused
+
+
+def test_every_gflinalg_kernel_is_used_in_another_module():
+    # the private module's unprefixed functions are kernels for the rest of
+    # the package, so one that loses its last caller there is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    kernels = [stmt.name for stmt in trees.pop("_gflinalg.py").body
+               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    unused = [name for name in kernels
+              if not any(isinstance(node, ast.Name) and node.id == name
+                         or isinstance(node, ast.Attribute) and node.attr == name
+                         for tree in trees.values() for node in ast.walk(tree))]
+    assert kernels and not unused
 
 
 def test_readme_layout_names_every_module():

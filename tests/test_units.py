@@ -509,6 +509,14 @@ def test_filter_unitary_row_blocks_do_not_change_result(monkeypatch):
     assert len(whole) == 192
 
 
+@pytest.mark.parametrize("spec,p,orders", [("catalog:S3", 5, (1920, 24)),
+                                            ("catalog:A4", 3, (101088, 144))])
+def test_unit_orders_row_blocks_do_not_change_result(monkeypatch, spec, p, orders):
+    # unit_orders and filter_unitary share one chunked unitarity loop
+    monkeypatch.setattr(un, "_CHUNK", 7)
+    assert un.unit_orders(alg(spec, p)) == orders
+
+
 def test_filter_unitary_f3s3_is_embedded_group_only():
     # S3 has no central element of order 3, so no skew witnesses exist and
     # the unitary subgroup collapses to the embedded group elements
