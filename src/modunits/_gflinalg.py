@@ -1,12 +1,12 @@
 """Dense exact linear algebra over the prime field GF(p).
 
-One reduced row-echelon routine, plus a batched elimination that decides
-invertibility for many small matrices at once (the unit-enumeration hot
-path).
+One reduced row-echelon routine, plus one batched elimination, batch_solve,
+that decides invertibility for many small matrices at once (the hot path of
+unit enumeration) and solves them for given right-hand sides (inverses).
 
-Each kernel runs in the narrowest integer type that holds every value it can
-form (int_dtype), and reduces its input mod p before narrowing it, so no
-entry wraps.
+Each elimination runs in the narrowest integer type that holds every value
+it can form (int_dtype), after reducing its input mod p, so no entry wraps;
+back-substitution, whose sums are longer, runs in int64.
 """
 
 from __future__ import annotations
@@ -106,11 +106,17 @@ def _inverses_mod_p(x: np.ndarray, p: int) -> np.ndarray:
 
 def batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     """Invertibility over GF(p) of a stack of matrices, shape (N, n, n) -> (N,) bool."""
-    N = mats.shape[0]
-    if N == 0:
-        return np.zeros(0, dtype=bool)
-    n = mats.shape[1]
+    return batch_solve(mats, p)[0]
+
+
+def batch_solve(mats: np.ndarray, p: int, rhs: np.ndarray | None = None):
+    """batch_invertible_mask and, for rhs broadcast to (N, n), the int64 solutions
+    y of mats[k] @ y = rhs[k] where the mask holds (else None): rhs is column n of
+    the forward elimination; back-substitution sums to n (p-1)^2, so runs in int64."""
+    N, n = mats.shape[:2]
     R = residues(mats, p, work_dtype(p))
+    if rhs is not None:
+        R = np.concatenate([R, residues(np.broadcast_to(rhs, (N, n)), p, R.dtype)[:, :, None]], 2)
     alive = np.ones(N, dtype=bool)
     ar = np.arange(N)
     for col in range(n):
@@ -126,4 +132,9 @@ def batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
         if below.size:
             R[:, col + 1:, col:] = mod_p(R[:, col + 1:, col:]
                                         - below[:, :, None] * R[:, col, None, col:], p)
-    return alive
+    if rhs is None:
+        return alive, None
+    y = R[:, :, n].astype(np.int64)  # where alive, R[:, :, :n] is unit upper triangular
+    for row in range(n - 2, -1, -1):
+        y[:, row] = (y[:, row] - np.einsum("kj,kj->k", R[:, row, row + 1:n], y[:, row + 1:])) % p
+    return alive, y

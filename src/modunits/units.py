@@ -27,11 +27,11 @@ nilpotent and not abelian: G is a subgroup of V* and V, so an abelian G
 makes them abelian, and a non-Engel pair of G's own table proves them
 non-nilpotent.  All three move through U by batched products, each checked
 to be a member, with independent batches fused into one _products call;
-inverses are powers, except that the series takes those of its commutators
-from the same products.  closure_subgroup closes generators under products
-alone (u^-1 is a power of u), one breadth-first level per multiply, with
-its members kept as sorted codes; as_abstract_group turns a unit set into
-a Cayley-table group, so that ``groups`` can check them.
+inverses solve x y = 1 in one batched elimination (_inverses), except that
+the series takes those of its commutators from the same products.
+closure_subgroup closes generators under products alone (u^-1 is a power of
+u), one breadth-first level per multiply, with its members kept as sorted
+codes; as_abstract_group turns a unit set into a Cayley-table group.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -47,8 +47,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import groups as gr
-from ._gflinalg import (batch_invertible_mask, int_dtype, integer_array, mod_p, residues,
-                        row_reduce, work_dtype)
+from ._gflinalg import (batch_invertible_mask, batch_solve, int_dtype, integer_array, mod_p,
+                        residues, row_reduce, work_dtype)
 from .algebra import AlgebraElement, GroupAlgebra
 from .errors import (BudgetExceeded, ContextMismatch, EngelInconclusive, NotAUnit,
                      PreconditionViolated)
@@ -218,17 +218,17 @@ def unit_blocks(algebra: GroupAlgebra, cap: int | None = None) -> list[UnitBlock
     closures generate the same Boolean algebra; its atoms, the nonzero
     products of e_K or 1 - e_K, are orthogonal, central and sum to 1, and FQ
     is the direct sum of the blocks FQ*f.  A unit of FQ is a sum of units of
-    the blocks, and x is a unit of FQ*f exactly when x + (1 - f) is a unit of
-    FQ, which batch_invertible_mask decides on the regular matrices.
+    the blocks, and x is a unit of FQ*f exactly when v -> x*v is invertible
+    on FQ*f.  f = f*, so f[_ldiv] (row g is g*f) is symmetric, and its rows
+    h*f, h in its pivots P, are a basis of FQ*f; as x*h*f = x*h, the map reads
+    M[i, j] = x[P_i P_j^-1] in the coordinates v[P] (batch_invertible_mask).
 
     x is a unit exactly when lambda*x is, for every lambda in F_p^*, so the
     elimination runs on one coordinate vector per scalar class: the one
     whose first nonzero coordinate is 1, decoded (_decode) from an index in
     the union over j of [p^j, 2p^j).  Each unit c @ rows among them gives
-    its p - 1 multiples.
-    The zero vector gives 1 - f, a zero divisor since f != 0, so never a
-    unit.  Raises BudgetExceeded (carrying the required count) when
-    sum_B p^dim(B) > cap, before any elimination.
+    its p - 1 multiples.  Raises BudgetExceeded (carrying the required
+    count) when sum_B p^dim(B) > cap, before any elimination.
     """
     Q, p = algebra.group, algebra.p
     closures = {K.members for K in (gr.normal_closure(Q, x) for x in Q.elements())
@@ -245,22 +245,22 @@ def unit_blocks(algebra: GroupAlgebra, cap: int | None = None) -> list[UnitBlock
     if cap is not None and required > cap:
         raise BudgetExceeded(
             f"block units need {required} coordinate vectors, cap is {cap}", required)
-    return [UnitBlock(f, rows, pivots, _units_of_block(algebra, f, rows))
+    return [UnitBlock(f, rows, pivots, _units_of_block(algebra, rows, pivots))
             for f, rows, pivots in bases]
 
 
-def _units_of_block(algebra: GroupAlgebra, f: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """UnitBlock.units of the block FQ*f with basis rows, from one
-    elimination per scalar class of coordinate vectors (see unit_blocks)."""
+def _units_of_block(algebra: GroupAlgebra, rows: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """UnitBlock.units of the block with basis rows and pivots: one elimination per
+    scalar class of coordinate vectors (see unit_blocks), lambda-major multiples."""
     p, d = algebra.p, rows.shape[0]
-    complement = (algebra._one_vec - f) % p
     reps = np.concatenate([np.arange(p ** j, 2 * p ** j, dtype=np.int64) for j in range(d)])
+    on_block = algebra.div[np.ix_(pivots, pivots)]  # M[i, j] = x[P_i P_j^-1]
+    lam = np.arange(1, p, dtype=work_dtype(p))[:, None, None]
     parts = []
     for lo in range(0, reps.size, _CHUNK):
-        x = _decode(reps[lo:lo + _CHUNK], d, p) @ rows % p
-        mats = ((x + complement) % p).astype(work_dtype(p))[:, algebra.div]
-        x = x[batch_invertible_mask(mats, p)]
-        parts.extend((lam * x % p).astype(int_dtype(p - 1)) for lam in range(1, p))
+        x = (_decode(reps[lo:lo + _CHUNK], d, p) @ rows % p).astype(int_dtype(p - 1))
+        x = x[batch_invertible_mask(x[:, on_block], p)]
+        parts.append(mod_p(lam * x, p).astype(int_dtype(p - 1)).reshape(-1, x.shape[1]))
     return np.concatenate(parts)
 
 
@@ -486,18 +486,18 @@ def _fused_products(U: UnitGroup, *pairs: tuple[np.ndarray, np.ndarray]) -> list
 
 
 def _inverses(U: UnitGroup, a: np.ndarray) -> np.ndarray:
-    """Positions of the inverses, as x^(|U|-1): x^|U| = 1 by Lagrange.
-    Square-and-multiply takes one _products call per bit of |U| - 1, with
-    acc * base and base * base in the same call."""
-    acc = np.full(len(a), U.one_position, dtype=np.int64)
-    base, k = np.asarray(a, dtype=np.int64), len(U) - 1
-    while k > 1:
-        if k & 1:
-            acc, base = _fused_products(U, (acc, base), (base, base))
-        else:
-            base = _products(U, base, base)
-        k >>= 1
-    return _products(U, acc, base) if k else acc
+    """Positions of the inverses of the members at int64 positions a: x y = 1 is
+    regular_matrix(x) @ y = 1, solved by batch_solve on _CHUNK // |G| members at
+    a time.  Raises ValueError when a matrix is singular or y is not a member."""
+    A = U.algebra
+    out = np.empty(a.shape, dtype=np.int64)
+    step = max(1, _CHUNK // A.dim)
+    for lo in range(0, a.size, step):
+        mask, y = batch_solve(U.vectors[a[lo:lo + step]][:, A.div], A.p, A._one_vec)
+        out[lo:lo + step] = pos = U.positions_of(y)
+        if not mask.all() or (pos < 0).any():
+            raise ValueError("unit set not closed under inverses")
+    return out
 
 
 class _Closure:
@@ -656,8 +656,7 @@ def non_engel_scan(U: UnitGroup) -> tuple[AlgebraElement, AlgebraElement] | None
     nontrivial.
 
     A finite Engel group is nilpotent (Zorn), so on a non-nilpotent U the
-    scan always returns a pair.  The inverses come from one table of
-    x^(|U|-1) over U.
+    scan always returns a pair.
     """
     m = len(U)
     inv = _inverses(U, np.arange(m))
@@ -674,8 +673,8 @@ def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0
     """Seeded random search for a pair witnessing non-nilpotency.
 
     Draws ``budget`` pairs (x, y) uniformly from U and returns the first whose
-    Engel orbit never reaches 1, with inverses x^(|U|-1); each drawn pair is
-    decided exactly.  None means that no drawn pair is non-Engel; it is not
+    Engel orbit never reaches 1, with inverses from _inverses; each drawn pair
+    is decided exactly.  None means that no drawn pair is non-Engel; it is not
     a proof that every pair is Engel.
     """
     rng = random.Random(seed)

@@ -461,6 +461,25 @@ def test_gflinalg_ignores_multiples_of_p_in_its_input(p):
             assert (got == want).all()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def test_batch_solve_agrees_with_row_reduce(p):
+    # half of each stack is singular: its last row is a combination of two others
+    rng = np.random.default_rng(p)
+    for n in (1, 2, 5, 9):
+        mats = rng.integers(0, p, size=(60, n, n))
+        if n > 1:
+            mats[::2, -1] = (3 * mats[::2, 0] + mats[::2, -2]) % p
+        rhs = rng.integers(0, p, size=(60, n))
+        mask, y = _gf.batch_solve(mats, p, rhs)
+        assert mask.tolist() == [_gf.row_reduce(M, p)[1].size == n for M in mats]
+        assert (_gf.batch_invertible_mask(mats, p) == mask).all()
+        assert _gf.batch_solve(mats, p)[1] is None
+        assert y.dtype == np.int64 and ((0 <= y) & (y < p)).all()
+        solved = np.einsum("kij,kj->ki", mats.astype(object), y.astype(object)) % p
+        assert (solved[mask] == rhs[mask]).all()
+        assert 0 < mask.sum() < mask.size or n == 1
+
+
 def test_try_inverse_matches_exhaustive_search_tiny():
     for algebra in (F2C2, alg("catalog:C,2", 3), F3C3):
         n = algebra.dim

@@ -164,6 +164,28 @@ def test_block_masks_match_try_inverse(spec, p):
 
 
 @pytest.mark.parametrize("spec,p", [
+    ("catalog:S3", 5), ("catalog:A4", 3), ("catalog:D,5", 2), ("catalog:Q8", 7),
+    ("prod:catalog:S3|catalog:C,3", 2)])
+def test_block_units_are_read_on_the_pivot_rows(spec, p):
+    # unit_blocks tests x on the basis h*f, h in the pivots, of the block: f
+    # is self-adjoint, so f[_ldiv] is symmetric and those rows are independent
+    from modunits._gflinalg import row_reduce
+
+    QA, blocks = _quotient_blocks(spec, p)
+    for b in blocks:
+        f, d = b.idempotent, b.pivots.size
+        assert (f[QA.group.inv] == f).all()
+        assert (f[QA._ldiv] == f[QA._ldiv].T).all()
+        assert row_reduce(f[QA._ldiv][b.pivots], p)[1].size == d
+        # one elimination of (p^d - 1)/(p - 1) class representatives: the
+        # multiples of its units by lambda = 1..p-1, lambda-major
+        assert (p ** d - 1) // (p - 1) <= un._CHUNK
+        units = b.units.astype(np.int64).reshape(p - 1, -1, QA.dim)
+        lam = np.arange(1, p)[:, None, None]
+        assert (units == lam * units[0] % p).all()
+
+
+@pytest.mark.parametrize("spec,p", [
     (spec, p) for _, spec in m.DEFAULT_CATALOG for p in (2, 3, 5)])
 def test_only_the_principal_block_has_units_of_augmentation_one(spec, p):
     # aug is a ring map onto F_p, so aug(f) is 0 or 1 and aug(x) = aug(x) aug(f)
@@ -782,19 +804,52 @@ def test_batched_search_runs_in_blocks(monkeypatch):
     assert m.non_engel_scan(S3) == _scan_non_engel(_table("catalog:S3", 2, "V"), S3)
 
 
-@pytest.mark.parametrize("spec,p,order_less_one", [
-    ("catalog:C,3", 3, 0b1000), ("catalog:D,4", 2, 0b1111111), ("catalog:S3", 3, 0b10100001)])
-def test_inverses_are_exact_with_one_product_call_per_bit(monkeypatch, spec, p, order_less_one):
+def _inverses_by_powers(U, a):
+    """Oracle for un._inverses: x^(|U|-1), since x^|U| = 1 by Lagrange, by
+    square-and-multiply with one _products call per bit of |U| - 1."""
+    acc = np.full(len(a), U.one_position, dtype=np.int64)
+    base, k = np.asarray(a, dtype=np.int64), len(U) - 1
+    while k > 1:
+        if k & 1:
+            acc, base = un._fused_products(U, (acc, base), (base, base))
+        else:
+            base = un._products(U, base, base)
+        k >>= 1
+    return un._products(U, acc, base) if k else acc
+
+
+@pytest.mark.parametrize("spec,p", [("catalog:C,3", 3), ("catalog:D,4", 2), ("catalog:S3", 3)])
+def test_inverses_are_exact_with_no_product_call(monkeypatch, spec, p):
     U = _unit_group(spec, p, "V")
-    assert len(U) - 1 == order_less_one
     calls = []
     products = un._products
     monkeypatch.setattr(un, "_products", lambda *args: calls.append(1) or products(*args))
     inv = un._inverses(U, np.arange(len(U)))
-    assert len(calls) <= order_less_one.bit_length()
+    assert not calls
     members = U.vectors.T.astype(np.int64)  # group axis first, for multiply
     assert (U.algebra.multiply(members, members[:, inv])
             == U.algebra._one_vec[:, None]).all()
+
+
+@pytest.mark.parametrize("spec,p,which", [
+    (spec, p, which) for spec, p in (("catalog:D,8", 2), ("catalog:Q8", 3), ("catalog:A4", 2))
+    for which in ("V", "V*")] + [("catalog:C,2", 100003, "V")])
+def test_inverses_match_powers(monkeypatch, spec, p, which):
+    U = _unit_group(spec, p, which)
+    a = np.random.default_rng(len(U)).permutation(len(U))[:3000]
+    a = np.concatenate([a, a[:50]])  # and some positions twice
+    monkeypatch.setattr(un, "_CHUNK", 1024)  # several solves on every group here
+    assert un._inverses(U, a).tolist() == _inverses_by_powers(U, a).tolist()
+    assert un._inverses(U, np.array([], dtype=np.int64)).size == 0
+
+
+@pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]],   # g^2, the inverse of g, is missing
+                                  [[1, 0, 0], [0, 0, 0]]],  # 0 is no unit: a singular matrix
+                         ids=["missing", "singular"])
+def test_inverses_refuse_a_set_not_closed_under_inverses(rows):
+    U = un.UnitGroup(alg("catalog:C,3", 3), np.array(rows))
+    with pytest.raises(ValueError, match="not closed under inverses"):
+        un._inverses(U, np.arange(len(U)))
 
 
 # positions in V of the pairs that the seeded search returns with the default
