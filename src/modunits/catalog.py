@@ -3,12 +3,13 @@
 Grammar (used by the CLI and config files):
 
     catalog:<NAME>[,<param>]     e.g. catalog:C,6  catalog:D,4  catalog:Q8  catalog:S3
-    perm:<cycles>;<cycles>;...   e.g. perm:(1 2);(1 2 3)    points 1..4096
+    perm:<cycles>;<cycles>;...   e.g. perm:(1 2);(1 2 3)
     prod:<spec>|<spec>           e.g. prod:catalog:S3|catalog:C,3
 
 Catalog names: C,n (cyclic), D,n (dihedral of order 2n), Q8, S3, S4, A4.
 Fused forms like catalog:C2 or catalog:D6 are accepted and normalize to the
-comma form.
+comma form.  Every integer, a cycle point or a parameter, is ASCII digits
+from 1 to 4096, and products nest at most 64 deep.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import ClosureExceedsCap, InvalidSpec
 from .groups import FiniteGroup
 
 DEFAULT_ORDER_CAP = 64
-MAX_PERM_POINT = 4096  # checked before a permutation of that degree is built
+MAX_PERM_POINT = 4096  # the largest spec integer; a cycle point is read before it is built
+MAX_PROD_DEPTH = 64  # the deepest nesting of products, so recursion stays shallow
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,19 @@ class GroupSpec:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+def _read_int(text: str, position: int, what: str) -> int:
+    """text as an integer from 1 to MAX_PERM_POINT; raises InvalidSpec at position
+    unless text is ASCII digits in that range."""
+    if not (text.isascii() and text.isdigit()):
+        raise InvalidSpec(f"bad {what} {text!r}", position)
+    digits = text.lstrip("0")  # length first: int() refuses 4300+ digits
+    if not digits:
+        raise InvalidSpec(f"{what} must be >= 1", position)
+    if len(digits) > len(str(MAX_PERM_POINT)) or int(digits) > MAX_PERM_POINT:
+        raise InvalidSpec(f"{what} above {MAX_PERM_POINT}", position)
+    return int(digits)
+
 
 def _parse_cycles(text: str, offset: int) -> tuple[int, ...]:
     """One generator: a product of cycles like (1 2)(3 4), applied left to right."""
@@ -56,18 +71,8 @@ def _parse_cycles(text: str, offset: int) -> tuple[int, ...]:
         if j < 0:
             raise InvalidSpec("unclosed cycle", offset + i)
         body = text[i + 1:j].strip()
-        points = []
-        if body:
-            for tok in re.split(r"[,\s]+", body):
-                if not (tok.isascii() and tok.isdigit()):
-                    raise InvalidSpec(f"bad cycle point {tok!r}", offset + i)
-                digits = tok.lstrip("0") or "0"  # length first: int() refuses 4300+ digits
-                if len(digits) > len(str(MAX_PERM_POINT)) or int(digits) > MAX_PERM_POINT:
-                    raise InvalidSpec(f"cycle point above {MAX_PERM_POINT}", offset + i)
-                pt = int(digits)
-                if pt < 1:
-                    raise InvalidSpec("cycle points are 1-based", offset + i)
-                points.append(pt - 1)
+        points = [_read_int(tok, offset + i, "cycle point") - 1
+                  for tok in re.split(r"[,\s]+", body)] if body else []
         if len(set(points)) != len(points):
             raise InvalidSpec("repeated point in cycle", offset + i)
         cycles.append(points)
@@ -82,68 +87,61 @@ def _parse_cycles(text: str, offset: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _pad(perm: tuple[int, ...], deg: int) -> tuple[int, ...]:
-    return perm + tuple(range(len(perm), deg))
+def parse_group_spec(text: str) -> GroupSpec:
+    """Parse a spec string in one left-to-right pass; raises InvalidSpec with
+    position and reason.
+
+    prod: takes exactly two operands and no leaf holds a '|', so a leaf runs
+    to the next '|' or the end, the parse is unique, and each leaf is parsed
+    once (_parse_leaf).  A prod: nested in MAX_PROD_DEPTH others is refused.
+    """
+    spec, end = _parse_node(text, 0, 0)
+    if end < len(text):
+        raise InvalidSpec("'|' outside a product", end)
+    return spec
 
 
-def parse_group_spec(text: str, _offset: int = 0) -> GroupSpec:
-    """Parse a spec string; raises InvalidSpec with position and reason."""
-    body = text.strip()
-    offset = _offset + (len(text) - len(text.lstrip()))
+def _parse_node(text: str, pos: int, depth: int) -> tuple[GroupSpec, int]:
+    """The spec at pos, inside depth products, and the position after it."""
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    if not text.startswith("prod:", pos):
+        end = text.find("|", pos)
+        end = len(text) if end < 0 else end
+        return _parse_leaf(text[pos:end], pos), end
+    if depth == MAX_PROD_DEPTH:
+        raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep", pos)
+    left, pos = _parse_node(text, pos + 5, depth + 1)
+    if pos == len(text):
+        raise InvalidSpec("product needs '|' between two specs", pos)
+    right, pos = _parse_node(text, pos + 1, depth + 1)
+    return GroupSpec("prod", factors=(left, right)), pos
+
+
+def _parse_leaf(body: str, offset: int) -> GroupSpec:
+    """A catalog: or perm: spec, body, which starts at offset and holds no '|'."""
     if body.startswith("catalog:"):
-        rest = body[len("catalog:"):]
-        if not rest:
-            raise InvalidSpec("missing catalog name", offset + 8)
-        if "," in rest:
-            name, _, param_text = rest.partition(",")
-            name = name.strip()
-            if name not in ("C", "D"):
-                raise InvalidSpec(f"catalog family {name!r} takes no parameter"
-                                  if name in _FIXED_CATALOG else f"unknown catalog name {name!r}",
-                                  offset + 8)
-            if not param_text.strip().isdigit():
-                raise InvalidSpec(f"bad parameter {param_text.strip()!r}", offset + 9 + len(name))
-            param = int(param_text)
-            if param < 1:
-                raise InvalidSpec("parameter must be >= 1", offset + 9 + len(name))
-            return GroupSpec("catalog", name=name, param=param)
-        name = rest.strip()
-        if name in _FIXED_CATALOG:
-            return GroupSpec("catalog", name=name)
-        m = re.fullmatch(r"([CD])(\d+)", name)
-        if m:
-            param = int(m.group(2))
-            if param < 1:
-                raise InvalidSpec("parameter must be >= 1", offset + 9)
-            return GroupSpec("catalog", name=m.group(1), param=param)
-        raise InvalidSpec(f"unknown catalog name {name!r}", offset + 8)
+        name, comma, param = body[len("catalog:"):].partition(",")
+        name, param = name.strip(), param.strip()
+        if not comma and name not in _CATALOG and name[:1] in _CATALOG:  # fused, as C6
+            name, param = name[:1], name[1:]
+        if name not in _CATALOG:
+            raise InvalidSpec(f"unknown catalog name {name!r}", offset + 8)
+        if _CATALOG[name][0]:
+            return GroupSpec("catalog", name=name, param=_read_int(param, offset + 8, "parameter"))
+        if comma:
+            raise InvalidSpec(f"catalog family {name!r} takes no parameter", offset + 8)
+        return GroupSpec("catalog", name=name)
     if body.startswith("perm:"):
         rest = body[len("perm:"):]
         if not rest.strip():
             raise InvalidSpec("missing generators", offset + 5)
-        gens = []
-        pos = offset + 5
+        gens, pos = [], offset + 5
         for part in rest.split(";"):
             gens.append(_parse_cycles(part, pos))
             pos += len(part) + 1
         deg = max(len(g) for g in gens)
-        return GroupSpec("perm", generators=tuple(_pad(g, deg) for g in gens))
-    if body.startswith("prod:"):
-        rest = body[len("prod:"):]
-        base = offset + 5
-        errors = []
-        for i, ch in enumerate(rest):
-            if ch != "|":
-                continue
-            try:
-                left = parse_group_spec(rest[:i], base)
-                right = parse_group_spec(rest[i + 1:], base + i + 1)
-                return GroupSpec("prod", factors=(left, right))
-            except InvalidSpec as e:
-                errors.append(e)
-        if errors:
-            raise errors[-1]
-        raise InvalidSpec("product needs '|' between two specs", base)
+        return GroupSpec("perm", generators=tuple(g + tuple(range(len(g), deg)) for g in gens))
     raise InvalidSpec("spec must start with catalog:, perm: or prod:", offset)
 
 
@@ -323,17 +321,20 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
     return FiniteGroup(name or f"{A.name}x{B.name}", mul, identity=ident, labels=labels)
 
 
-# fixed catalog name -> (order, constructor); build_group checks the order
-# against its cap before it calls the constructor
-_FIXED_CATALOG = {
-    "Q8": (8, quaternion8),
-    "S3": (6, lambda: symmetric(3)),
-    "S4": (24, lambda: symmetric(4)),
-    "A4": (12, lambda: alternating(4)),
+# catalog name -> (whether it takes a parameter n, order(n), constructor(n));
+# parse_group_spec and build_group both read it, and build_group checks
+# order(n) against its cap before it calls the constructor
+_CATALOG = {
+    "C": (True, int, cyclic),
+    "D": (True, lambda n: 2 * int(n), dihedral),  # int(n): a numpy 2 * n could wrap
+    "Q8": (False, lambda n: 8, lambda n: quaternion8()),
+    "S3": (False, lambda n: 6, lambda n: symmetric(3)),
+    "S4": (False, lambda n: 24, lambda n: symmetric(4)),
+    "A4": (False, lambda n: 12, lambda n: alternating(4)),
 }
 
 
-def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP, _depth: int = 0) -> FiniteGroup:
     """Materialize the Cayley-table group a spec describes.
 
     Each node of the spec is checked against cap once, before its table is
@@ -345,28 +346,27 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     an unknown spec kind or catalog name, a C or D parameter that is not an
     integer >= 1 (a bool is refused), a parameter on a fixed name, a product
     without exactly two GroupSpec factors, and generators that are not
-    permutations of one common degree (perm_closure).
+    permutations of one common degree (perm_closure).  A product nested in
+    MAX_PROD_DEPTH others raises InvalidSpec before it builds a factor.
     """
     if spec.kind == "perm":
         return perm_closure(spec.generators, cap)
     if spec.kind == "catalog":
         n = spec.param
-        if spec.name in ("C", "D") and not (_is_int(n) and n >= 1):
-            raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
-        if spec.name in _FIXED_CATALOG and n is not None:
-            raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
-        if spec.name == "C":  # int(n): a numpy 2 * n could wrap below the cap
-            order, construct = int(n), lambda: cyclic(n)
-        elif spec.name == "D":
-            order, construct = 2 * int(n), lambda: dihedral(n)
-        elif spec.name in _FIXED_CATALOG:
-            order, construct = _FIXED_CATALOG[spec.name]
-        else:
+        if spec.name not in _CATALOG:
             raise InvalidSpec(f"unknown catalog name {spec.name!r}")
+        takes_param, order_of, construct_of = _CATALOG[spec.name]
+        if takes_param and not (_is_int(n) and n >= 1):
+            raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
+        if not takes_param and n is not None:
+            raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
+        order, construct = order_of(n), lambda: construct_of(n)
     elif spec.kind == "prod":
         if len(spec.factors) != 2 or not all(isinstance(f, GroupSpec) for f in spec.factors):
             raise InvalidSpec(f"a product takes two GroupSpec factors, got {spec.factors!r}")
-        left, right = (build_group(factor, cap) for factor in spec.factors)
+        if _depth == MAX_PROD_DEPTH:
+            raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep")
+        left, right = (build_group(factor, cap, _depth + 1) for factor in spec.factors)
         order, construct = left.order * right.order, lambda: direct_product(left, right)
     else:
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")

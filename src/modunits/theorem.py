@@ -66,12 +66,13 @@ class VStatus:
 class EquivalenceVerdict:
     """Fast criterion vs. brute force for one (group, prime) pair.
 
-    ``modular`` records whether p divides the group order.  The equivalence
-    is only asserted for modular algebras; on non-modular instances the
-    statuses are reported as observed but cannot contradict anything, so
-    ``consistent`` stays true there (the catalog keeps such entries as
-    negative tests: GF(3)[D4] has a nilpotent unitary subgroup even though
-    the criterion fails).
+    ``modular`` records whether p divides the group order.  ``consistent``
+    compares every decided status of V with the criterion, on every entry:
+    U(FG) is nilpotent exactly when G is nilpotent and G' is a p-group,
+    also when p does not divide |G| (Khripta 1972), where G' must then be 1,
+    since a non-commutative semisimple block holds a GL_n(F_q) with n >= 2.
+    V* is compared only on modular entries: GF(3)[D4] has a nilpotent
+    unitary subgroup even though the criterion fails.
 
     ``enumerated`` is True when the orders were counted on the enumerated V
     and V*, and False when they come from the block laws (unit_orders) or
@@ -399,13 +400,9 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
         with contextlib.suppress(BudgetExceeded):  # the orders stay unknown
             v_order, vstar_order = unit_orders(algebra, cap=budgets.enumeration_cap)
 
-    consistent = True
-    if algebra.is_modular:
-        for status in (v_status, vstar_status):
-            if status.skipped:
-                continue
-            if (status.kind == "nilpotent") != criterion:
-                consistent = False
+    compared = (v_status, vstar_status) if algebra.is_modular else (v_status,)
+    consistent = all(status.skipped or (status.kind == "nilpotent") == criterion
+                     for status in compared)
     return EquivalenceVerdict(
         group_name=G.name,
         spec_text=spec_text,

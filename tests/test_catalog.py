@@ -268,3 +268,74 @@ def test_default_catalog_builds():
     for name, text in m.DEFAULT_CATALOG:
         G = build(text)
         assert G.name == name
+
+
+@pytest.mark.parametrize("bad", [
+    "catalog:C,²",  # passes str.isdigit, refused by int()
+    pytest.param("catalog:C," + "9" * 5000, id="catalog:C,<5000 digits>"),
+    pytest.param("catalog:C" + "9" * 5000, id="catalog:C<5000 digits>"),
+    "catalog:D,٣",  # an Arabic-Indic 3, as perm:(1 ٣) is refused
+    "catalog:C٣",
+    "catalog:C,5000",  # above MAX_PERM_POINT, like a cycle point
+    "catalog:C 6",
+])
+def test_spec_integers_are_ascii_digits_up_to_the_point_bound(bad):
+    with pytest.raises(InvalidSpec):
+        m.parse_group_spec(bad)
+
+
+def test_catalog_parameters_read_like_cycle_points():
+    assert m.parse_group_spec("catalog:C,4096") == GroupSpec("catalog", name="C", param=4096)
+    assert m.parse_group_spec(" catalog: D, 007 ") == GroupSpec("catalog", name="D", param=7)
+    assert m.parse_group_spec("catalog:D0012") == GroupSpec("catalog", name="D", param=12)
+    with pytest.raises(InvalidSpec, match="parameter above 4096"):
+        m.parse_group_spec("catalog:C,4097")
+
+
+def _left_nested(depth, leaf="catalog:C,1"):
+    return "prod:" * depth + leaf + ("|" + leaf) * depth
+
+
+def test_parse_reads_each_leaf_once(monkeypatch):
+    # the failing leaf is the last of 41; a parser that tries every '|' as the
+    # split of each product makes on the order of 3^40 leaf parses here
+    calls = []
+    parse_leaf = cat._parse_leaf
+
+    def counted(body, offset):
+        calls.append(offset)
+        return parse_leaf(body, offset)
+
+    monkeypatch.setattr(cat, "_parse_leaf", counted)
+    with pytest.raises(InvalidSpec, match="must start with") as err:
+        m.parse_group_spec("prod:" * 40 + "catalog:C,2|" * 40 + "x")
+    assert err.value.position == 40 * len("prod:catalog:C,2|")
+    assert len(calls) == 41
+
+
+@pytest.mark.parametrize("nest", [
+    _left_nested,
+    lambda depth: "prod:catalog:C,1|" * depth + "catalog:C,1",
+], ids=["left", "right"])
+def test_products_nest_at_most_max_prod_depth(nest):
+    assert cat.MAX_PROD_DEPTH == 64
+    spec = m.parse_group_spec(nest(64))
+    assert m.build_group(spec).order == 1
+    with pytest.raises(InvalidSpec, match="nest more than 64 deep") as err:
+        m.parse_group_spec(nest(65))
+    assert err.value.position == 64 * nest(65).index("prod:", 1)
+
+
+def test_build_group_refuses_a_hand_built_product_past_max_prod_depth(monkeypatch):
+    spec = GroupSpec("catalog", name="C", param=1)
+    for _ in range(65):
+        spec = GroupSpec("prod", factors=(spec, GroupSpec("catalog", name="C", param=1)))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cat, "FiniteGroup", no_table)
+        with pytest.raises(InvalidSpec, match="nest more than 64 deep"):
+            m.build_group(spec)
+    assert m.build_group(spec.factors[0]).order == 1  # 64 deep

@@ -535,6 +535,38 @@ def test_cli_huge_perm_point_is_bad_input(capsys):
     assert captured.err == "error: cycle point above 4096 (at position 5)\n"
 
 
+_BAD_SPECS = {
+    "superscript-digit": "catalog:C,²",
+    "5000-digit-param": "catalog:C," + "9" * 5000,
+    "5000-digit-fused": "catalog:C" + "9" * 5000,
+    "arabic-indic-digit": "catalog:D,٣",
+    "failing-16-deep-product": "prod:" * 16 + "catalog:C,2|" * 16 + "x",
+    "2000-deep-product": "prod:catalog:C,1|" * 2000 + "catalog:C,1",
+}
+
+
+@pytest.mark.parametrize("spec", list(_BAD_SPECS.values()), ids=list(_BAD_SPECS))
+@pytest.mark.parametrize("command", ["verify", "enumerate-units"])
+def test_cli_bad_spec_is_one_error_line(capsys, command, spec):
+    rc = cli.main([command, "--spec", spec, "--p", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_config_entry_nested_past_the_bound_fails_only_that_entry(tmp_path, capsys):
+    deep = "prod:catalog:C,1|" * 700 + "catalog:C,1"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"spec = {deep}\nspec = catalog:C,2\nprimes = 2\n")
+    rc = cli.main(["catalog", "--config", str(cfg)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1  # the failed entry counts against the run
+    first, second = doc["verdicts"]
+    assert first["v"]["reason"].startswith("entry failed: products nest more than 64 deep")
+    assert second["consistent"] and second["v"]["status"] == "nilpotent"
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--workers", "2"],
     ["verify", "--spec", "catalog:S3", "--p", "2", "--workers", "2"],

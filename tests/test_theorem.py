@@ -739,3 +739,15 @@ def test_verify_equivalence_nonmodular_negative_case():
     assert v.vstar_status.kind == "nilpotent"
     assert v.vstar_order == 64 and v.vstar_status.nilpotency_class == 2
     assert v.consistent  # outside the theorem's hypotheses
+
+
+def test_consistency_compares_v_with_the_criterion_on_non_modular_entries(monkeypatch):
+    # D4@3 is non-modular and its V is not nilpotent, as the criterion says
+    # (Khripta); a V forced nilpotent makes the verdict inconsistent, while
+    # V*, which is nilpotent against the criterion, is compared only when modular
+    assert m.verify_equivalence(group("catalog:D,4"), 3).consistent
+    monkeypatch.setattr(th, "_nilpotency_status",
+                        lambda U, budgets: VStatus("nilpotent", nilpotency_class=2))
+    v = m.verify_equivalence(group("catalog:D,4"), 3)
+    assert not v.modular and not v.criterion and v.v_status.kind == "nilpotent"
+    assert not v.consistent

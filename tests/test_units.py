@@ -5,7 +5,9 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -399,6 +401,33 @@ def test_enumeration_at_large_primes():
     assert len(m.enumerate_units(alg("catalog:C,2", 100003))) == 100002
     V = m.enumerate_units(alg("catalog:C,1", 1000003))
     assert len(V) == 1 and V.element(0).is_one()
+
+
+def _lines_run_in(fn, call):
+    """How many line events call() runs in frames of fn, its comprehensions included."""
+    codes = {fn.__code__} | {c for c in fn.__code__.co_consts if isinstance(c, types.CodeType)}
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_block_units_take_as_many_steps_at_every_prime():
+    # the p - 1 multiples of a block unit come from one broadcast over lambda,
+    # so the work in Python lines does not grow with p (a clock-free guard)
+    counts = [_lines_run_in(un._units_of_block, lambda: un.unit_blocks(alg("catalog:C,2", p)))
+              for p in (3, 101, 100003)]
+    assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
 # SHA-256 of the int64 rows of V and of V*
