@@ -146,7 +146,13 @@ def _parse_leaf(body: str, offset: int) -> GroupSpec:
 
 
 def spec_to_text(spec: GroupSpec) -> str:
-    """Canonical printer; parse_group_spec round-trips through it."""
+    """Canonical printer; parse_group_spec round-trips through it.  A product
+    nested in MAX_PROD_DEPTH others raises InvalidSpec, as in build_group."""
+    return _spec_text(spec, 0)
+
+
+def _spec_text(spec: GroupSpec, depth: int) -> str:
+    """spec_to_text of spec, which is nested in depth products."""
     if spec.kind == "catalog":
         if spec.param is not None:
             return f"catalog:{spec.name},{spec.param}"
@@ -155,7 +161,10 @@ def spec_to_text(spec: GroupSpec) -> str:
         _check_permutations(spec.generators)
         return "perm:" + ";".join(_perm_to_cycles(g) for g in spec.generators)
     if spec.kind == "prod":
-        return "prod:" + spec_to_text(spec.factors[0]) + "|" + spec_to_text(spec.factors[1])
+        if depth == MAX_PROD_DEPTH:
+            raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep")
+        left, right = spec.factors[0], spec.factors[1]
+        return f"prod:{_spec_text(left, depth + 1)}|{_spec_text(right, depth + 1)}"
     raise ValueError(f"unknown spec kind {spec.kind!r}")
 
 
@@ -334,7 +343,7 @@ _CATALOG = {
 }
 
 
-def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP, _depth: int = 0) -> FiniteGroup:
+def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Materialize the Cayley-table group a spec describes.
 
     Each node of the spec is checked against cap once, before its table is
@@ -348,9 +357,23 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP, _depth: int = 0) 
     without exactly two GroupSpec factors, and generators that are not
     permutations of one common degree (perm_closure).  A product nested in
     MAX_PROD_DEPTH others raises InvalidSpec before it builds a factor.
+
+    A parsed spec is a tree, but a hand-built one may reach one product
+    object by several paths, as s = prod(s, s) does.  Each such product is
+    built once; where it is reached again it is reused as prod<n>, with
+    labels g0, g1, ..., since its name and labels spelled out in full would
+    double with each level that shares it.
     """
+    return _build(spec, cap, 0, {})[0]
+
+
+def _build(spec: GroupSpec, cap: int, depth: int,
+           built: dict[int, tuple[FiniteGroup, int]]) -> tuple[FiniteGroup, int]:
+    """build_group of spec, which is nested in depth products, and how deep
+    products nest in spec itself.  built maps the id of each product built
+    so far in this build_group call to its group and that nesting."""
     if spec.kind == "perm":
-        return perm_closure(spec.generators, cap)
+        return perm_closure(spec.generators, cap), 0
     if spec.kind == "catalog":
         n = spec.param
         if spec.name not in _CATALOG:
@@ -360,19 +383,27 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP, _depth: int = 0) 
             raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
         if not takes_param and n is not None:
             raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
-        order, construct = order_of(n), lambda: construct_of(n)
+        order, construct, height = order_of(n), lambda: construct_of(n), 0
     elif spec.kind == "prod":
         if len(spec.factors) != 2 or not all(isinstance(f, GroupSpec) for f in spec.factors):
             raise InvalidSpec(f"a product takes two GroupSpec factors, got {spec.factors!r}")
-        if _depth == MAX_PROD_DEPTH:
+        group, height = built.get(id(spec), (None, 1))  # not built yet: at least 1 deep
+        if depth + height > MAX_PROD_DEPTH:
             raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep")
-        left, right = (build_group(factor, cap, _depth + 1) for factor in spec.factors)
+        if group is not None:
+            return FiniteGroup(f"prod<{group.order}>", group.mul, group.identity), height
+        (left, left_height), (right, right_height) = (
+            _build(factor, cap, depth + 1, built) for factor in spec.factors)
         order, construct = left.order * right.order, lambda: direct_product(left, right)
+        height = 1 + max(left_height, right_height)
     else:
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
     if order > cap:
         raise ClosureExceedsCap(f"{spec_to_text(spec)} has order {order} > cap {cap}")
-    return construct()
+    group = construct()
+    if spec.kind == "prod":
+        built[id(spec)] = group, height
+    return group, height
 
 
 # display name -> spec text; chosen to exercise every branch of the theorem check

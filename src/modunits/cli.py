@@ -43,7 +43,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engel-budget", type=int, default=RunConfig.engel_budget,
                         help="random pair attempts in the falsification search "
                              "above --abstract-cap; used only when G is nilpotent "
-                             "and not abelian")
+                             "and not abelian, and only on a unit group whose "
+                             "order is not a prime power")
     parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--emit-timings", action="store_true",

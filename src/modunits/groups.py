@@ -353,10 +353,13 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     The normal closure of x is a normal subgroup, so it is a p-group exactly
     when it lies in O_p(G); the qualifying elements therefore form O_p(G).
     Only x with x^q = 1, q = p_part(|G|, p), have p-power order, so the
-    closure is taken of those alone.
+    closure is taken of those alone.  A p-group (q = |G|) is its own O_p, so
+    it takes no closure at all.
     """
     _require_prime(p)
     q = p_part(G.order, p)
+    if q == G.order:
+        return Subgroup(G, tuple(G.elements()))
     return Subgroup(G, tuple(x for x in G.elements() if G.power(x, q) == G.identity
                              and is_p_group(normal_closure(G, x), p)))
 

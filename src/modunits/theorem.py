@@ -346,15 +346,20 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
 
     Up to abstract_cap elements the series, computed from generators,
     decides U, and a non-nilpotent U gets the first non-Engel pair of the
-    lex scan, which has one by Zorn's theorem.  A larger U gets only the
-    seeded search, which can prove non-nilpotency but never nilpotency; it
-    skips U when it draws no pair.
+    lex scan, which has one by Zorn's theorem.  A larger U of p-power order
+    is a finite p-group, so nilpotent, and no search could draw a pair from
+    it; it is skipped, with that reason, since its class is not computed.
+    Any other larger U gets only the seeded search, which can prove
+    non-nilpotency but never nilpotency; it skips U when it draws no pair.
     """
     if len(U) <= budgets.abstract_cap:
         series = lower_central_series_of_units(U)
         if series[-1].size == 1:
             return VStatus("nilpotent", nilpotency_class=len(series) - 1)
         return VStatus("non_nilpotent", witness=non_engel_scan(U))
+    if gr.p_part(len(U), U.algebra.p) == len(U):
+        return VStatus("skipped", reason="order p^k above abstract_cap: a p-group, "
+                                         "so nilpotent; class not computed")
     pair = find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
     if pair is None:
         return VStatus("skipped", reason="falsification inconclusive")

@@ -339,3 +339,57 @@ def test_build_group_refuses_a_hand_built_product_past_max_prod_depth(monkeypatc
         with pytest.raises(InvalidSpec, match="nest more than 64 deep"):
             m.build_group(spec)
     assert m.build_group(spec.factors[0]).order == 1  # 64 deep
+
+
+def _c1():
+    return GroupSpec("catalog", name="C", param=1)
+
+
+def test_build_group_builds_each_shared_product_once(monkeypatch):
+    # s = prod(s, s) forty times over is a tree of 2^40 leaves, but only 41 objects
+    built = []
+    direct_product = cat.direct_product
+
+    def counted(A, B):
+        built.append((A.order, B.order))
+        # fail fast: rebuilding the tree takes 2^40 products, and spelled-out
+        # names and labels double with each level
+        assert len(built) <= 40 and len(A.name + B.name + A.labels[0] + B.labels[0]) < 1000
+        return direct_product(A, B)
+
+    monkeypatch.setattr(cat, "direct_product", counted)
+    spec = _c1()
+    for _ in range(40):
+        spec = GroupSpec("prod", factors=(spec, spec))
+    G = m.build_group(spec)
+    assert G.order == 1 and len(built) == 40
+    # a factor reached again is named by its order, so names grow with the levels only
+    assert G.name == "C1xC1" + "xprod<1>" * 39
+    assert G.labels == ("(" * 40 + "e,e)" + ",g0)" * 39,)
+
+
+def test_a_shared_product_counts_its_depth_on_every_path():
+    shared = _c1()
+    for _ in range(60):
+        shared = GroupSpec("prod", factors=(shared, _c1()))
+    for wraps, fits in ((3, True), (4, False)):
+        deeper = shared  # reached at depth 1 + wraps, 60 products deep itself
+        for _ in range(wraps):
+            deeper = GroupSpec("prod", factors=(_c1(), deeper))
+        spec = GroupSpec("prod", factors=(shared, deeper))
+        if fits:
+            assert m.build_group(spec).order == 1
+        else:
+            with pytest.raises(InvalidSpec, match="nest more than 64 deep"):
+                m.build_group(spec)
+
+
+def test_spec_to_text_refuses_a_hand_built_product_past_max_prod_depth():
+    spec = _c1()
+    for depth in range(1, 2001):
+        spec = GroupSpec("prod", factors=(spec, _c1()))
+        if depth == 64:
+            assert m.parse_group_spec(spec_to_text(spec)) == spec
+        if depth in (65, 2000):
+            with pytest.raises(InvalidSpec, match="nest more than 64 deep"):
+                spec_to_text(spec)

@@ -408,6 +408,28 @@ def test_p_core_matches_per_element_definition(p):
         assert gr.p_core(G, p).members == members, G.name
 
 
+LARGER_2_GROUPS = [m.build_group(m.parse_group_spec(text))
+                   for text in ("catalog:D,8", "prod:catalog:D,4|catalog:C,2")]
+
+
+@pytest.mark.parametrize("G", LARGER_2_GROUPS, ids=lambda G: G.name)
+def test_p_core_of_larger_2_groups_matches_per_element_definition(G):
+    members = tuple(x for x in G.elements() if gr.is_p_group(gr.normal_closure(G, x), 2))
+    assert gr.p_core(G, 2).members == members == tuple(G.elements())
+
+
+def test_p_core_of_a_p_group_takes_no_normal_closure(monkeypatch):
+    def refuse(G, x):
+        raise AssertionError(f"normal closure of {x} in {G.name}")
+
+    p_groups = [(G, p) for G in [*GROUPS.values(), *LARGER_2_GROUPS] for p in (2, 3, 5)
+                if gr.is_p_group(G, p)]
+    assert len(p_groups) == 10  # C2, C3, C4, C2xC2, C3xC3, D4, Q8, C4xC2, D8, D4xC2
+    monkeypatch.setattr(gr, "normal_closure", refuse)
+    for G, p in p_groups:
+        assert gr.p_core(G, p).members == tuple(G.elements()), G.name
+
+
 def test_p_core_of_d10_at_2_is_its_center():
     G = m.build_group(m.parse_group_spec("catalog:D,10"))
     N = gr.p_core(G, 2)

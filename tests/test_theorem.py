@@ -529,7 +529,8 @@ def test_verify_equivalence_honest_skip_when_class_path_unavailable():
     v = m.verify_equivalence(G, 2, Budgets(abstract_cap=16, engel_budget=50))
     assert v.criterion
     assert v.v_status.skipped
-    assert v.v_status.reason == "falsification inconclusive"
+    assert v.v_status.reason == ("order p^k above abstract_cap: a p-group, "
+                                 "so nilpotent; class not computed")
     assert v.consistent
 
 
@@ -593,6 +594,28 @@ def test_seeded_search_decides_v_above_abstract_cap(monkeypatch, p, budgets, v_o
     assert m.engel_test(*v.v_status.witness, n_max=v_order).nontrivial
     assert v.vstar_status == VStatus("nilpotent", nilpotency_class=2)
     assert not v.modular and not v.criterion and v.consistent
+
+
+@pytest.mark.parametrize("spec,budgets", [
+    ("catalog:D,8", Budgets()),
+    ("prod:catalog:D,4|catalog:C,2", Budgets()),
+    ("catalog:D,4", Budgets(abstract_cap=16)),
+], ids=["D8@2", "D4xC2@2", "D4@2-cap16"])
+def test_no_seeded_search_on_a_unit_group_of_prime_power_order(monkeypatch, spec, budgets):
+    # V and V* of a 2-group over F2 are 2-groups, so nilpotent and without a
+    # non-Engel pair: one above abstract_cap is skipped, and never searched
+    def refuse(U, **kwargs):
+        raise AssertionError(f"searched a unit group of order {len(U)}")
+
+    monkeypatch.setattr(th, "find_non_engel_pair", refuse)
+    v = m.verify_equivalence(group(spec), 2, budgets)
+    reason = "order p^k above abstract_cap: a p-group, so nilpotent; class not computed"
+    above = [status for status, order in ((v.v_status, v.v_order),
+                                          (v.vstar_status, v.vstar_order))
+             if order > budgets.abstract_cap]
+    assert above and all(status == VStatus("skipped", reason=reason) for status in above)
+    assert all(m.groups.p_part(order, 2) == order for order in (v.v_order, v.vstar_order))
+    assert v.modular and v.criterion and v.consistent
 
 
 def test_nilpotency_status_builds_no_cayley_table(monkeypatch):
