@@ -38,6 +38,52 @@ class GroupSpec:
     generators: tuple[tuple[int, ...], ...] = field(default=())
     factors: tuple["GroupSpec", ...] = field(default=())
 
+    # A hand-built spec may nest far deeper than a parsed one, and may reach
+    # one node by many paths (s = prod(s, s)), so hashing and == recurse
+    # nowhere: each node's hash is cached from its factors' cached hashes.
+
+    def __post_init__(self):
+        try:
+            key = hash((self.kind, self.name, self.param, self.generators,
+                        tuple(hash(f) for f in self.factors)))
+        except TypeError:  # an unhashable field: hash() raises, as a dataclass's would
+            key = None
+        object.__setattr__(self, "_hash", key)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            raise TypeError("unhashable field in GroupSpec")
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Field by field, as a dataclass compares, from a stack of node pairs,
+        each pair compared once."""
+        if not isinstance(other, GroupSpec):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if not (isinstance(a, GroupSpec) and isinstance(b, GroupSpec)):
+                if a != b:
+                    return False
+                continue
+            if a._hash != b._hash or (a.kind, a.name, a.param, a.generators) != (
+                    b.kind, b.name, b.param, b.generators):
+                return False
+            fa, fb = a.factors, b.factors
+            if isinstance(fa, tuple) and isinstance(fb, tuple) and len(fa) == len(fb):
+                stack.extend(zip(fa, fb))
+            elif fa != fb:
+                return False
+        return True
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the cached hash is this process's
+        return GroupSpec, (self.kind, self.name, self.param, self.generators, self.factors)
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -362,7 +408,7 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     object by several paths, as s = prod(s, s) does.  Each such product is
     built once; where it is reached again it is reused as prod<n>, with
     labels g0, g1, ..., since its name and labels spelled out in full would
-    double with each level that shares it.
+    double with each level that shares it; a cap message writes it so too.
     """
     return _build(spec, cap, 0, {})[0]
 
@@ -399,11 +445,25 @@ def _build(spec: GroupSpec, cap: int, depth: int,
     else:
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
     if order > cap:
-        raise ClosureExceedsCap(f"{spec_to_text(spec)} has order {order} > cap {cap}")
+        raise ClosureExceedsCap(f"{_cap_text(spec, built, set())} has order {order} > cap {cap}")
     group = construct()
     if spec.kind == "prod":
         built[id(spec)] = group, height
     return group, height
+
+
+def _cap_text(spec: GroupSpec, built: dict[int, tuple[FiniteGroup, int]], shown: set[int]) -> str:
+    """spec_to_text of spec for a cap message.  shown holds the ids of the
+    products printed so far, and one met again is written prod<n>, as _build
+    names it, from its group in built (every product under spec is built).
+    So a tree prints as spec_to_text prints it, and a shared spec grows with
+    its distinct nodes, not with its paths."""
+    if spec.kind != "prod":
+        return spec_to_text(spec)
+    if id(spec) in shown:
+        return f"prod<{built[id(spec)][0].order}>"
+    shown.add(id(spec))
+    return "prod:" + "|".join(_cap_text(f, built, shown) for f in spec.factors)
 
 
 # display name -> spec text; chosen to exercise every branch of the theorem check

@@ -18,20 +18,22 @@ image by the block laws, without building either group.
 
 lower_central_series_of_units computes the lower central series of a unit
 group from a greedy generating set taken in position order, with no Cayley
-table.  non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded
-pairs) run batches of Engel orbits through groups.first_non_engel, which
-also runs G's own: each until it reaches 1 or, by Brent's rule, comes back
-to the state it saved after steps 1, 2, 4, ..., so a pair is decided
-exactly in constant state.  The verdict needs these three only when G is
-nilpotent and not abelian: G is a subgroup of V* and V, so an abelian G
-makes them abelian, and a non-Engel pair of G's own table proves them
-non-nilpotent.  All three move through U by batched products, each checked
-to be a member, with independent batches fused into one _products call;
-inverses solve x y = 1 in one batched elimination (_inverses), except that
-the series takes those of its commutators from the same products.
-closure_subgroup closes generators under products alone (u^-1 is a power of
-u), one breadth-first level per multiply, with its members kept as sorted
-codes; as_abstract_group turns a unit set into a Cayley-table group.
+table; its closures grow by right cosets, one product per new member and at
+most _CHUNK // |H| cosets of H per _products call (_Closure).
+non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded pairs)
+run batches of Engel orbits through groups.first_non_engel, which also runs
+G's own: each until it reaches 1 or, by Brent's rule, comes back to the
+state it saved after steps 1, 2, 4, ..., so a pair is decided exactly in
+constant state.  The verdict needs these three only when G is nilpotent and
+not abelian: G is a subgroup of V* and V, so an abelian G makes them
+abelian, and a non-Engel pair of G's own table proves them non-nilpotent.
+All three move through U by batched products, each checked to be a member,
+with independent batches fused into one _products call; inverses solve
+x y = 1 in one batched elimination (_inverses), except that the series takes
+those of its commutators from the same products.  closure_subgroup closes
+generators under products alone (u^-1 is a power of u), one breadth-first
+level per multiply, with its members kept as sorted codes;
+as_abstract_group turns a unit set into a Cayley-table group.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -508,8 +510,13 @@ class _Closure:
     by each generator and conjugation by each s in S.  That set also absorbs
     right multiplication by every conjugate of a generator (x c^s =
     (x^(s^-1) c)^s, and s^-1 is a power of s), so it is a subgroup, and
-    normal.  New generators xs extend the set breadth-first from H*xs, so
-    each member meets each move once.
+    normal.  New generators grow it by right cosets of the subgroup H closed
+    before them (Dimino; Butler, LNCS 559, 1991).  H, normal in <S>, carries
+    each move of a representative r to its coset (h r g in H r g, s^-1 h r s
+    in H s^-1 r s), so a new member costs one product h c, and only
+    representatives are moved.  One _products call takes the cosets and
+    moves of at most _CHUNK // |H| candidates; those sharing a coset are told
+    apart by its least position, so a call wastes at most one chunk.
     """
 
     def __init__(self, U: UnitGroup, conj=(), conj_inv=()):
@@ -518,37 +525,33 @@ class _Closure:
         self.inside[U.one_position] = True
         self.members = [np.array([U.one_position], dtype=np.int64)]
         self.size = 1
-        self.gens: list[int] = []
+        self.gens = np.empty(0, dtype=np.int64)
         self.conj = np.asarray(conj, dtype=np.int64)
         self.conj_inv = np.asarray(conj_inv, dtype=np.int64)
 
     def add(self, xs: np.ndarray) -> None:
         """Extend by the generators xs, a 1-d array of positions; those
         already inside are dropped, and the rest are kept as generators."""
-        xs = np.unique(xs[~self.inside[xs]])
-        if not xs.size:
-            return
-        self.gens.extend(xs.tolist())
-        U, gens = self.U, np.array(self.gens, dtype=np.int64)
-        members = np.concatenate(self.members)
-        frontier = self._keep_new(_products(U, np.repeat(members, xs.size),
-                                            np.tile(xs, members.size)))
-        while frontier.size:
-            f, k = frontier.size, self.conj.size
-            moved, half = _fused_products(
-                U, (np.repeat(frontier, gens.size), np.tile(gens, f)),
-                (np.tile(self.conj_inv, f), np.repeat(frontier, k)))
+        todo = np.unique(xs[~self.inside[xs]])
+        self.gens = np.concatenate([self.gens, todo])
+        U, H, k = self.U, np.concatenate(self.members), self.conj.size
+        step = max(1, _CHUNK // H.size)
+        while todo.size:
+            c, todo = todo[:step], todo[step:]
+            cosets, moved, half = _fused_products(
+                U, (np.tile(H, c.size), np.repeat(c, H.size)),
+                (np.repeat(c, self.gens.size), np.tile(self.gens, c.size)),
+                (np.tile(self.conj_inv, c.size), np.repeat(c, k)))
             if k:
-                moved = np.concatenate([moved, _products(U, half, np.tile(self.conj, f))])
-            frontier = self._keep_new(moved)
-
-    def _keep_new(self, pos: np.ndarray) -> np.ndarray:
-        new = np.unique(pos)
-        new = new[~self.inside[new]]
-        self.inside[new] = True
-        self.members.append(new)
-        self.size += new.size
-        return new
+                half = _products(U, half, np.tile(self.conj, c.size))
+            cosets = cosets.reshape(c.size, H.size)
+            first = np.unique(cosets.min(axis=1), return_index=True)[1]
+            self.inside[cosets[first]] = True
+            self.members.append(cosets[first].ravel())
+            self.size += first.size * H.size
+            moved = np.hstack([moved.reshape(c.size, -1), half.reshape(c.size, k)])[first]
+            todo = np.concatenate([todo, moved.ravel()])
+            todo = np.unique(todo[~self.inside[todo]])
 
 
 def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
@@ -563,21 +566,18 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
     (Robinson, A Course in the Theory of Groups, 5.1), and its generators
     are the commutators that the normal closure kept.  A normal closure of
     gens(gamma_i) suffices: modulo [gens, S] each generator is central, so
-    each of its conjugates commutes with U as well.  The terms agree with
-    groups.lower_central_series on the Cayley table of U.
+    each of its conjugates commutes with U as well.  Both closures grow by
+    right cosets, one product per new member (_Closure).  The terms agree
+    with groups.lower_central_series on the Cayley table of U.
     """
     m = len(U)
     H = _Closure(U)
-    for x in range(m):
-        if H.size == m:
-            break
-        H.add(np.array([x]))
-    S = np.array(H.gens, dtype=np.int64)
-    S_inv = _inverses(U, S)
+    while H.size < m:
+        H.add(np.flatnonzero(~H.inside)[:1])
+    S = T = H.gens
     inverse = np.empty(m, dtype=np.int64)  # set at S and at each commutator formed
-    inverse[S] = S_inv
+    inverse[S] = S_inv = _inverses(U, S)
     terms = [np.arange(m, dtype=np.int64)]
-    T = S
     while terms[-1].size > 1:
         # (t, s) = t^-1 s^-1 t s for every t in T and s in S, and from the
         # same factors its inverse (s, t) = s^-1 t^-1 s t
@@ -592,7 +592,7 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
         terms.append(np.sort(np.concatenate(N.members)))
         if N.size == terms[-2].size:
             break
-        T = np.array(N.gens, dtype=np.int64)
+        T = N.gens
     return terms
 
 

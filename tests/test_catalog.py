@@ -1,7 +1,12 @@
 """Spec-grammar tests: parsing, canonical printing, construction caps."""
 
 import itertools
+import os
+import pickle
 import re
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -393,3 +398,68 @@ def test_spec_to_text_refuses_a_hand_built_product_past_max_prod_depth():
         if depth in (65, 2000):
             with pytest.raises(InvalidSpec, match="nest more than 64 deep"):
                 spec_to_text(spec)
+
+
+def _shared(levels):
+    """s = prod(s, s) over C,1, levels times: 2^levels leaves, levels + 1 objects."""
+    spec = _c1()
+    for _ in range(levels):
+        spec = GroupSpec("prod", factors=(spec, spec))
+    return spec
+
+
+def test_a_shared_spec_names_its_repeated_products_in_the_cap_message():
+    # spelled out in full, the message held 2^k leaves: 18 MB at k = 20, and
+    # more than memory holds at k = 40, so the small case goes first
+    c8, c16 = GroupSpec("catalog", name="C", param=8), GroupSpec("catalog", name="C", param=16)
+    for levels in (20, 40):
+        spec = GroupSpec("prod", factors=(GroupSpec("prod", factors=(_shared(levels), c8)), c16))
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ClosureExceedsCap, match="has order 128 > cap 64") as err:
+                m.build_group(spec)
+            elapsed.append(time.perf_counter() - start)
+        message = str(err.value)
+        assert len(message) < 10_000 and min(elapsed) < 0.01
+        assert message.startswith("prod:" * (levels + 2) + "catalog:C,1|catalog:C,1|prod<1>|")
+    # a tree keeps its text in full, as spec_to_text prints it
+    text = "prod:prod:catalog:Q8|prod:catalog:C,2|catalog:C,2|catalog:C,3"
+    with pytest.raises(ClosureExceedsCap, match=re.escape(f"{text} has order 96 > cap 64")):
+        build(text)
+
+
+def test_spec_hash_and_equality_recurse_nowhere():
+    deep, twin = _c1(), _c1()
+    for _ in range(2000):
+        deep = GroupSpec("prod", factors=(deep, _c1()))
+        twin = GroupSpec("prod", factors=(twin, _c1()))
+    assert hash(deep) == hash(twin) and deep == twin
+    assert deep != GroupSpec("prod", factors=(deep.factors[0], GroupSpec("catalog", name="C", param=2)))
+    # shared: one hash step per node, and each pair of nodes compared once;
+    # walking every path took about 2 s at 22 levels, so that case goes first
+    for levels in (22, 60):
+        start = time.perf_counter()
+        assert hash(_shared(levels)) == hash(_shared(levels))
+        assert _shared(levels) == _shared(levels) and _shared(levels) != _shared(levels - 1)
+        assert time.perf_counter() - start < 0.1
+    assert len({m.parse_group_spec(text) for text in ("catalog:C,2", "catalog:C2", " catalog: C, 02")}) == 1
+    unhashable = GroupSpec("perm", generators=[[1, 0]])
+    with pytest.raises(TypeError):
+        hash(unhashable)
+    assert unhashable == GroupSpec("perm", generators=[[1, 0]])
+    with pytest.raises(InvalidSpec):
+        m.build_group(unhashable)
+
+
+def test_a_pickled_spec_takes_the_hash_of_the_process_that_loads_it():
+    # string hashes differ between processes, so a cached hash carried along
+    # would make the loaded spec unequal to the same spec parsed there
+    text = "prod:catalog:S3|perm:(1 2 3)"
+    code = ("import pickle, sys, modunits as m; s = pickle.loads(sys.stdin.buffer.read()); "
+            f"t = m.parse_group_spec({text!r}); print(s == t, hash(s) == hash(t))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for seed in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(m.parse_group_spec(text)),
+                              capture_output=True, env={**env, "PYTHONHASHSEED": seed}, check=True)
+        assert done.stdout.split() == [b"True", b"True"]

@@ -141,7 +141,7 @@ def test_catalog_pass_multiply_count(monkeypatch):
 
     monkeypatch.setattr(m.GroupAlgebra, "multiply", counting)
     assert run_catalog(RunConfig()).passed
-    assert calls == 923  # inverses are solved, not taken as powers through multiply
+    assert calls == 873  # inverses are solved, and closures grow by cosets
 
 
 def test_catalog_pass_enumerates_only_where_needed(monkeypatch):

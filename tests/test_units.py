@@ -1059,6 +1059,46 @@ def test_closure_grown_in_batches_is_the_normal_closure(spec, p, n_conj):
         assert H.size == expected.size
 
 
+def test_series_grows_its_closures_by_cosets(monkeypatch):
+    # a new member of a closure costs one product, and only coset
+    # representatives are moved: breadth-first growth, every member times
+    # every generator, took 32,768 pairs for the generating set of D8@2's V*
+    # and 39,152 for the whole series
+    U = _unit_group("catalog:D,8", 2, "V*")
+    products, inverses = un._products, un._inverses
+    pairs, before_inverses = [], []
+
+    def counting(U, a, b):
+        pairs.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+        return products(U, a, b)
+
+    def marking(U, a):  # the series inverts S once, after its generating set
+        before_inverses.append(sum(pairs))
+        return inverses(U, a)
+
+    monkeypatch.setattr(un, "_products", counting)
+    monkeypatch.setattr(un, "_inverses", marking)
+    series = m.lower_central_series_of_units(U)
+    assert [t.size for t in series] == [4096, 128, 8, 1]
+    assert len(before_inverses) == 1 and before_inverses[0] <= 2 * len(U)
+    assert sum(pairs) <= 4 * len(U)
+
+
+@pytest.mark.parametrize("chunk", [7, 1])
+def test_closures_in_narrow_coset_batches(monkeypatch, chunk):
+    # _CHUNK // |H| candidates per call: at 7 a call takes several small
+    # cosets or one coset spans several chunks, and at 1 a call takes one
+    groups = [("catalog:D,4", 2), ("catalog:Q8", 3), ("catalog:A4", 2)]
+    for spec, p in groups:
+        _table(spec, p, "V")  # built at the full chunk
+    monkeypatch.setattr(un, "_CHUNK", chunk)
+    for spec, p in groups:
+        test_series_from_generators_matches_table_series(spec, p, "V")
+    for spec, p, n_conj in [("catalog:D,4", 2, 0), ("catalog:Q8", 3, 0),
+                            ("catalog:D,4", 2, 2), ("catalog:A4", 2, 1)]:
+        test_closure_grown_in_batches_is_the_normal_closure(spec, p, n_conj)
+
+
 def test_series_raises_when_a_product_leaves_the_unit_set():
     A = alg("catalog:C,3", 3)
     U = un.UnitGroup(A, np.stack([A.one().coeffs, A.embed(1).coeffs]))  # misses g^2
