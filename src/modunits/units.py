@@ -17,9 +17,10 @@ for p = 2 when O_2(G) = 1, unit_orders counts |V| and |V*| from the same
 image by the block laws, without building either group.
 
 lower_central_series_of_units computes the lower central series of a unit
-group from a greedy generating set taken in position order, with no Cayley
-table; its closures grow by right cosets, one product per new member and at
-most _CHUNK // |H| cosets of H per _products call (_Closure).
+group with no Cayley table, from a greedy generating set S taken in
+position order: each term is the normal closure of the commutators of the
+last term's generators with S (_normal_closure).  Its closures grow one
+generator at a time by right cosets, one product per new member (_Closure).
 non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded pairs)
 run batches of Engel orbits through groups.first_non_engel, which also runs
 G's own: each until it reaches 1 or, by Brent's rule, comes back to the
@@ -28,12 +29,13 @@ constant state.  The verdict needs these three only when G is nilpotent and
 not abelian: G is a subgroup of V* and V, so an abelian G makes them
 abelian, and a non-Engel pair of G's own table proves them non-nilpotent.
 All three move through U by batched products, each checked to be a member,
-with independent batches fused into one _products call; inverses solve
-x y = 1 in one batched elimination (_inverses), except that the series takes
-those of its commutators from the same products.  closure_subgroup closes
-generators under products alone (u^-1 is a power of u), one breadth-first
-level per multiply, with its members kept as sorted codes;
-as_abstract_group turns a unit set into a Cayley-table group.
+with independent batches fused into one _products call, and form their
+commutators by one kernel (_commutators); inverses solve x y = 1 in one
+batched elimination (_inverses), except that the series takes those of its
+commutators from the same products.  closure_subgroup closes generators
+under products alone (u^-1 is a power of u), one breadth-first level per
+multiply, with its members kept as sorted codes; as_abstract_group turns a
+unit set into a Cayley-table group.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
@@ -503,92 +505,94 @@ def _inverses(U: UnitGroup, a: np.ndarray) -> np.ndarray:
 
 
 class _Closure:
-    """The subgroup of U generated by ``gens``, grown a batch of generators at a time.
+    """A subgroup of U, grown one generator at a time by right cosets of the
+    subgroup H closed before it (Dimino; Butler, LNCS 559, 1991): h r s lies
+    in the coset of r s, so a new member costs one product h r, and only
+    representatives r are moved by the generators.  One _products call
+    takes the cosets and moves of at most _CHUNK // |H| candidates; those
+    sharing a coset are told apart by its least position.  A generator lies
+    outside H, so it at least doubles the closure."""
 
-    With conjugators S = ``conj`` it is the normal closure of ``gens`` in
-    <S>: the least set holding 1 that is closed under right multiplication
-    by each generator and conjugation by each s in S.  That set also absorbs
-    right multiplication by every conjugate of a generator (x c^s =
-    (x^(s^-1) c)^s, and s^-1 is a power of s), so it is a subgroup, and
-    normal.  New generators grow it by right cosets of the subgroup H closed
-    before them (Dimino; Butler, LNCS 559, 1991).  H, normal in <S>, carries
-    each move of a representative r to its coset (h r g in H r g, s^-1 h r s
-    in H s^-1 r s), so a new member costs one product h c, and only
-    representatives are moved.  One _products call takes the cosets and
-    moves of at most _CHUNK // |H| candidates; those sharing a coset are told
-    apart by its least position, so a call wastes at most one chunk.
-    """
-
-    def __init__(self, U: UnitGroup, conj=(), conj_inv=()):
+    def __init__(self, U: UnitGroup):
         self.U = U
         self.inside = np.zeros(len(U), dtype=bool)
         self.inside[U.one_position] = True
         self.members = [np.array([U.one_position], dtype=np.int64)]
         self.size = 1
         self.gens = np.empty(0, dtype=np.int64)
-        self.conj = np.asarray(conj, dtype=np.int64)
-        self.conj_inv = np.asarray(conj_inv, dtype=np.int64)
 
-    def add(self, xs: np.ndarray) -> None:
-        """Extend by the generators xs, a 1-d array of positions; those
-        already inside are dropped, and the rest are kept as generators."""
-        todo = np.unique(xs[~self.inside[xs]])
-        self.gens = np.concatenate([self.gens, todo])
-        U, H, k = self.U, np.concatenate(self.members), self.conj.size
-        step = max(1, _CHUNK // H.size)
-        while todo.size:
-            c, todo = todo[:step], todo[step:]
-            cosets, moved, half = _fused_products(
-                U, (np.tile(H, c.size), np.repeat(c, H.size)),
-                (np.repeat(c, self.gens.size), np.tile(self.gens, c.size)),
-                (np.tile(self.conj_inv, c.size), np.repeat(c, k)))
-            if k:
-                half = _products(U, half, np.tile(self.conj, c.size))
-            cosets = cosets.reshape(c.size, H.size)
-            first = np.unique(cosets.min(axis=1), return_index=True)[1]
-            self.inside[cosets[first]] = True
-            self.members.append(cosets[first].ravel())
-            self.size += first.size * H.size
-            moved = np.hstack([moved.reshape(c.size, -1), half.reshape(c.size, k)])[first]
-            todo = np.concatenate([todo, moved.ravel()])
-            todo = np.unique(todo[~self.inside[todo]])
+    def grow(self, xs: np.ndarray) -> None:
+        """While some position in xs lies outside, the first becomes the next generator."""
+        U, rest = self.U, xs[~self.inside[xs]]
+        while rest.size:
+            todo, self.gens = rest[:1], np.append(self.gens, rest[0])
+            H = np.concatenate(self.members)
+            step = max(1, _CHUNK // H.size)
+            while todo.size:
+                c, todo = todo[:step], todo[step:]
+                cosets, moved = _fused_products(
+                    U, (np.tile(H, c.size), np.repeat(c, H.size)),
+                    (np.repeat(c, self.gens.size), np.tile(self.gens, c.size)))
+                cosets = cosets.reshape(c.size, H.size)
+                first = np.unique(cosets.min(axis=1), return_index=True)[1]
+                self.inside[cosets[first]] = True
+                self.members.append(cosets[first].ravel())
+                self.size += first.size * H.size
+                todo = np.concatenate([todo, moved.reshape(c.size, -1)[first].ravel()])
+                todo = np.unique(todo[~self.inside[todo]])
+            rest = rest[~self.inside[rest]]
+
+
+def _commutators(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarray,
+                 y_inv: np.ndarray) -> list[np.ndarray]:
+    """The positions of (x, y) = x^-1 y^-1 x y and of its inverse (y, x) for the
+    pairs (x[k], y[k]): six products in two _products calls, four, then two."""
+    xy_inv, xy, yx_inv, yx = _fused_products(U, (x_inv, y_inv), (x, y), (y_inv, x_inv), (y, x))
+    return _fused_products(U, (xy_inv, xy), (yx_inv, yx))
+
+
+def _normal_closure(U: UnitGroup, xs: np.ndarray, S: np.ndarray, inverse: np.ndarray) -> _Closure:
+    """The normal closure of xs in <S>: the subgroup N generated by xs and by
+    (g, s) for every generator g of N and s in S.  g^s = g (g, s) lies in N,
+    so N is normal, and (g, s) lies in every normal subgroup that holds g.
+    ``inverse`` holds the inverses of S and xs, and takes those of the commutators."""
+    N = _Closure(U)
+    N.grow(xs)
+    done = 0
+    while done < N.gens.size:
+        g, s = np.repeat(N.gens[done:], S.size), np.tile(S, N.gens.size - done)
+        done = N.gens.size
+        commutators, inverse_commutators = _commutators(U, g, s, inverse[g], inverse[s])
+        inverse[commutators] = inverse_commutators
+        N.grow(commutators)
+    return N
 
 
 def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
     """gamma_1 >= gamma_2 >= ... of U as sorted position arrays, computed from
     generators until a term is trivial or repeats.
 
-    S is a greedy generating set: members of U in position order, each kept
-    when it lies outside the closure of those kept before, until the closure
-    has |U| elements; the terms are subgroups, so they do not depend on S.
-    With gens(gamma_1) = S, gamma_(i+1) = [gamma_i, U] is the normal closure
-    in U of {(t, s) : t in gens(gamma_i), s in S}
-    (Robinson, A Course in the Theory of Groups, 5.1), and its generators
-    are the commutators that the normal closure kept.  A normal closure of
-    gens(gamma_i) suffices: modulo [gens, S] each generator is central, so
-    each of its conjugates commutes with U as well.  Both closures grow by
-    right cosets, one product per new member (_Closure).  The terms agree
-    with groups.lower_central_series on the Cayley table of U.
+    S is a greedy generating set, the generators of a closure grown from the
+    members of U in position order (_Closure); the terms are subgroups, so
+    they do not depend on S.  With T = S, the generators of gamma_1,
+    gamma_(i+1) = [gamma_i, U] is the normal closure in U of {(t, s) : t in
+    T, s in S} (Robinson, A Course in the Theory of Groups, 5.1), whose
+    generators are the next T (_normal_closure): modulo [T, S] each t is
+    central, so each of its conjugates commutes with U as well.  The terms
+    agree with groups.lower_central_series on the Cayley table of U.
     """
     m = len(U)
     H = _Closure(U)
-    while H.size < m:
-        H.add(np.flatnonzero(~H.inside)[:1])
+    H.grow(np.arange(m, dtype=np.int64))
     S = T = H.gens
     inverse = np.empty(m, dtype=np.int64)  # set at S and at each commutator formed
-    inverse[S] = S_inv = _inverses(U, S)
+    inverse[S] = _inverses(U, S)
     terms = [np.arange(m, dtype=np.int64)]
     while terms[-1].size > 1:
-        # (t, s) = t^-1 s^-1 t s for every t in T and s in S, and from the
-        # same factors its inverse (s, t) = s^-1 t^-1 s t
         t, s = np.repeat(T, S.size), np.tile(S, T.size)
-        t_inv, s_inv = inverse[t], inverse[s]
-        left, right, left_inv, right_inv = _fused_products(
-            U, (t_inv, s_inv), (t, s), (s_inv, t_inv), (s, t))
-        commutators, inverses = _fused_products(U, (left, right), (left_inv, right_inv))
-        inverse[commutators] = inverses
-        N = _Closure(U, S, S_inv)
-        N.add(commutators)
+        commutators, inverse_commutators = _commutators(U, t, s, inverse[t], inverse[s])
+        inverse[commutators] = inverse_commutators
+        N = _normal_closure(U, commutators, S, inverse)
         terms.append(np.sort(np.concatenate(N.members)))
         if N.size == terms[-2].size:
             break
@@ -638,14 +642,9 @@ def engel_test(x: AlgebraElement, y: AlgebraElement, n_max: int = 256) -> EngelO
 def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarray,
                      y_inv: np.ndarray) -> int:
     """groups.first_non_engel on the pairs (x[k], y[k]) of positions in U,
-    each orbit carrying z^-1, as (z, y)^-1 = y^-1 z^-1 y z: a step is six
-    products in two _products calls, the four independent ones, then two."""
-    def step(k, state):
-        z, z_inv = state
-        yk, yk_inv = y[k], y_inv[k]
-        zy_inv, zy, yz_inv, yz = _fused_products(U, (z_inv, yk_inv), (z, yk),
-                                                 (yk_inv, z_inv), (yk, z))
-        return np.stack(_fused_products(U, (zy_inv, zy), (yz_inv, yz)))
+    each orbit carrying z^-1, which _commutators gives as (y, z)."""
+    def step(k, state):  # state: z, z^-1
+        return np.stack(_commutators(U, state[0], y[k], state[1], y_inv[k]))
 
     return gr.first_non_engel(np.stack([x, x_inv]), U.one_position, step)
 

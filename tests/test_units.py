@@ -1039,24 +1039,32 @@ def test_series_of_abelian_and_trivial_unit_groups():
 @pytest.mark.parametrize("spec,p,n_conj", [("catalog:D,4", 2, 0), ("catalog:Q8", 3, 0),
                                             ("catalog:D,4", 2, 2), ("catalog:A4", 2, 1)])
 def test_closure_grown_in_batches_is_the_normal_closure(spec, p, n_conj):
-    # grown in two batches, as the series and the generating set grow it; the
-    # oracle closes the conjugates of the generators by every element of <S>
+    # a closure grown in two batches is the subgroup of the batch members,
+    # and their normal closure in <S> is, by the oracle, the subgroup of
+    # their conjugates by every element of <S>
     U = _unit_group(spec, p, "V")
     rng = np.random.default_rng(2)
     for _ in range(4):
         S = rng.choice(len(U), size=n_conj, replace=False)
         batches = [rng.choice(len(U), size=k, replace=False) for k in (1, 2)]
-        H = un._Closure(U, S, un._inverses(U, S))
-        for xs in batches:
-            H.add(xs)
+        xs = np.concatenate(batches)
+        H = un._Closure(U)
+        for batch in batches:
+            H.grow(batch)
+        inverse = np.empty(len(U), dtype=np.int64)
+        inverse[S], inverse[xs] = un._inverses(U, S), un._inverses(U, xs)
+        N = un._normal_closure(U, xs, S, inverse)
+        members = [U.element(int(x)) for x in xs]
         conjugators = [U.element(U.one_position)]
         if n_conj:
             conjugators = list(m.closure_subgroup([U.element(int(s)) for s in S]))
-        conjugates = [s.try_inverse() * U.element(int(x)) * s
-                      for s in conjugators for x in np.concatenate(batches)]
-        expected = U.positions_of(m.closure_subgroup(conjugates, cap=len(U)).vectors)
-        assert np.sort(np.concatenate(H.members)).tolist() == np.sort(expected).tolist()
-        assert H.size == expected.size
+        conjugates = [s.try_inverse() * x * s for s in conjugators for x in members]
+        for closure, generators in ((H, members), (N, conjugates)):
+            expected = U.positions_of(m.closure_subgroup(generators, cap=len(U)).vectors)
+            assert np.sort(np.concatenate(closure.members)).tolist() == np.sort(expected).tolist()
+            assert closure.size == expected.size
+            # each kept generator lies outside the closure before it, so doubles it
+            assert 2 ** closure.gens.size <= closure.size
 
 
 def test_series_grows_its_closures_by_cosets(monkeypatch):
@@ -1082,6 +1090,35 @@ def test_series_grows_its_closures_by_cosets(monkeypatch):
     assert [t.size for t in series] == [4096, 128, 8, 1]
     assert len(before_inverses) == 1 and before_inverses[0] <= 2 * len(U)
     assert sum(pairs) <= 4 * len(U)
+
+
+@pytest.mark.parametrize("spec,which,per_unit", [("catalog:A4", "V", 2),
+                                                  ("catalog:D,8", "V*", 0.5)])
+def test_series_terms_cost_few_products_after_the_generating_set(monkeypatch, spec, which,
+                                                                 per_unit):
+    # each term is the normal closure of commutators of generators, grown one
+    # generator at a time by cosets; a conjugator mode that added every
+    # commutator at once, so that H = 1, took 15,840 pairs after the series'
+    # inverse call on A4@2 V and 6,492 on D8@2 V*
+    U = _unit_group(spec, 2, which)
+    products, inverses = un._products, un._inverses
+    pairs, before_inverses = [], []
+
+    def counting(U, a, b):
+        pairs.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+        return products(U, a, b)
+
+    def marking(U, a):
+        before_inverses.append(sum(pairs))
+        return inverses(U, a)
+
+    monkeypatch.setattr(un, "_products", counting)
+    monkeypatch.setattr(un, "_inverses", marking)
+    series = m.lower_central_series_of_units(U)
+    reference = m.lower_central_series(_table(spec, 2, which))
+    assert [t.tolist() for t in series] == [list(t.members) for t in reference]
+    assert len(before_inverses) == 1
+    assert sum(pairs) - before_inverses[0] <= per_unit * len(U)
 
 
 @pytest.mark.parametrize("chunk", [7, 1])
