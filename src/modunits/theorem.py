@@ -1,14 +1,14 @@
 """The fast group criterion, the unitary witness constructions, and the
-equivalence verdict that pits the criterion against brute-force enumeration.
+equivalence verdict that pits the criterion against brute force.
 
 The criterion: the group is nilpotent and its derived subgroup is a p-group.
 The verdict machinery checks it, on each instance, against the nilpotency of
-the enumerated normalized unit group and of its unitary subgroup.
+the normalized unit group and of its unitary subgroup, enumerated or, for a
+non-modular group algebra, taken block by block.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +23,12 @@ from .units import (
     ENGEL_BUDGET,
     ENUMERATION_CAP,
     UnitGroup,
+    block_units,
     enumerate_units,
     filter_unitary,
     find_non_engel_pair,
     lower_central_series_of_units,
     non_engel_scan,
-    unit_orders,
 )
 # unused here: bound so that tracing wrappers, which look them up on this module, resolve
 from .units import as_abstract_group, closure_subgroup  # noqa: F401
@@ -75,8 +75,11 @@ class EquivalenceVerdict:
     unitary subgroup even though the criterion fails.
 
     ``enumerated`` is True when the orders were counted on the enumerated V
-    and V*, and False when they come from the block laws (unit_orders) or
-    are unknown.
+    and V*: for a modular nilpotent non-abelian G within enumeration_cap,
+    and at p = 2 when O_2(G) != 1.  It is False when they come from the block
+    laws (block_units) or are unknown.  A non-modular nilpotent non-abelian G
+    is never enumerated: its statuses come from the unit groups of the
+    blocks of the semisimple FG, whose products V and V* are, exactly.
     """
 
     group_name: str
@@ -342,7 +345,8 @@ def _status_from_group(algebra: GroupAlgebra) -> VStatus | None:
 
 
 def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
-    """Status of U, which is V or V* of a nilpotent non-abelian G.
+    """Status of U, which is V or V* of a nilpotent non-abelian G, or the
+    U(B) or U*(B) of a non-commutative block B of a non-modular one.
 
     Up to abstract_cap elements the series, computed from generators,
     decides U, and a non-nilpotent U gets the first non-Engel pair of the
@@ -366,27 +370,91 @@ def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     return VStatus("non_nilpotent", witness=pair)
 
 
+def _commutative_blocks(algebra: GroupAlgebra, idempotents: list[np.ndarray]) -> np.ndarray:
+    """For each block FG*f, whether it is commutative: f (gh - hg) = 0 for
+    all g, h in G, which span FG.  gh = hg (g, h), so f (gh - hg) =
+    hg f ((g, h) - 1), and hg is a unit: the |G|^2 columns gh - hg reduce
+    to c - 1 for the distinct commutators c, all met by every f in one
+    multiply."""
+    G = algebra.group
+    m = G.mul
+    commutators = np.unique(m[m[np.ix_(G.inv, G.inv)], m])
+    columns = np.eye(G.order, dtype=np.int64)[:, commutators] - algebra._one_vec[:, None]
+    f = np.stack(idempotents, axis=1)
+    return ~algebra.multiply(f[:, :, None], columns[:, None, :]).any(axis=(0, 2))
+
+
+def _block_statuses(algebra: GroupAlgebra, blocks: list[tuple[np.ndarray, ...]],
+                    budgets: Budgets) -> tuple[VStatus, VStatus]:
+    """The statuses of V and V* of a non-modular nilpotent non-abelian G,
+    from the units of its blocks (block_units), with V never enumerated.
+
+    FG is semisimple and the direct sum of its blocks B, and each f_B is
+    fixed by the involution, so U = prod_B U(B) and U* = prod_B U*(B)
+    (Khripta 1972; Passman 1977); the rows of block_units are U(B) and
+    U*(B) in FG, of augmentation 1, so V and V* are their products too.  A
+    commutative block gives abelian factors.  A non-commutative one has a
+    simple component M_n(F_q) with n >= 2 (Wedderburn), whose units hold
+    GL_n(F_q), which is not nilpotent: so V is not.  V* is nilpotent exactly
+    when every U*(B) is, of the largest class among them.  _nilpotency_status
+    runs on the U*(B) of the non-commutative blocks, smallest first, up to
+    the first non-nilpotent one, whose witness V and V* share; otherwise V*
+    is skipped with the reason of the smallest skipped U*(B), or nilpotent,
+    and V's witness is the one _nilpotency_status would give the smallest
+    non-commutative U(B), found with no series, since V's kind is known.
+    """
+    commutative = _commutative_blocks(algebra, [f for f, _, _ in blocks])
+    blocks = [(units, unitary) for (_, units, unitary), c in zip(blocks, commutative) if not c]
+    if not blocks:  # FG is commutative, so V and V* are abelian
+        status = VStatus("nilpotent", nilpotency_class=1)
+        return status, status
+    vstar = VStatus("nilpotent", nilpotency_class=0)
+    for units, unitary in sorted(blocks, key=lambda block: np.count_nonzero(block[1])):
+        status = _nilpotency_status(UnitGroup(algebra, units[unitary]), budgets)
+        if status.kind == "non_nilpotent":
+            vstar = status
+            break
+        if vstar.kind == "nilpotent" and (status.skipped or status.nilpotency_class
+                                          > vstar.nilpotency_class):
+            vstar = status
+    witness = vstar.witness
+    if witness is None:  # V is not nilpotent, so only _nilpotency_status's search runs
+        U = UnitGroup(algebra, min((units for units, _ in blocks), key=len))
+        witness = (non_engel_scan(U) if len(U) <= budgets.abstract_cap else
+                   find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed))
+    return VStatus("non_nilpotent", witness=witness), vstar
+
+
+def _over_cap(e: BudgetExceeded) -> VStatus:
+    return VStatus("skipped", reason=f"enumeration budget exceeded (needs {e.required})")
+
+
 def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
                        spec_text: str = "") -> EquivalenceVerdict:
     """Pit the fast criterion against brute force on one (group, prime) pair.
 
     An abelian or non-nilpotent G decides both statuses from its own table
-    (_status_from_group), whatever the budgets.  V and V* are enumerated
-    only where a status needs them (a nilpotent non-abelian G), or at p = 2
-    when O_2(G) != 1, where |V*| has no law; each is enumerated when
-    p^(|G|-1) fits under enumeration_cap.  Otherwise, also when that cap
-    skips a nilpotent non-abelian G, both orders come from the block laws
-    (unit_orders) where they apply and sum_B p^dim(B) fits under the same
-    cap.  All failure modes land in skipped statuses; a skipped status never
-    makes the verdict inconsistent.
+    (_status_from_group), whatever the budgets.  A nilpotent non-abelian G
+    needs its unit groups.  Where p divides |G|, V and V* are enumerated
+    when p^(|G|-1) fits under enumeration_cap, and the series decides them.
+    Where it does not, FG is semisimple and the statuses are decided block
+    by block, with no enumeration (_block_statuses): exact, since V and V*
+    are the products of the unit groups of the blocks.  V and V* are also
+    enumerated at p = 2 when O_2(G) != 1, for their orders, since |V*| has
+    no law there.  Every other entry, and a modular one whose enumeration
+    the cap skips, takes both orders from the block laws (block_units), in
+    the same block pass as a block-decided status, where they apply and
+    sum_B p^dim(B) fits under the same cap.  All failure modes land in
+    skipped statuses; a skipped status never makes the verdict inconsistent.
     """
     algebra = GroupAlgebra(G, p)
     criterion = group_criterion(G, p)
     from_g = _status_from_group(algebra)
     v_status = vstar_status = from_g
     v_order = vstar_order = None
-    has_law = p > 2 or gr.p_core(G, p).order == 1  # where unit_orders counts both
-    enumerated = from_g is None or not has_law
+    has_law = p > 2 or gr.p_core(G, p).order == 1  # where block_units counts both
+    by_blocks = from_g is None and not algebra.is_modular
+    enumerated = not by_blocks and (from_g is None or not has_law)
     try:
         if enumerated:
             V = enumerate_units(algebra, cap=budgets.enumeration_cap)
@@ -395,15 +463,20 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     except BudgetExceeded as e:
         enumerated = False
         if from_g is None:
-            reason = f"enumeration budget exceeded (needs {e.required})"
-            v_status = vstar_status = VStatus("skipped", reason=reason)
+            v_status = vstar_status = _over_cap(e)
     else:
-        if from_g is None:
+        if enumerated and from_g is None:
             v_status = _nilpotency_status(V, budgets)
             vstar_status = _nilpotency_status(Vstar, budgets)
     if not enumerated and has_law:
-        with contextlib.suppress(BudgetExceeded):  # the orders stay unknown
-            v_order, vstar_order = unit_orders(algebra, cap=budgets.enumeration_cap)
+        try:
+            v_order, vstar_order, blocks = block_units(algebra, cap=budgets.enumeration_cap)
+        except BudgetExceeded as e:  # the orders stay unknown
+            if by_blocks:
+                v_status = vstar_status = _over_cap(e)
+        else:
+            if by_blocks:
+                v_status, vstar_status = _block_statuses(algebra, blocks, budgets)
 
     compared = (v_status, vstar_status) if algebra.is_modular else (v_status,)
     consistent = all(status.skipped or (status.kind == "nilpotent") == criterion

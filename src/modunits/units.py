@@ -13,8 +13,14 @@ V(FG) is the union of the preimages of those sums under the coset-sum map,
 whose kernel is nilpotent, built as sorted mixed-radix codes and decoded
 once into the narrow rows a UnitGroup holds.  filter_unitary carves out
 the units fixed into inverses by the classical involution.  For odd p, and
-for p = 2 when O_2(G) = 1, unit_orders counts |V| and |V*| from the same
-image by the block laws, without building either group.
+for p = 2 when O_2(G) = 1, block_units counts |V| and |V*| from the same
+image by the block laws, without building either group, and gives each
+block's unit group U(B) and unitary group U*(B) as the units x + 1 - f_B
+of FQ.  The verdict enumerates V only for a modular nilpotent non-abelian
+G, and at p = 2 when O_2(G) != 1 for its orders.  A non-modular G has
+O_p(G) = 1, so FQ = FG is semisimple, and V and V* are the products of the
+U(B) and U*(B); the verdict decides them from those, block by block, in
+the same pass that counts the orders.
 
 lower_central_series_of_units computes the lower central series of a unit
 group with no Cayley table, from a greedy generating set S taken in
@@ -26,8 +32,9 @@ run batches of Engel orbits through groups.first_non_engel, which also runs
 G's own: each until it reaches 1 or, by Brent's rule, comes back to the
 state it saved after steps 1, 2, 4, ..., so a pair is decided exactly in
 constant state.  The verdict needs these three only when G is nilpotent and
-not abelian: G is a subgroup of V* and V, so an abelian G makes them
-abelian, and a non-Engel pair of G's own table proves them non-nilpotent.
+not abelian, on V and V* or on the unit groups of the blocks: G is a
+subgroup of V* and V, so an abelian G makes them abelian, and a non-Engel
+pair of G's own table proves them non-nilpotent.
 All three move through U by batched products, each checked to be a member,
 with independent batches fused into one _products call, and form their
 commutators by one kernel (_commutators); inverses solve x y = 1 in one
@@ -309,7 +316,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     sum_q (I_q - S_q mod p) p^(n-1-r_q), computed in tiles of at most
     _CHUNK units, sorted, and decoded once into the rows UnitGroup keeps.
     For N = 1 the quotient is G itself.  Where only the order is wanted,
-    unit_orders counts it from the same blocks.  Raises BudgetExceeded
+    block_units counts it from the same blocks.  Raises BudgetExceeded
     (carrying the required count) when p^(dim-1) > cap.  ``seed`` is unused.
     """
     n = algebra.dim
@@ -355,9 +362,18 @@ def _skew_dim(X: gr.FiniteGroup) -> int:
     return (X.order - int(np.count_nonzero(X.inv == np.arange(X.order)))) // 2
 
 
-def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
+def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
+                ) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """|V| and |V*| for odd p, and for p = 2 when O_2(G) = 1, counted by the
-    block laws without building either group.
+    block laws without building either group, and the units of the blocks
+    of FQ.
+
+    The blocks come as triples, one for each block B of unit_blocks in its
+    order: its idempotent f_B, the rows x + 1 - f_B for the units x of B with
+    aug(x) = aug(f_B), as vectors of FQ in int_dtype(p - 1), and the mask
+    of the unitary rows.  Outside the principal block that is every unit of
+    B, and the rows, of augmentation 1, are a group isomorphic to U(B),
+    their unitary ones to U*(B).
 
     Let Q = G/O_p(G) and I the kernel of FG -> FQ, the nilpotent ideal
     w(O_p(G))FG of dimension |G| - |Q|.  Units lift through I, and the
@@ -381,21 +397,30 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
     Q = G and I = 0, so both laws hold with their powers of p equal to 1.
 
     N*_B is counted on the units x_B + 1 - f_B of all blocks in one pass of
-    _unitary_rows.  Raises BudgetExceeded when sum_B p^dim(B) > cap,
-    before any elimination, and PreconditionViolated at p = 2 when
-    O_2(G) != 1, where |V*| has no such law.
+    _unitary_rows.  Since x_B (1 - f_B) = 0, (x + 1 - f_B)(y + 1 - f_B) =
+    xy + 1 - f_B, so the map x -> x + 1 - f_B is an isomorphism from the
+    units of B onto a group of units of FQ.  Raises BudgetExceeded when
+    sum_B p^dim(B) > cap, before any elimination, and PreconditionViolated
+    at p = 2 when O_2(G) != 1, where |V*| has no such law.
     """
     G, p = algebra.group, algebra.p
     core, QA, _, blocks = _image_units(algebra, cap)
     if p == 2 and core.order > 1:
         raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
     Q = QA.group
-    shifted = np.concatenate([((u + (QA._one_vec - f)) % p).astype(u.dtype) for f, u in blocks])
-    block_of = np.repeat(np.arange(len(blocks)), [len(u) for _, u in blocks])
-    n_unitary = np.bincount(block_of[_unitary_rows(QA, shifted)], minlength=len(blocks))
-    v_order = p ** (G.order - Q.order) * math.prod(len(u) for _, u in blocks)
-    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(map(int, n_unitary))
-    return v_order, vstar_order
+    shifted = [((u + (QA._one_vec - f)) % p).astype(u.dtype) for f, u in blocks]
+    unitary = np.split(_unitary_rows(QA, np.concatenate(shifted)),
+                       np.cumsum([len(u) for u in shifted[:-1]]))
+    v_order = p ** (G.order - Q.order) * math.prod(len(u) for u in shifted)
+    vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(
+        int(np.count_nonzero(mask)) for mask in unitary)
+    return v_order, vstar_order, [(f, u, mask)
+                                  for (f, _), u, mask in zip(blocks, shifted, unitary)]
+
+
+def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
+    """|V| and |V*| by the block laws (block_units), with its conditions."""
+    return block_units(algebra, cap)[:2]
 
 
 def _unitary_rows(algebra: GroupAlgebra, rows: np.ndarray) -> np.ndarray:
@@ -551,21 +576,27 @@ def _commutators(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarray,
     return _fused_products(U, (xy_inv, xy), (yx_inv, yx))
 
 
-def _normal_closure(U: UnitGroup, xs: np.ndarray, S: np.ndarray, inverse: np.ndarray) -> _Closure:
-    """The normal closure of xs in <S>: the subgroup N generated by xs and by
-    (g, s) for every generator g of N and s in S.  g^s = g (g, s) lies in N,
-    so N is normal, and (g, s) lies in every normal subgroup that holds g.
+def _normal_closure(U: UnitGroup, xs: np.ndarray, S: np.ndarray, inverse: np.ndarray
+                    ) -> tuple[_Closure, np.ndarray]:
+    """The normal closure N of xs in <S>, and the commutators [T, S] it forms.
+
+    N is the subgroup generated by xs and by (g, s) for every generator g
+    of N and s in S: g^s = g (g, s) lies in N, so N is normal, and (g, s)
+    lies in every normal subgroup that holds g.  The commutators (g, s) are
+    formed for the generators T of N in order, each against all of S, so
+    they come out as those of np.repeat(T, |S|) with np.tile(S, |T|).
     ``inverse`` holds the inverses of S and xs, and takes those of the commutators."""
     N = _Closure(U)
     N.grow(xs)
-    done = 0
+    formed, done = [np.empty(0, dtype=np.int64)], 0
     while done < N.gens.size:
         g, s = np.repeat(N.gens[done:], S.size), np.tile(S, N.gens.size - done)
         done = N.gens.size
         commutators, inverse_commutators = _commutators(U, g, s, inverse[g], inverse[s])
         inverse[commutators] = inverse_commutators
+        formed.append(commutators)
         N.grow(commutators)
-    return N
+    return N, np.concatenate(formed)
 
 
 def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
@@ -578,25 +609,26 @@ def lower_central_series_of_units(U: UnitGroup) -> list[np.ndarray]:
     gamma_(i+1) = [gamma_i, U] is the normal closure in U of {(t, s) : t in
     T, s in S} (Robinson, A Course in the Theory of Groups, 5.1), whose
     generators are the next T (_normal_closure): modulo [T, S] each t is
-    central, so each of its conjugates commutes with U as well.  The terms
-    agree with groups.lower_central_series on the Cayley table of U.
+    central, so each of its conjugates commutes with U as well.  That
+    closure forms [T, S] for its own generators, so only the first term's
+    commutators are formed here.  The terms agree with
+    groups.lower_central_series on the Cayley table of U.
     """
     m = len(U)
     H = _Closure(U)
     H.grow(np.arange(m, dtype=np.int64))
-    S = T = H.gens
+    S = H.gens
     inverse = np.empty(m, dtype=np.int64)  # set at S and at each commutator formed
     inverse[S] = _inverses(U, S)
+    t, s = np.repeat(S, S.size), np.tile(S, S.size)
+    commutators, inverse_commutators = _commutators(U, t, s, inverse[t], inverse[s])
+    inverse[commutators] = inverse_commutators
     terms = [np.arange(m, dtype=np.int64)]
     while terms[-1].size > 1:
-        t, s = np.repeat(T, S.size), np.tile(S, T.size)
-        commutators, inverse_commutators = _commutators(U, t, s, inverse[t], inverse[s])
-        inverse[commutators] = inverse_commutators
-        N = _normal_closure(U, commutators, S, inverse)
+        N, commutators = _normal_closure(U, commutators, S, inverse)
         terms.append(np.sort(np.concatenate(N.members)))
         if N.size == terms[-2].size:
             break
-        T = N.gens
     return terms
 
 

@@ -542,21 +542,118 @@ def test_verify_equivalence_skips_explicitly_over_the_enumeration_cap():
 
 
 @pytest.mark.parametrize("spec,orders", [
-    ("catalog:D,8", (2_211_840, 1_024)),
-    ("prod:catalog:D,4|catalog:C,2", (294_912, 8_192)),
-    ("prod:catalog:Q8|catalog:C,2", (294_912, 73_728)),
     ("prod:catalog:D,4|catalog:C,3", (16_529_940_864, 419_904)),
     ("prod:catalog:Q8|catalog:C,3", (16_529_940_864, 1_259_712)),
-], ids=["D8", "D4xC2", "Q8xC2", "D4xC3", "Q8xC3"])
+], ids=["D4xC3", "Q8xC3"])
 def test_skipped_unit_groups_take_their_orders_from_the_laws(spec, orders):
-    # G is nilpotent and not abelian, and 3^(|G|-1) candidates are above
-    # enumeration_cap: both statuses stay skipped, and the block laws count
-    # |V| and |V*| without enumerating either
+    # G is nilpotent and not abelian, 3 divides |G|, and 3^(|G|-1) candidates
+    # are above enumeration_cap: both statuses stay skipped, and the block
+    # laws count |V| and |V*| without enumerating either
     v = m.verify_equivalence(group(spec), 3)
     assert (v.v_order, v.vstar_order) == orders and not v.enumerated
     assert v.v_status.skipped and v.vstar_status.skipped
     assert v.v_status.reason.startswith("enumeration budget exceeded")
     assert v.consistent
+
+
+def _assert_witness(status, U=None):
+    # a non-Engel pair of normalized units, inside U when it is given
+    if status.kind == "non_nilpotent":
+        assert all(u.augmentation() == 1 for u in status.witness)
+        assert U is None or all(u in U for u in status.witness)
+        assert m.engel_test(*status.witness, n_max=10**6).nontrivial
+
+
+@pytest.mark.parametrize("spec,p,n_commutative", [
+    ("catalog:D,4", 3, 4), ("catalog:Q8", 5, 4), ("catalog:S3", 5, 2),
+    ("prod:catalog:Q8|catalog:C,2", 3, 8),
+])
+def test_commutative_blocks_match_the_definition(spec, p, n_commutative):
+    # FG*f is commutative exactly when f (gh - hg) = 0 on all |G|^2 columns
+    A = alg(spec, p)
+    G, idempotents = A.group, [f for f, _, _ in m.units.block_units(A)[2]]
+    g, h = np.divmod(np.arange(G.order ** 2), G.order)
+    basis = np.eye(G.order, dtype=np.int64)
+    columns = basis[:, G.mul[g, h]] - basis[:, G.mul[h, g]]
+    expected = [not A.multiply(f[:, None], columns).any() for f in idempotents]
+    assert th._commutative_blocks(A, idempotents).tolist() == expected
+    assert sum(expected) == n_commutative < len(expected)
+
+
+BLOCK_LEG = [(spec, p) for spec in ("catalog:D,4", "catalog:Q8") for p in (3, 5, 7)]
+
+
+@pytest.mark.parametrize("spec,p", BLOCK_LEG,
+                         ids=[f"{s[8:].replace(',', '')}@{p}" for s, p in BLOCK_LEG])
+def test_block_leg_matches_the_enumerated_unit_groups(spec, p):
+    # p does not divide |G|, so FG is semisimple and V, V* are the products
+    # of the unit groups of its blocks: the verdict decides them block by
+    # block, and the series and searches on the enumerated V and V* agree
+    v = m.verify_equivalence(group(spec), p)
+    assert not v.modular and not v.enumerated and v.consistent
+    V = m.enumerate_units(alg(spec, p))
+    Vstar = m.filter_unitary(V)
+    assert (v.v_order, v.vstar_order) == (len(V), len(Vstar))
+    for status, U in ((v.v_status, V), (v.vstar_status, Vstar)):
+        enumerated = th._nilpotency_status(U, Budgets())
+        assert (status.kind, status.nilpotency_class) == (enumerated.kind,
+                                                          enumerated.nilpotency_class)
+        assert not status.skipped
+        _assert_witness(status, U)
+        _assert_witness(enumerated, U)
+
+
+@pytest.mark.parametrize("spec,vstar,orders", [
+    ("catalog:D,8", VStatus("nilpotent", nilpotency_class=3), (2_211_840, 1_024)),
+    ("prod:catalog:D,4|catalog:C,2", VStatus("nilpotent", nilpotency_class=2),
+     (294_912, 8_192)),
+    ("prod:catalog:Q8|catalog:C,2", VStatus("non_nilpotent"), (294_912, 73_728)),
+], ids=["D8", "D4xC2", "Q8xC2"])
+def test_non_modular_unit_groups_above_the_enumeration_cap_are_decided_by_blocks(
+        monkeypatch, spec, vstar, orders):
+    # 3^(|G|-1) candidates are above enumeration_cap, but 3 does not divide
+    # |G| = 16: the blocks decide both statuses, and the laws count the orders.
+    # Every witness comes from the lex scan of a block's unit group under
+    # abstract_cap: for D8, from GL_2(3) (48 units), not GL_2(9) (5,760)
+    def refuse(U, **kwargs):
+        raise AssertionError(f"seeded search on {len(U)} units")
+
+    monkeypatch.setattr(th, "find_non_engel_pair", refuse)
+    v = m.verify_equivalence(group(spec), 3)
+    assert (v.v_order, v.vstar_order) == orders and not v.enumerated
+    assert v.v_status.kind == "non_nilpotent"
+    assert dataclasses.replace(v.vstar_status, witness=None) == vstar
+    for status in (v.v_status, v.vstar_status):
+        _assert_witness(status)
+    if vstar.kind == "non_nilpotent":
+        assert all(u.is_unitary() for u in v.vstar_status.witness)
+    assert not v.modular and not v.criterion and v.consistent
+
+
+EXTENDED_SPECS = ("catalog:D,8", "prod:catalog:D,4|catalog:C,2", "prod:catalog:Q8|catalog:C,2",
+                  "catalog:S4", "prod:catalog:S3|catalog:C,3", "prod:catalog:D,4|catalog:C,3",
+                  "prod:catalog:Q8|catalog:C,3")
+
+
+def test_non_modular_entries_enumerate_nothing_and_split_into_blocks_once(monkeypatch):
+    # every non-modular entry of the default catalog and the extended list
+    # takes its orders, and a nilpotent non-abelian G its statuses, from one
+    # block pass: V is never enumerated
+    calls = []
+    enumerate_units, unit_blocks = th.enumerate_units, m.units.unit_blocks
+    monkeypatch.setattr(th, "enumerate_units", lambda algebra, **kwargs: calls.append(
+        "enumerate_units") or enumerate_units(algebra, **kwargs))
+    monkeypatch.setattr(m.units, "unit_blocks", lambda algebra, **kwargs: calls.append(
+        "unit_blocks") or unit_blocks(algebra, **kwargs))
+    entries = [(spec, p) for spec in m.report.DEFAULT_SPECS + EXTENDED_SPECS for p in (2, 3)
+               if group(spec).order % p]
+    assert len(entries) == 11
+    for spec, p in entries:
+        calls.clear()
+        v = m.verify_equivalence(group(spec), p)
+        assert calls == ["unit_blocks"], (spec, p)
+        assert not v.modular and not v.v_status.skipped and not v.vstar_status.skipped
+        assert v.v_order is not None and v.consistent
 
 
 @pytest.mark.parametrize("spec,v_class,vstar_class", [
@@ -579,8 +676,9 @@ def test_series_decides_unit_groups_beyond_the_default_cap(spec, v_class, vstar_
     (3, Budgets(abstract_cap=64), 384), (5, Budgets(), 30720),
 ], ids=["D4@3-cap64", "D4@5"])
 def test_seeded_search_decides_v_above_abstract_cap(monkeypatch, p, budgets, v_order):
-    # D4 is nilpotent and not abelian, so only the unit groups decide; V is
-    # above abstract_cap, and the seeded search draws a non-Engel pair of it
+    # D4 is nilpotent and not abelian, so only the unit groups decide.  The
+    # verdict decides them block by block; on the enumerated V, which is
+    # above abstract_cap, the seeded search draws a non-Engel pair
     searched = []
 
     def spy(U, **kwargs):
@@ -588,10 +686,13 @@ def test_seeded_search_decides_v_above_abstract_cap(monkeypatch, p, budgets, v_o
         return m.find_non_engel_pair(U, **kwargs)
 
     monkeypatch.setattr(th, "find_non_engel_pair", spy)
+    status = th._nilpotency_status(m.enumerate_units(alg("catalog:D,4", p)), budgets)
+    assert searched == [v_order]
+    assert status.kind == "non_nilpotent" and status.nilpotency_class is None
+    assert m.engel_test(*status.witness, n_max=v_order).nontrivial
     v = m.verify_equivalence(group("catalog:D,4"), p, budgets)
-    assert searched == [v_order] and v.v_order == v_order
-    assert v.v_status.kind == "non_nilpotent" and v.v_status.nilpotency_class is None
-    assert m.engel_test(*v.v_status.witness, n_max=v_order).nontrivial
+    assert searched == [v_order]  # the blocks' unit groups are under abstract_cap
+    assert v.v_order == v_order and v.v_status.kind == "non_nilpotent"
     assert v.vstar_status == VStatus("nilpotent", nilpotency_class=2)
     assert not v.modular and not v.criterion and v.consistent
 
@@ -631,7 +732,7 @@ def test_nilpotency_status_builds_no_cayley_table(monkeypatch):
 
 # With both witness searches blind, S3@2 is still decided, from G's own
 # non-Engel pair before the series runs; D4@3 (G nilpotent, V not) is the
-# case where the series proves V non-nilpotent, with no witness
+# case where its non-commutative block proves V non-nilpotent, with no witness
 @pytest.mark.parametrize("spec,p,vstar", [
     ("catalog:S3", 2, VStatus("non_nilpotent")),
     ("catalog:D,4", 3, VStatus("nilpotent", nilpotency_class=2)),
@@ -676,8 +777,9 @@ def test_non_nilpotent_g_decides_its_unit_groups_without_the_series(monkeypatch)
             assert [u.to_text() for u in status.witness] == _embedded_texts(spec, p, pair)
             assert m.engel_test(*status.witness).nontrivial
         assert v.consistent
-    # D4 is nilpotent, so V(F3 D4), which is not, still needs the series
-    with pytest.raises(SeriesRan, match="384"):
+    # D4 is nilpotent, so V(F3 D4), which is not, still needs the series: on
+    # the 8 unitary units of its one non-commutative block, first
+    with pytest.raises(SeriesRan, match="^8$"):
         m.verify_equivalence(group("catalog:D,4"), 3)
 
 
@@ -766,11 +868,12 @@ def test_verify_equivalence_nonmodular_negative_case():
 
 def test_consistency_compares_v_with_the_criterion_on_non_modular_entries(monkeypatch):
     # D4@3 is non-modular and its V is not nilpotent, as the criterion says
-    # (Khripta); a V forced nilpotent makes the verdict inconsistent, while
-    # V*, which is nilpotent against the criterion, is compared only when modular
+    # (Khripta); a V forced nilpotent, by blocks that all pass for
+    # commutative, makes the verdict inconsistent, while V*, which is
+    # nilpotent against the criterion, is compared only when modular
     assert m.verify_equivalence(group("catalog:D,4"), 3).consistent
-    monkeypatch.setattr(th, "_nilpotency_status",
-                        lambda U, budgets: VStatus("nilpotent", nilpotency_class=2))
+    monkeypatch.setattr(th, "_commutative_blocks",
+                        lambda algebra, idempotents: np.ones(len(idempotents), dtype=bool))
     v = m.verify_equivalence(group("catalog:D,4"), 3)
     assert not v.modular and not v.criterion and v.v_status.kind == "nilpotent"
     assert not v.consistent

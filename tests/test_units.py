@@ -1053,7 +1053,12 @@ def test_closure_grown_in_batches_is_the_normal_closure(spec, p, n_conj):
             H.grow(batch)
         inverse = np.empty(len(U), dtype=np.int64)
         inverse[S], inverse[xs] = un._inverses(U, S), un._inverses(U, xs)
-        N = un._normal_closure(U, xs, S, inverse)
+        N, formed = un._normal_closure(U, xs, S, inverse)
+        # it returns the commutators (g, s) of its generators g with S, g-major
+        g, s = np.repeat(N.gens, S.size), np.tile(S, N.gens.size)
+        expected = [U.index_of(U.element(int(a)).try_inverse() * U.element(int(b)).try_inverse()
+                               * U.element(int(a)) * U.element(int(b))) for a, b in zip(g, s)]
+        assert formed.tolist() == expected
         members = [U.element(int(x)) for x in xs]
         conjugators = [U.element(U.one_position)]
         if n_conj:
@@ -1092,14 +1097,16 @@ def test_series_grows_its_closures_by_cosets(monkeypatch):
     assert sum(pairs) <= 4 * len(U)
 
 
-@pytest.mark.parametrize("spec,which,per_unit", [("catalog:A4", "V", 2),
-                                                  ("catalog:D,8", "V*", 0.5)])
+@pytest.mark.parametrize("spec,which,per_unit,after", [("catalog:A4", "V", 2, 1206),
+                                                        ("catalog:D,8", "V*", 0.5, 979)])
 def test_series_terms_cost_few_products_after_the_generating_set(monkeypatch, spec, which,
-                                                                 per_unit):
+                                                                 per_unit, after):
     # each term is the normal closure of commutators of generators, grown one
     # generator at a time by cosets; a conjugator mode that added every
     # commutator at once, so that H = 1, took 15,840 pairs after the series'
-    # inverse call on A4@2 V and 6,492 on D8@2 V*
+    # inverse call on A4@2 V and 6,492 on D8@2 V*.  Each term's commutators
+    # [T, S] are the ones its normal closure formed for its generators:
+    # forming them again took 1,416 and 1,411 pairs
     U = _unit_group(spec, 2, which)
     products, inverses = un._products, un._inverses
     pairs, before_inverses = [], []
@@ -1119,6 +1126,7 @@ def test_series_terms_cost_few_products_after_the_generating_set(monkeypatch, sp
     assert [t.tolist() for t in series] == [list(t.members) for t in reference]
     assert len(before_inverses) == 1
     assert sum(pairs) - before_inverses[0] <= per_unit * len(U)
+    assert sum(pairs) - before_inverses[0] == after
 
 
 @pytest.mark.parametrize("chunk", [7, 1])
