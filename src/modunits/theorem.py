@@ -48,8 +48,9 @@ class Budgets:
 class VStatus:
     """Nilpotency status of one unit group.
 
-    A ``non_nilpotent`` status always has a witness: a pair of units whose
-    Engel orbit z <- (z, y) from z = x never reaches 1.
+    A ``non_nilpotent`` status has a witness, a pair of units whose Engel
+    orbit z <- (z, y) from z = x never reaches 1, unless it is the V of a
+    non-modular entry whose seeded search drew none (_block_statuses).
     """
 
     kind: str  # "nilpotent" | "non_nilpotent" | "skipped"
@@ -344,47 +345,42 @@ def _status_from_group(algebra: GroupAlgebra) -> VStatus | None:
     return VStatus("non_nilpotent", witness=(algebra.embed(pair[0]), algebra.embed(pair[1])))
 
 
+def _witness(U: UnitGroup, budgets: Budgets) -> tuple[AlgebraElement, AlgebraElement] | None:
+    """A non-Engel pair of U: up to abstract_cap elements the first of the
+    lex scan, which a non-nilpotent U always has (Zorn); above it the
+    seeded search's, which may draw none."""
+    if len(U) <= budgets.abstract_cap:
+        return non_engel_scan(U)
+    return find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
+
+
 def _nilpotency_status(U: UnitGroup, budgets: Budgets) -> VStatus:
     """Status of U, which is V or V* of a nilpotent non-abelian G, or the
-    U(B) or U*(B) of a non-commutative block B of a non-modular one.
+    U*(B) of a non-commutative block B of a non-modular one.
 
     Up to abstract_cap elements the series, computed from generators,
-    decides U, and a non-nilpotent U gets the first non-Engel pair of the
-    lex scan, which has one by Zorn's theorem.  A larger U of p-power order
-    is a finite p-group, so nilpotent, and no search could draw a pair from
-    it; it is skipped, with that reason, since its class is not computed.
-    Any other larger U gets only the seeded search, which can prove
-    non-nilpotency but never nilpotency; it skips U when it draws no pair.
+    decides U, and a non-nilpotent U gets its _witness.  A larger U of
+    p-power order is a finite p-group, so nilpotent, and no search could
+    draw a pair from it; it is skipped, with that reason, since its class is
+    not computed.  Any other larger U gets only the seeded search, which can
+    prove non-nilpotency but never nilpotency; it skips U when it draws no
+    pair.
     """
-    if len(U) <= budgets.abstract_cap:
+    by_series = len(U) <= budgets.abstract_cap
+    if by_series:
         series = lower_central_series_of_units(U)
         if series[-1].size == 1:
             return VStatus("nilpotent", nilpotency_class=len(series) - 1)
-        return VStatus("non_nilpotent", witness=non_engel_scan(U))
-    if gr.p_part(len(U), U.algebra.p) == len(U):
+    elif gr.p_part(len(U), U.algebra.p) == len(U):
         return VStatus("skipped", reason="order p^k above abstract_cap: a p-group, "
                                          "so nilpotent; class not computed")
-    pair = find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed)
-    if pair is None:
+    witness = _witness(U, budgets)
+    if witness is None and not by_series:  # nothing proves U non-nilpotent
         return VStatus("skipped", reason="falsification inconclusive")
-    return VStatus("non_nilpotent", witness=pair)
+    return VStatus("non_nilpotent", witness=witness)
 
 
-def _commutative_blocks(algebra: GroupAlgebra, idempotents: list[np.ndarray]) -> np.ndarray:
-    """For each block FG*f, whether it is commutative: f (gh - hg) = 0 for
-    all g, h in G, which span FG.  gh = hg (g, h), so f (gh - hg) =
-    hg f ((g, h) - 1), and hg is a unit: the |G|^2 columns gh - hg reduce
-    to c - 1 for the distinct commutators c, all met by every f in one
-    multiply."""
-    G = algebra.group
-    m = G.mul
-    commutators = np.unique(m[m[np.ix_(G.inv, G.inv)], m])
-    columns = np.eye(G.order, dtype=np.int64)[:, commutators] - algebra._one_vec[:, None]
-    f = np.stack(idempotents, axis=1)
-    return ~algebra.multiply(f[:, :, None], columns[:, None, :]).any(axis=(0, 2))
-
-
-def _block_statuses(algebra: GroupAlgebra, blocks: list[tuple[np.ndarray, ...]],
+def _block_statuses(algebra: GroupAlgebra, blocks: list[tuple[np.ndarray, np.ndarray]],
                     budgets: Budgets) -> tuple[VStatus, VStatus]:
     """The statuses of V and V* of a non-modular nilpotent non-abelian G,
     from the units of its blocks (block_units), with V never enumerated.
@@ -392,22 +388,20 @@ def _block_statuses(algebra: GroupAlgebra, blocks: list[tuple[np.ndarray, ...]],
     FG is semisimple and the direct sum of its blocks B, and each f_B is
     fixed by the involution, so U = prod_B U(B) and U* = prod_B U*(B)
     (Khripta 1972; Passman 1977); the rows of block_units are U(B) and
-    U*(B) in FG, of augmentation 1, so V and V* are their products too.  A
-    commutative block gives abelian factors.  A non-commutative one has a
-    simple component M_n(F_q) with n >= 2 (Wedderburn), whose units hold
-    GL_n(F_q), which is not nilpotent: so V is not.  V* is nilpotent exactly
-    when every U*(B) is, of the largest class among them.  _nilpotency_status
-    runs on the U*(B) of the non-commutative blocks, smallest first, up to
-    the first non-nilpotent one, whose witness V and V* share; otherwise V*
-    is skipped with the reason of the smallest skipped U*(B), or nilpotent,
-    and V's witness is the one _nilpotency_status would give the smallest
-    non-commutative U(B), found with no series, since V's kind is known.
+    U*(B) in FG, of augmentation 1, so V and V* are their products too.  B
+    is a sum of components M_n(F_q) (Wedderburn), and |GL_n(F_q)| =
+    q^(n(n-1)/2) prod_{k<=n} (q^k - 1), so p divides the row count of B (1
+    for the principal block F*e_G) exactly when B is not commutative.  G is
+    not abelian, so some block is not, and its GL_n(F_q), n >= 2, is not
+    nilpotent: so V is not.  V* is nilpotent exactly when every U*(B) is, of
+    the largest class among them.  _nilpotency_status runs on the U*(B) of
+    the non-commutative blocks, smallest first, up to the first
+    non-nilpotent one, whose witness V and V* share; otherwise V* is skipped
+    with the reason of the smallest skipped U*(B), or nilpotent, and V takes
+    the _witness of the smallest non-commutative U(B), None if above
+    abstract_cap the search draws no pair.
     """
-    commutative = _commutative_blocks(algebra, [f for f, _, _ in blocks])
-    blocks = [(units, unitary) for (_, units, unitary), c in zip(blocks, commutative) if not c]
-    if not blocks:  # FG is commutative, so V and V* are abelian
-        status = VStatus("nilpotent", nilpotency_class=1)
-        return status, status
+    blocks = [(units, unitary) for units, unitary in blocks if len(units) % algebra.p == 0]
     vstar = VStatus("nilpotent", nilpotency_class=0)
     for units, unitary in sorted(blocks, key=lambda block: np.count_nonzero(block[1])):
         status = _nilpotency_status(UnitGroup(algebra, units[unitary]), budgets)
@@ -417,11 +411,8 @@ def _block_statuses(algebra: GroupAlgebra, blocks: list[tuple[np.ndarray, ...]],
         if vstar.kind == "nilpotent" and (status.skipped or status.nilpotency_class
                                           > vstar.nilpotency_class):
             vstar = status
-    witness = vstar.witness
-    if witness is None:  # V is not nilpotent, so only _nilpotency_status's search runs
-        U = UnitGroup(algebra, min((units for units, _ in blocks), key=len))
-        witness = (non_engel_scan(U) if len(U) <= budgets.abstract_cap else
-                   find_non_engel_pair(U, budget=budgets.engel_budget, seed=budgets.seed))
+    witness = vstar.witness or _witness(  # V is not nilpotent: only its witness is searched
+        UnitGroup(algebra, min((units for units, _ in blocks), key=len)), budgets)
     return VStatus("non_nilpotent", witness=witness), vstar
 
 

@@ -20,7 +20,8 @@ of FQ.  The verdict enumerates V only for a modular nilpotent non-abelian
 G, and at p = 2 when O_2(G) != 1 for its orders.  A non-modular G has
 O_p(G) = 1, so FQ = FG is semisimple, and V and V* are the products of the
 U(B) and U*(B); the verdict decides them from those, block by block, in
-the same pass that counts the orders.
+the same pass that counts the orders, and tells the non-commutative blocks
+by their unit counts, which p divides exactly for those.
 
 lower_central_series_of_units computes the lower central series of a unit
 group with no Cayley table, from a greedy generating set S taken in
@@ -363,17 +364,17 @@ def _skew_dim(X: gr.FiniteGroup) -> int:
 
 
 def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
-                ) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+                ) -> tuple[int, int, list[tuple[np.ndarray, np.ndarray]]]:
     """|V| and |V*| for odd p, and for p = 2 when O_2(G) = 1, counted by the
     block laws without building either group, and the units of the blocks
     of FQ.
 
-    The blocks come as triples, one for each block B of unit_blocks in its
-    order: its idempotent f_B, the rows x + 1 - f_B for the units x of B with
-    aug(x) = aug(f_B), as vectors of FQ in int_dtype(p - 1), and the mask
-    of the unitary rows.  Outside the principal block that is every unit of
-    B, and the rows, of augmentation 1, are a group isomorphic to U(B),
-    their unitary ones to U*(B).
+    The blocks come as pairs, one for each block B of unit_blocks in its
+    order: the rows x + 1 - f_B for the units x of B with aug(x) =
+    aug(f_B), as vectors of FQ in int_dtype(p - 1), and the mask of the
+    unitary rows.  Outside the principal block that is every unit of B, and
+    the rows, of augmentation 1, are a group isomorphic to U(B), their
+    unitary ones to U*(B); the principal block has |U(B)| / (p - 1) rows.
 
     Let Q = G/O_p(G) and I the kernel of FG -> FQ, the nilpotent ideal
     w(O_p(G))FG of dimension |G| - |Q|.  Units lift through I, and the
@@ -414,8 +415,7 @@ def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
     v_order = p ** (G.order - Q.order) * math.prod(len(u) for u in shifted)
     vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(
         int(np.count_nonzero(mask)) for mask in unitary)
-    return v_order, vstar_order, [(f, u, mask)
-                                  for (f, _), u, mask in zip(blocks, shifted, unitary)]
+    return v_order, vstar_order, list(zip(shifted, unitary))
 
 
 def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Report assembly, serialization determinism, config files, and the CLI."""
 
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -145,8 +146,10 @@ def test_catalog_pass_multiply_count(monkeypatch):
     # time: each kept generator is its own product call, so the calls rose
     # from 873 while the products fell.  D4@3 and Q8@3 are decided block by
     # block, with no series on V, and each term of a series reuses the
-    # commutators its predecessor's normal closure formed: 893 calls before
-    assert calls == 807
+    # commutators its predecessor's normal closure formed: 893 calls before,
+    # then 807.  Their blocks are told commutative by their unit counts, with
+    # no product: 805
+    assert calls == 805
 
 
 def test_catalog_pass_enumerates_only_where_needed(monkeypatch):
@@ -269,6 +272,14 @@ def test_run_determinism_same_seed():
     a = emit_report(run_catalog(SMALL), "json")
     b = emit_report(run_catalog(SMALL), "json")
     assert a == b
+
+
+def test_block_leg_report_at_larger_primes_is_pinned():
+    # the acceptance digests cover primes 2 and 3 only; at 5 and 7, D4 and Q8
+    # are decided block by block, and these bytes pin their witnesses
+    report = emit_report(run_catalog(RunConfig(primes=(5, 7))), "json")
+    assert hashlib.sha256(report).hexdigest() == (
+        "34d9a3db2a2694e272e8d4bec0d6911c76248b1cc6ae11aaac79487eb2731ea0")
 
 
 def test_run_determinism_across_interpreters(tmp_path):

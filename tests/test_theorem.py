@@ -1,6 +1,8 @@
 """Criterion, witness constructions, expansion identity, equivalence verdicts."""
 
 import dataclasses
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import modunits as m
 from modunits.errors import (
+    BudgetExceeded,
     NotCentral,
     NotUnitary,
     OrderMismatch,
@@ -564,20 +567,39 @@ def _assert_witness(status, U=None):
         assert m.engel_test(*status.witness, n_max=10**6).nontrivial
 
 
-@pytest.mark.parametrize("spec,p,n_commutative", [
-    ("catalog:D,4", 3, 4), ("catalog:Q8", 5, 4), ("catalog:S3", 5, 2),
-    ("prod:catalog:Q8|catalog:C,2", 3, 8),
-])
-def test_commutative_blocks_match_the_definition(spec, p, n_commutative):
-    # FG*f is commutative exactly when f (gh - hg) = 0 on all |G|^2 columns
-    A = alg(spec, p)
-    G, idempotents = A.group, [f for f, _, _ in m.units.block_units(A)[2]]
-    g, h = np.divmod(np.arange(G.order ** 2), G.order)
-    basis = np.eye(G.order, dtype=np.int64)
-    columns = basis[:, G.mul[g, h]] - basis[:, G.mul[h, g]]
-    expected = [not A.multiply(f[:, None], columns).any() for f in idempotents]
-    assert th._commutative_blocks(A, idempotents).tolist() == expected
-    assert sum(expected) == n_commutative < len(expected)
+N_COMMUTATIVE = {("catalog:D,4", 3): 4, ("catalog:Q8", 5): 4, ("catalog:S3", 5): 2,
+                 ("prod:catalog:Q8|catalog:C,2", 3): 8}
+
+
+@pytest.mark.parametrize("p,n_entries,n_blocks", [(2, 2, 7), (3, 9, 51), (5, 17, 97),
+                                                  (7, 13, 65)])
+def test_commutative_blocks_match_the_definition(p, n_entries, n_blocks):
+    # FG*f is commutative exactly when f (gh - hg) = 0 on all |G|^2 columns;
+    # a semisimple block is a sum of M_n(F_q), whose units number
+    # q^(n(n-1)/2) prod_k (q^k - 1), so p divides that exactly when some
+    # n >= 2.  So p divides |V| = prod_B |U(B)| / (p - 1) exactly when G is
+    # not abelian.  Every non-modular entry that fits the cap is checked
+    counted = {}
+    for spec in dict.fromkeys(m.report.DEFAULT_SPECS + EXTENDED_SPECS):
+        G = group(spec)
+        if G.order % p == 0:
+            continue
+        A = alg(spec, p)
+        try:
+            blocks = m.units.unit_blocks(A, cap=m.units.ENUMERATION_CAP)
+        except BudgetExceeded:
+            continue
+        g, h = np.divmod(np.arange(G.order ** 2), G.order)
+        basis = np.eye(G.order, dtype=np.int64)
+        columns = basis[:, G.mul[g, h]] - basis[:, G.mul[h, g]]
+        commutative = [not A.multiply(b.idempotent[:, None], columns).any() for b in blocks]
+        assert [len(b.units) % p != 0 for b in blocks] == commutative, spec
+        v_order = math.prod(len(b.units) for b in blocks) // (p - 1)
+        assert (v_order % p != 0) == G.is_abelian(), spec
+        counted[spec] = (sum(commutative), len(blocks))
+    assert (len(counted), sum(n for _, n in counted.values())) == (n_entries, n_blocks)
+    for (spec, q), n in N_COMMUTATIVE.items():
+        assert q != p or counted[spec][0] == n < counted[spec][1]
 
 
 BLOCK_LEG = [(spec, p) for spec in ("catalog:D,4", "catalog:Q8") for p in (3, 5, 7)]
@@ -866,14 +888,32 @@ def test_verify_equivalence_nonmodular_negative_case():
     assert v.consistent  # outside the theorem's hypotheses
 
 
+def test_block_fact_proves_v_non_nilpotent_when_no_witness_is_drawn():
+    # D4@3's one non-commutative block has 48 units and 8 unitary ones, all
+    # above abstract_cap = 4, and the seeded search draws no pair: V*, not a
+    # 3-group, is skipped, and V stays non-nilpotent, by its unit count,
+    # with no witness
+    budgets = Budgets(abstract_cap=4, engel_budget=0)
+    v = m.verify_equivalence(group("catalog:D,4"), 3, budgets)
+    assert v.v_status == VStatus("non_nilpotent")
+    assert v.vstar_status == VStatus("skipped", reason="falsification inconclusive")
+    assert not v.modular and not v.criterion and v.consistent
+    config = m.report.RunConfig(specs=("catalog:D,4",), primes=(3,), abstract_cap=4,
+                                engel_budget=0)
+    entry = json.loads(m.report.emit_report(m.report.run_catalog(config), "json"))
+    assert entry["verdicts"][0]["v"] == {"status": "non_nilpotent", "class": None,
+                                         "witness": None, "reason": None}
+
+
 def test_consistency_compares_v_with_the_criterion_on_non_modular_entries(monkeypatch):
     # D4@3 is non-modular and its V is not nilpotent, as the criterion says
-    # (Khripta); a V forced nilpotent, by blocks that all pass for
-    # commutative, makes the verdict inconsistent, while V*, which is
-    # nilpotent against the criterion, is compared only when modular
+    # (Khripta); a V forced nilpotent by the block leg makes the verdict
+    # inconsistent, while V*, which is nilpotent against the criterion, is
+    # compared only when modular
     assert m.verify_equivalence(group("catalog:D,4"), 3).consistent
-    monkeypatch.setattr(th, "_commutative_blocks",
-                        lambda algebra, idempotents: np.ones(len(idempotents), dtype=bool))
+    block_statuses = th._block_statuses
+    monkeypatch.setattr(th, "_block_statuses", lambda *args: (
+        VStatus("nilpotent", nilpotency_class=1), block_statuses(*args)[1]))
     v = m.verify_equivalence(group("catalog:D,4"), 3)
     assert not v.modular and not v.criterion and v.v_status.kind == "nilpotent"
     assert not v.consistent
