@@ -9,7 +9,9 @@ exact integer kernel that accumulates in the narrowest type holding
 int64 is refused.  The kernel takes one of two paths by the shape of its
 operands: one element on the left against up to |G| columns is one gather of
 its regular matrix and one matmul; any other product is a loop over the
-support of the left factor.
+support of the left factor.  The unitarity test, unitary_mask, forms no
+product: it reads only the coefficients of w* w that can fail, in the same
+narrow type.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .errors import (AlgebraTooLarge, ContextMismatch, NotAUnit, NotPrime, Order
 class GroupAlgebra:
     """Context object: the group, the characteristic, and cached index tables."""
 
-    __slots__ = ("group", "p", "div", "_ldiv", "_one_vec", "_dtype")
+    __slots__ = ("group", "p", "div", "_ldiv", "_one_vec", "_dtype", "_square_at",
+                 "_square_one", "_core")
 
     def __init__(self, group: gr.FiniteGroup, p: int):
         # first, so that a huge p is refused before a primality test on it
@@ -52,6 +55,14 @@ class GroupAlgebra:
         one[group.identity] = 1
         one.setflags(write=False)
         self._one_vec = one
+        # the coefficients of w*w that can fail (unitary_mask): 1 and one k of
+        # each pair k != k^-1, and the involutions too for odd p
+        ks = np.arange(group.order)
+        kept = np.flatnonzero(ks <= group.inv if self.p > 2 else
+                              (ks < group.inv) | (ks == group.identity))
+        self._square_at = np.ascontiguousarray(group.mul[:, kept])  # [x, j] = x * kept[j]
+        self._square_one = one[kept, None]
+        self._core = None
 
     @property
     def dim(self) -> int:
@@ -161,10 +172,30 @@ class GroupAlgebra:
         return mod_p(out, self.p).reshape(shape).astype(np.int64)
 
     def unitary_mask(self, cols: np.ndarray) -> np.ndarray:
-        """Which columns w of the (n, k) residue array cols are unitary,
-        w* w = 1, by one pairwise product.  Augmentation is not tested."""
-        prod = self.multiply(cols[self.group.inv], cols)
-        return (prod == self._one_vec[:, None]).all(axis=0)
+        """Which columns w of the (n, k) integer array cols are unitary,
+        w* w = 1, read off the coefficients of w* w that can fail.
+        Augmentation is not tested.
+
+        The coefficient of w* w at k is sum_x w(x) w(xk), which substituting
+        x -> xk^-1 shows equal at k and at k^-1, so one of each inverse pair
+        is read, and the identity.  At p = 2 the coefficient at an
+        involution k is 0 for every w, since the terms of x and of xk != x
+        are equal and cancel in pairs, so the involutions are read at odd p
+        only; the identity's, aug(w) at p = 2, is read at every p.  The sums
+        are those of multiply, at most dim * (p-1)^2, in the same narrow type.
+        """
+        w = residues(cols, self.p, self._dtype)
+        at = self._square_at
+        out = np.zeros((at.shape[1], w.shape[1]), dtype=self._dtype)
+        for x in range(self.dim):
+            out += w[x] * w[at[x]]
+        return (mod_p(out, self.p) == self._square_one).all(axis=0)
+
+    def _p_core(self) -> gr.Subgroup:
+        """O_p(G), computed once per algebra."""
+        if self._core is None:
+            self._core = gr.p_core(self.group, self.p)
+        return self._core
 
     def random_element(self, rng) -> "AlgebraElement":
         return AlgebraElement(self, rng.integers(0, self.p, size=self.dim).astype(np.int64))

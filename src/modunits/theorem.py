@@ -443,7 +443,7 @@ def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
     from_g = _status_from_group(algebra)
     v_status = vstar_status = from_g
     v_order = vstar_order = None
-    has_law = p > 2 or gr.p_core(G, p).order == 1  # where block_units counts both
+    has_law = p > 2 or algebra._p_core().order == 1  # where block_units counts both
     by_blocks = from_g is None and not algebra.is_modular
     enumerated = not by_blocks and (from_g is None or not has_law)
     try:

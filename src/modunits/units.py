@@ -10,8 +10,8 @@ vectors of FQ.  V's image in FQ, the normalized units of FQ, is the sums of
 one unit of each block with the augmentation of its idempotent, and
 _image_units is the one place that derives it.  enumerate_units lifts it:
 V(FG) is the union of the preimages of those sums under the coset-sum map,
-whose kernel is nilpotent, built as sorted mixed-radix codes and decoded
-once into the narrow rows a UnitGroup holds.  filter_unitary carves out
+whose kernel is nilpotent, built as mixed-radix codes that a UnitGroup
+sorts, decodes once into narrow rows and keeps.  filter_unitary carves out
 the units fixed into inverses by the classical involution.  For odd p, and
 for p = 2 when O_2(G) = 1, block_units counts |V| and |V*| from the same
 image by the block laws, without building either group, and gives each
@@ -81,7 +81,10 @@ class UnitGroup:
     codes sum_i v_i p^(n-1-i) in one sorted code array: int64 when
     n log2 p < 62, Python ints otherwise.  Rows in strictly increasing
     order are kept as given, with no copy when already in the residue
-    dtype; others are sorted by code and rebuilt from the sorted codes.
+    dtype; others are sorted by code and decoded from the sorted codes.  A
+    set built as codes takes the same step (_from_codes: enumerate_units,
+    closure_subgroup), or keeps its sorted codes with their rows
+    (filter_unitary), so no code is computed twice.
     Construction checks only that the vectors are distinct and contain 1.
     Closure is proven exhaustively from the product table, by
     as_abstract_group and by verify_closure.
@@ -93,14 +96,29 @@ class UnitGroup:
         if vectors.dtype != int_dtype(p - 1) or (
                 vectors.size and (vectors.min() < 0 or vectors.max() >= p)):
             vectors = residues(vectors, p, int_dtype(p - 1))
-        self.algebra = algebra
-        self._weights = _code_weights(n, p)
-        codes = _codes(vectors, self._weights)
-        if not (codes[1:] > codes[:-1]).all():
+        codes = _codes(vectors, _code_weights(n, p))
+        self._keep(algebra, codes, vectors if (codes[1:] > codes[:-1]).all() else None)
+
+    @classmethod
+    def _from_codes(cls, algebra: GroupAlgebra, codes: np.ndarray,
+                    vectors: np.ndarray | None = None) -> "UnitGroup":
+        """The unit group whose members have the mixed-radix codes ``codes``:
+        strictly increasing with their rows ``vectors``, or in any order."""
+        U = cls.__new__(cls)
+        U._keep(algebra, codes, vectors)
+        return U
+
+    def _keep(self, algebra: GroupAlgebra, codes: np.ndarray, vectors: np.ndarray | None
+              ) -> None:
+        """Keep the codes and their rows; without rows, sort the codes in place,
+        refuse a repeated one and decode them."""
+        if vectors is None:
             codes.sort()
             if not (codes[1:] > codes[:-1]).all():
                 raise ValueError("unit set contains duplicates")
-            vectors = _decode(codes, n, p)
+            vectors = _decode(codes, algebra.dim, algebra.p)
+        self.algebra = algebra
+        self._weights = _code_weights(algebra.dim, algebra.p)
         self._codes = codes
         self.vectors = vectors
         self.vectors.setflags(write=False)
@@ -186,15 +204,18 @@ def _codes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _decode(codes: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The rows in int_dtype(p - 1) whose codes are ``codes``: column 0 holds
-    the most significant base-p digit, so the rows of [p^j, 2p^j) are the
-    vectors whose first nonzero coordinate, in column n-1-j, is 1, one per
-    scalar class (unit_blocks).  One digit at a time from the least
-    significant, _CHUNK rows at a time; numpy vectorises floor division by
-    a scalar but not the remainder, so the digit is x - (x // p) * p."""
+    """The rows in int_dtype(p - 1) whose codes, each below p^n, are
+    ``codes``: column 0 holds the most significant base-p digit, so the rows
+    of [p^j, 2p^j) are the vectors whose first nonzero coordinate, in column
+    n-1-j, is 1, one per scalar class (unit_blocks).  One digit at a time
+    from the least significant, _CHUNK rows at a time; numpy vectorises
+    floor division by a scalar but not the remainder, so the digit is
+    x - (x // p) * p.  The digits are taken in int32 when n log2 p < 31,
+    where every code fits, and in the codes' own type otherwise."""
+    narrow = n * np.log2(p) < 31
     out = np.empty((len(codes), n), dtype=int_dtype(p - 1))
     for lo in range(0, len(codes), _CHUNK):
-        x = codes[lo:lo + _CHUNK]
+        x = codes[lo:lo + _CHUNK].astype(np.int32) if narrow else codes[lo:lo + _CHUNK]
         for i in range(n - 1, -1, -1):
             q = x // p
             out[lo:lo + _CHUNK, i] = x - q * p
@@ -292,7 +313,7 @@ def _image_units(algebra: GroupAlgebra, cap: int | None = None
     augmentation 1 are one in each scalar class, |U(B)| / (p - 1).
     """
     p = algebra.p
-    core = gr.p_core(algebra.group, p)
+    core = algebra._p_core()
     Q, coset = gr.quotient(core)
     QA = GroupAlgebra(Q, p)
     blocks = [(b.idempotent,
@@ -315,7 +336,8 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     each coset q, and that member takes I_q - S_q mod p, where S_q is the
     sum of the free digits of the coset.  So its code is code(D) +
     sum_q (I_q - S_q mod p) p^(n-1-r_q), computed in tiles of at most
-    _CHUNK units, sorted, and decoded once into the rows UnitGroup keeps.
+    _CHUNK units, and handed to UnitGroup, which sorts them, decodes them
+    once and keeps both.
     For N = 1 the quotient is G itself.  Where only the order is wanted,
     block_units counts it from the same blocks.  Raises BudgetExceeded
     (carrying the required count) when p^(dim-1) > cap.  ``seed`` is unused.
@@ -350,11 +372,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
                 image[:, 0] += x[i]
             codes[i_lo:i_lo + i_step, d_lo:d_lo + d_step] = (
                 free_codes + mod_p(image - sums, p) @ weights[reps])
-    codes = codes.reshape(-1)
-    codes.sort()
-    vectors = _decode(codes, n, p)
-    del codes  # UnitGroup computes its own
-    return UnitGroup(algebra, vectors)
+    return UnitGroup._from_codes(algebra, codes.reshape(-1))
 
 
 def _skew_dim(X: gr.FiniteGroup) -> int:
@@ -435,7 +453,8 @@ def _unitary_rows(algebra: GroupAlgebra, rows: np.ndarray) -> np.ndarray:
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
     """The members with u* u = 1 (_unitary_rows), a subgroup of V.  Members of V
     are normalized, so augmentation needs no test.  ``seed`` is unused."""
-    return UnitGroup(V.algebra, V.vectors[_unitary_rows(V.algebra, V.vectors)])
+    mask = _unitary_rows(V.algebra, V.vectors)
+    return UnitGroup._from_codes(V.algebra, V._codes[mask], V.vectors[mask])
 
 
 def closure_subgroup(units: Iterable[AlgebraElement],
@@ -469,7 +488,7 @@ def closure_subgroup(units: Iterable[AlgebraElement],
         if seen.size + level.size > cap:
             raise BudgetExceeded(f"closure exceeds cap {cap}", cap + 1)
         seen = np.union1d(seen, level)
-    return UnitGroup(alg, _decode(seen, n, p))
+    return UnitGroup._from_codes(alg, seen)
 
 
 def as_abstract_group(U: UnitGroup, cap: int = ABSTRACT_GROUP_CAP) -> gr.FiniteGroup:

@@ -557,6 +557,44 @@ def test_product_of_unitary_is_unitary():
             assert (u * v).is_unitary()
 
 
+def _mask_test_columns(A, rng):
+    """Columns to test unitary_mask on: random ones of any augmentation, the
+    same of augmentation 0, zero, each group element and its negative (unitary,
+    of augmentation 1 and -1), and the members of V* where V is small."""
+    n, p = A.dim, A.p
+    cols = rng.integers(0, p, size=(n, 2048))
+    aug0 = cols.copy()
+    aug0[0] = (aug0[0] - aug0.sum(axis=0)) % p
+    group = np.eye(n, dtype=np.int64)
+    parts = [cols, aug0, np.zeros((n, 1), dtype=np.int64), group, (-group) % p]
+    if p ** (n - 1) <= 2**18:
+        parts.append(m.filter_unitary(m.enumerate_units(A)).vectors.T.astype(np.int64))
+    return np.concatenate(parts, axis=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("spec", ["catalog:C,1", "catalog:C,2", "catalog:C,3", "catalog:C,4",
+                                  "catalog:S3", "catalog:D,4", "catalog:Q8", "catalog:A4"])
+def test_unitary_mask_is_the_full_product_definition(spec, p):
+    A = alg(spec, p)
+    cols = _mask_test_columns(A, np.random.default_rng(11))
+    definition = (A.multiply(cols[A.group.inv], cols) == A._one_vec[:, None]).all(axis=0)
+    mask = A.unitary_mask(cols)
+    assert mask.dtype == bool and (mask == definition).all()
+    assert definition.any() and not definition.all()
+
+
+@pytest.mark.parametrize("spec,p,read", [
+    ("catalog:D,10", 2, 5), ("catalog:D,8", 2, 4), ("prod:catalog:D,4|catalog:C,2", 2, 3),
+    ("catalog:A4", 3, 8),
+])
+def test_unitary_mask_reads_one_coefficient_per_inverse_pair(spec, p, read):
+    # the identity and one of each pair k != k^-1, and the involutions at odd
+    # p only: at p = 2 their coefficients of w* w cancel in pairs
+    A = alg(spec, p)
+    assert A._square_at.shape == (A.dim, read)
+
+
 def test_support():
     assert F3S3.zero().support() == ()
     assert F3S3.embed(4).support() == (4,)

@@ -678,6 +678,21 @@ def test_non_modular_entries_enumerate_nothing_and_split_into_blocks_once(monkey
         assert v.v_order is not None and v.consistent
 
 
+def test_each_entry_at_2_computes_its_2_core_once(monkeypatch):
+    # whether |V*| has a law (O_2(G) = 1) and the quotient the unit layer
+    # lifts through both need O_2(G); one verdict computes it once
+    calls = []
+    p_core = m.groups.p_core
+    monkeypatch.setattr(m.groups, "p_core", lambda G, p: calls.append(G.name) or p_core(G, p))
+    counts = {}
+    for spec in m.report.DEFAULT_SPECS:
+        calls.clear()
+        m.verify_equivalence(group(spec), 2)
+        assert len(calls) <= 1, spec
+        counts[spec] = len(calls)
+    assert counts["catalog:S3"] == counts["catalog:D,4"] == counts["catalog:A4"] == 1
+
+
 @pytest.mark.parametrize("spec,v_class,vstar_class", [
     ("catalog:D,8", 4, 3),
     ("prod:catalog:D,4|catalog:C,2", 2, 2),

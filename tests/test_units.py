@@ -492,6 +492,43 @@ def test_unit_group_sorts_shuffled_rows(spec, p):
         un.UnitGroup(A, np.vstack([shuffled, shuffled[3]]))
 
 
+@pytest.mark.parametrize("p,n", [(2, 30), (2, 31), (2, 32), (3, 19), (3, 20)])
+def test_decode_round_trips_codes_either_side_of_the_int32_boundary(p, n):
+    # digits in int32 below n log2 p = 31, in the codes' int64 above
+    top = p ** n
+    rng = np.random.default_rng(n)
+    codes = np.concatenate([np.array([0, 1, p - 1, p, 2**31 - 1, 2**31, top - 2, top - 1]),
+                            rng.integers(0, top, 4096)])
+    codes = codes[codes < top]
+    rows = un._decode(codes, n, p)
+    assert rows.dtype == np.int8
+    assert (un._codes(rows, un._code_weights(n, p)) == codes).all()
+    digits = codes[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p  # in int64
+    assert (rows == digits).all()
+
+
+@pytest.mark.parametrize("spec,p", [("catalog:D,10", 2), ("catalog:A4", 3), ("catalog:D,8", 2)])
+def test_enumerated_units_keep_the_codes_of_their_rows(spec, p):
+    A = alg(spec, p)
+    V = m.enumerate_units(A)
+    Vs = m.filter_unitary(V)
+    for U in (V, Vs):
+        assert U._codes.dtype == np.int64
+        assert (U._codes[1:] > U._codes[:-1]).all()
+        assert (U._codes == un._codes(U.vectors, U._weights)).all()
+
+
+def test_unit_sets_built_from_codes_refuse_a_duplicate():
+    A = alg("catalog:S3", 2)
+    V = m.enumerate_units(A)
+    with pytest.raises(ValueError, match="contains duplicates"):
+        un.UnitGroup._from_codes(A, np.concatenate([V._codes, V._codes[3:4]]))
+    with pytest.raises(ValueError, match="contains duplicates"):  # in sorted order
+        un.UnitGroup(A, np.insert(V.vectors, 3, V.vectors[3], axis=0))
+    with pytest.raises(ValueError, match="does not contain 1"):
+        un.UnitGroup._from_codes(A, np.delete(V._codes, V.one_position))
+
+
 @pytest.mark.parametrize("build", [
     lambda A: un.UnitGroup(A, [[1.0, 0.0], [0.0, 1.9]]),
     lambda A: m.enumerate_units(A).positions_of(np.array([[0.0, 1.9]])),
