@@ -5,8 +5,12 @@ that decides invertibility for many small matrices at once (the hot path of
 unit enumeration) and solves them for given right-hand sides (inverses).
 
 Each elimination runs in the narrowest integer type that holds every value
-it can form (int_dtype), after reducing its input mod p, so no entry wraps;
-back-substitution, whose sums are longer, runs in int64.
+it can form (int_dtype), after reducing its input mod p, so no entry wraps.
+batch_solve keeps the batch axis last, so its Python-level work depends on
+the matrix size and p alone, and is fraction-free: it swaps no rows, and
+its steps, piv * R[r] - R[r, col] * R[col], stay within (p-1)^2, the bound
+of work_dtype(p).  With right-hand sides it runs Gauss-Jordan and inverts
+only the diagonal it leaves.
 """
 
 from __future__ import annotations
@@ -38,15 +42,16 @@ def integer_array(a) -> np.ndarray:
 
 
 def residues(a, p: int, dtype) -> np.ndarray:
-    """A fresh array of dtype holding the integers a mod p.  An array with
-    every entry in [0, p) is narrowed as it is; otherwise a is reduced in
-    int64 first, or in uint64 when unsigned, where int64 would wrap entries
-    of 2^63 and above.  Raises NotIntegral unless a has an integer or bool
-    dtype."""
+    """A fresh C-contiguous array of dtype holding the integers a mod p, so
+    that a transposed view costs one copy and is read row by row after.  An
+    array with every entry in [0, p) is narrowed as it is; otherwise a is
+    reduced in int64 first, or in uint64 when unsigned, where int64 would
+    wrap entries of 2^63 and above.  Raises NotIntegral unless a has an
+    integer or bool dtype."""
     a = integer_array(a)
     if a.size and (a.min() < 0 or a.max() >= p):
         a = a.astype(np.uint64 if a.dtype.kind == "u" else np.int64) % p
-    return a.astype(dtype)
+    return a.astype(dtype, order="C")
 
 
 def row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,30 +116,44 @@ def batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
 
 def batch_solve(mats: np.ndarray, p: int, rhs: np.ndarray | None = None):
     """batch_invertible_mask and, for rhs broadcast to (N, n), the int64 solutions
-    y of mats[k] @ y = rhs[k] where the mask holds (else None): rhs is column n of
-    the forward elimination; back-substitution sums to n (p-1)^2, so runs in int64."""
+    y of mats[k] @ y = rhs[k] where the mask holds (else None).
+
+    R[i, j, k] is entry (i, j) of matrix k, with rhs[k] as column n: the
+    batch axis is last, so each step is a few whole-array operations on
+    contiguous (., N) slabs.  No rows are swapped: where R[col, col] is 0, the
+    first lower row nonzero in that column is added to row col.  Each step is
+    fraction-free, R[r] <- piv R[r] - R[r, col] R[col] with piv = R[col, col],
+    both terms at most (p-1)^2, so it is exact in work_dtype(p).  A matrix is
+    invertible exactly when every pivot is nonzero.  The mask alone eliminates
+    the rows below col; with rhs every other row is eliminated over its whole
+    width (Gauss-Jordan), as the rows above carry their own pivots, which
+    leaves R diagonal and y = R[:, n] / diag, one inversion for all columns.
+    """
     N, n = mats.shape[:2]
-    R = residues(mats, p, work_dtype(p))
+    dt = work_dtype(p)
+    R = residues(mats.transpose(1, 2, 0), p, dt)
     if rhs is not None:
-        R = np.concatenate([R, residues(np.broadcast_to(rhs, (N, n)), p, R.dtype)[:, :, None]], 2)
+        R = np.concatenate([R, residues(np.broadcast_to(rhs, (N, n)).T, p, dt)[:, None]], 1)
     alive = np.ones(N, dtype=bool)
-    ar = np.arange(N)
     for col in range(n):
-        nz = R[:, col:, col] != 0
-        alive &= nz.any(axis=1)
-        pr = col + nz.argmax(axis=1)  # first nonzero at/below the diagonal
-        tmp = R[ar, pr].copy()
-        R[ar, pr] = R[ar, col]
-        R[ar, col] = tmp
-        pinv = _inverses_mod_p(R[:, col, col], p)
-        R[:, col, col:] = mod_p(R[:, col, col:] * pinv[:, None], p)
-        below = R[:, col + 1:, col]
-        if below.size:
-            R[:, col + 1:, col:] = mod_p(R[:, col + 1:, col:]
-                                        - below[:, :, None] * R[:, col, None, col:], p)
+        pivot_row = R[col, col:]
+        for r in range(col + 1, n):  # add the first lower row nonzero in column col
+            pivot_row += R[r, col:] * ((pivot_row[0] == 0) & (R[r, col] != 0))
+        mod_p(pivot_row, p)
+        piv = R[col, col].copy()
+        alive &= piv != 0
+        if rhs is None:  # the rows below, from column col on
+            rows, top, at = R[col + 1:, col:], pivot_row, 0
+        else:  # every row over its whole width; row col is put back after
+            rows, top, at = R, R[col].copy(), col
+        step = rows[:, at, None] * top
+        rows *= piv
+        rows -= step
+        mod_p(rows, p)
+        if rhs is not None:
+            R[col] = top
     if rhs is None:
         return alive, None
-    y = R[:, :, n].astype(np.int64)  # where alive, R[:, :, :n] is unit upper triangular
-    for row in range(n - 2, -1, -1):
-        y[:, row] = (y[:, row] - np.einsum("kj,kj->k", R[:, row, row + 1:n], y[:, row + 1:])) % p
-    return alive, y
+    diag = R[np.arange(n), np.arange(n)]
+    y = mod_p(R[:, n] * _inverses_mod_p(diag, p), p)
+    return alive, y.T.astype(np.int64, order="C")

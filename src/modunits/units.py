@@ -291,7 +291,7 @@ def _units_of_block(algebra: GroupAlgebra, rows: np.ndarray, pivots: np.ndarray)
     lam = np.arange(1, p, dtype=work_dtype(p))[:, None, None]
     parts = []
     for lo in range(0, reps.size, _CHUNK):
-        x = (_decode(reps[lo:lo + _CHUNK], d, p) @ rows % p).astype(int_dtype(p - 1))
+        x = mod_p(_decode(reps[lo:lo + _CHUNK], d, p) @ rows, p).astype(int_dtype(p - 1))
         x = x[batch_invertible_mask(x[:, on_block], p)]
         parts.append(mod_p(lam * x, p).astype(int_dtype(p - 1)).reshape(-1, x.shape[1]))
     return np.concatenate(parts)
@@ -337,7 +337,12 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     sum of the free digits of the coset.  So its code is code(D) +
     sum_q (I_q - S_q mod p) p^(n-1-r_q), computed in tiles of at most
     _CHUNK units, and handed to UnitGroup, which sorts them, decodes them
-    once and keeps both.
+    once and keeps both.  A tile stays in the residues' narrow type:
+    -S mod p is taken once per block of free digits, coset-major, and an
+    image unit's digits are summed over the blocks unreduced, so each
+    I_q - S_q mod p is one mod_p of at most (blocks + 1)(p - 1) in
+    int_dtype of that bound; einsum widens the digits to the weights' type
+    through a small buffer as it forms the codes.
     For N = 1 the quotient is G itself.  Where only the order is wanted,
     block_units counts it from the same blocks.  Raises BudgetExceeded
     (carrying the required count) when p^(dim-1) > cap.  ``seed`` is unused.
@@ -352,9 +357,11 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     m = QA.dim
     reps = np.unique(coset, return_index=True)[1]  # the least member of each coset
     free = np.setdiff1d(np.arange(n), reps)
-    in_coset = np.zeros((free.size, m), dtype=np.int64)
-    in_coset[np.arange(free.size), coset[free]] = 1
+    in_coset = np.zeros((m, free.size), dtype=np.int64)
+    in_coset[coset[free], np.arange(free.size)] = 1
     weights = _code_weights(n, p)
+    # a digit of each block's unit plus one of -S mod p
+    narrow = int_dtype((len(blocks) + 1) * (p - 1))
     n_image, n_free = math.prod(len(x) for _, x in blocks), p ** free.size
     codes = np.empty((n_image, n_free), dtype=weights.dtype)
     # tiles of at most _CHUNK units: a block of image units by a block of free digits
@@ -362,16 +369,18 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     i_step = max(1, _CHUNK // d_step)
     for d_lo in range(0, n_free, d_step):
         digits = _decode(np.arange(d_lo, min(d_lo + d_step, n_free)), free.size, p)
-        free_codes = digits @ weights[free]
-        sums = digits @ in_coset  # S: the sum of the free digits in each coset
+        free_codes = _codes(digits, weights[free])
+        # -S mod p, where S is the sum of the free digits in each coset, coset-major
+        neg_sums = mod_p(-(in_coset @ digits.T), p).astype(narrow)
         for i_lo in range(0, n_image, i_step):
             idx = np.arange(i_lo, min(i_lo + i_step, n_image), dtype=np.int64)
-            image = np.zeros((idx.size, 1, m), dtype=np.int64)
+            image = np.zeros((idx.size, m, 1), dtype=narrow)
             for _, x in blocks:
                 idx, i = np.divmod(idx, len(x))
-                image[:, 0] += x[i]
+                image[:, :, 0] += x[i]
+            last = mod_p(image + neg_sums, p)
             codes[i_lo:i_lo + i_step, d_lo:d_lo + d_step] = (
-                free_codes + mod_p(image - sums, p) @ weights[reps])
+                free_codes + np.einsum("imd,m->id", last, weights[reps]))
     return UnitGroup._from_codes(algebra, codes.reshape(-1))
 
 
@@ -443,10 +452,11 @@ def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int,
 
 def _unitary_rows(algebra: GroupAlgebra, rows: np.ndarray) -> np.ndarray:
     """algebra.unitary_mask of each row of rows, tested in blocks of _CHUNK
-    rows, which bounds the temporaries."""
+    rows, which bounds the temporaries.  Each block goes in as a transposed
+    view, which unitary_mask copies once, into C-contiguous columns."""
     mask = np.empty(len(rows), dtype=bool)
     for lo in range(0, len(rows), _CHUNK):
-        mask[lo:lo + _CHUNK] = algebra.unitary_mask(np.ascontiguousarray(rows[lo:lo + _CHUNK].T))
+        mask[lo:lo + _CHUNK] = algebra.unitary_mask(rows[lo:lo + _CHUNK].T)
     return mask
 
 

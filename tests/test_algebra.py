@@ -390,6 +390,10 @@ def test_residues_keeps_an_in_range_input_narrow_and_reduces_negative_entries():
     assert peak < 2 * small.nbytes  # the narrow copy, and no int64 temporary
     got = residues(np.array([-128, -3, -1, 0, 5, 127], dtype=np.int8), 3, np.int8)
     assert got.dtype == np.int8 and got.tolist() == [1, 0, 2, 0, 2, 1]
+    # a transposed view comes back in one C-contiguous copy, read row by row
+    view = np.arange(12, dtype=np.int8).reshape(3, 4).T
+    out = residues(view, 5, np.int16)
+    assert out.flags.c_contiguous and (out == view % 5).all()
 
 
 @pytest.mark.parametrize("call", [
@@ -442,42 +446,110 @@ def test_multiply_refuses_a_shape_that_does_not_fit(a, b):
     assert isinstance(err.value, ModunitsError) and isinstance(err.value, ValueError)
 
 
-@pytest.mark.parametrize("p", [3, 101])
+# work_dtype moves from int8 to int16 between 11 and 13, and to int32 between 181 and 191
+_WIDENING_PRIMES = [11, 13, 181, 191]
+
+
+@pytest.mark.parametrize("p", [3, 101] + _WIDENING_PRIMES)
 def test_gflinalg_ignores_multiples_of_p_in_its_input(p):
     from modunits._gflinalg import batch_invertible_mask, row_reduce
 
     rng = np.random.default_rng(p)
-    mats = rng.integers(0, p, size=(64, 4, 4))
-    mats[::2, 3] = (mats[::2, 0] + mats[::2, 1]) % p  # half are singular
-    # negative entries, and entries past int8, int16 and int32
-    k = rng.choice([-(2**33 // p), -1, 2**7 // p + 1, 2**15 // p + 1, 2**31 // p + 1],
-                   size=mats.shape)
-    raw = mats + k * p
-    mask = batch_invertible_mask(mats, p)
-    assert 0 < mask.sum() < mask.size
-    assert (batch_invertible_mask(raw, p) == mask).all()
-    for M, R in zip(mats[:8], raw[:8]):
-        for got, want in zip(row_reduce(R, p), row_reduce(M, p)):
-            assert (got == want).all()
+    for n in (4, 12):
+        mats = rng.integers(0, p, size=(64, n, n))
+        mats[::2, n - 1] = (mats[::2, 0] + mats[::2, 1]) % p  # half are singular
+        # negative entries, and entries past int8, int16 and int32
+        k = rng.choice([-(2**33 // p), -1, 2**7 // p + 1, 2**15 // p + 1, 2**31 // p + 1],
+                       size=mats.shape)
+        raw = mats + k * p
+        mask = batch_invertible_mask(mats, p)
+        assert 0 < mask.sum() < mask.size
+        assert (batch_invertible_mask(raw, p) == mask).all()
+        rhs = rng.integers(0, p, size=n)
+        solved, y = _gf.batch_solve(mats, p, rhs)
+        got_mask, got_y = _gf.batch_solve(raw, p, rhs + rng.integers(-3, 4, size=n) * p)
+        assert (got_mask == solved).all() and (got_y[solved] == y[solved]).all()
+        for M, R in zip(mats[:8], raw[:8]):
+            for got, want in zip(row_reduce(R, p), row_reduce(M, p)):
+                assert (got == want).all()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 65537])
+def _zero_diagonal_stacks(rng, p, n, count):
+    """Stacks of count matrices with every diagonal entry 0, so no pivot is in
+    place: a cyclic shift of the rows scaled by nonzero residues, which when
+    invertible sends every column but the last through the pivot fix, a random derangement
+    scaled the same way, and for even n the block-antidiagonal [[0, A], [B, 0]].
+    The second half of each stack has a zero last row."""
+    stacks = []
+    scale = rng.integers(1, p, size=(count, n))
+    shift = np.zeros((count, n, n), dtype=np.int64)
+    shift[:, np.arange(n), (np.arange(n) + 1) % n] = scale
+    stacks.append(shift)
+    perm = np.array([rng.permutation(n) for _ in range(count)])
+    while (bad := (perm == np.arange(n)).any(axis=1)).any():
+        perm[bad] = [rng.permutation(n) for _ in range(bad.sum())]
+    derange = np.zeros((count, n, n), dtype=np.int64)
+    derange[np.arange(count)[:, None], np.arange(n), perm] = scale
+    stacks.append(derange)
+    if n % 2 == 0:
+        h = n // 2
+        anti = np.zeros((count, n, n), dtype=np.int64)
+        anti[:, :h, h:] = rng.integers(0, p, size=(count, h, h))
+        anti[:, h:, :h] = rng.integers(0, p, size=(count, h, h))
+        stacks.append(anti)
+    for mats in stacks:
+        mats[count // 2:, -1] = 0
+    return stacks
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537] + _WIDENING_PRIMES)
 def test_batch_solve_agrees_with_row_reduce(p):
     # half of each stack is singular: its last row is a combination of two others
     rng = np.random.default_rng(p)
-    for n in (1, 2, 5, 9):
+    zero_rng = np.random.default_rng(p + 1)  # the stacks with a zero diagonal
+    for n in (1, 2, 5, 9, 12):
         mats = rng.integers(0, p, size=(60, n, n))
         if n > 1:
             mats[::2, -1] = (3 * mats[::2, 0] + mats[::2, -2]) % p
-        rhs = rng.integers(0, p, size=(60, n))
-        mask, y = _gf.batch_solve(mats, p, rhs)
-        assert mask.tolist() == [_gf.row_reduce(M, p)[1].size == n for M in mats]
-        assert (_gf.batch_invertible_mask(mats, p) == mask).all()
-        assert _gf.batch_solve(mats, p)[1] is None
-        assert y.dtype == np.int64 and ((0 <= y) & (y < p)).all()
-        solved = np.einsum("kij,kj->ki", mats.astype(object), y.astype(object)) % p
-        assert (solved[mask] == rhs[mask]).all()
-        assert 0 < mask.sum() < mask.size or n == 1
+        cases = [(mats, rng.integers(0, p, size=(60, n)))]
+        cases += [(z, zero_rng.integers(0, p, size=(60, n)))
+                  for z in (_zero_diagonal_stacks(zero_rng, p, n, 60) if n > 1 else [])]
+        for mats, rhs in cases:
+            mask, y = _gf.batch_solve(mats, p, rhs)
+            assert mask.tolist() == [_gf.row_reduce(M, p)[1].size == n for M in mats]
+            assert (_gf.batch_invertible_mask(mats, p) == mask).all()
+            assert _gf.batch_solve(mats, p)[1] is None
+            assert y.dtype == np.int64 and ((0 <= y) & (y < p)).all()
+            solved = np.einsum("kij,kj->ki", mats.astype(object), y.astype(object)) % p
+            assert (solved[mask] == rhs[mask]).all()
+            assert 0 < mask.sum() < mask.size or n == 1
+            for M, b, x in zip(mats[mask][:4], rhs[mask][:4], y[mask][:4]):
+                # the one solution, read off the reduced form of [M | b]
+                rows, pivots = _gf.row_reduce(np.concatenate([M, b[:, None]], axis=1), p)
+                assert pivots.tolist() == list(range(n)) and (rows[:, n] == x).all()
+
+
+@pytest.mark.parametrize("with_rhs", [False, True], ids=["mask", "solve"])
+def test_batch_solve_runs_as_many_steps_for_any_stack_size(monkeypatch, with_rhs):
+    # a clock-free guard: the kernel's Python-level work depends on n and p,
+    # not on the number of matrices
+    calls = 0
+    mod_p = _gf.mod_p
+
+    def counted(x, p):
+        nonlocal calls
+        calls += 1
+        return mod_p(x, p)
+
+    monkeypatch.setattr(_gf, "mod_p", counted)
+    rng = np.random.default_rng(5)
+    counts = []
+    for N in (1, 20_000):
+        calls = 0
+        _gf.batch_solve(rng.integers(0, 7, size=(N, 6, 6)), 7,
+                        rng.integers(0, 7, size=6) if with_rhs else None)
+        counts.append(calls)
+    assert counts[0] > 0 and counts[0] == counts[1]
 
 
 def test_try_inverse_matches_exhaustive_search_tiny():
@@ -582,6 +654,18 @@ def test_unitary_mask_is_the_full_product_definition(spec, p):
     mask = A.unitary_mask(cols)
     assert mask.dtype == bool and (mask == definition).all()
     assert definition.any() and not definition.all()
+
+
+def test_unitary_mask_leaves_its_input_unchanged():
+    A = alg("catalog:A4", 3)
+    rows = np.array(m.enumerate_units(A).vectors[:64])
+    want = A.unitary_mask(np.ascontiguousarray(rows.T))
+    # a transposed view, C-contiguous columns, and columns already in the product type
+    for cols in (rows.T, np.ascontiguousarray(rows.T), np.ascontiguousarray(rows.T, A._dtype)):
+        before = cols.copy()
+        assert (A.unitary_mask(cols) == want).all()
+        assert cols.dtype == before.dtype and (cols == before).all()
+    assert want.any() and not want.all()
 
 
 @pytest.mark.parametrize("spec,p,read", [

@@ -430,12 +430,45 @@ def test_block_units_take_as_many_steps_at_every_prime():
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
-# SHA-256 of the int64 rows of V and of V*
+# SHA-256 of the int64 rows of V and of V*, and of their int64 codes
 _UNIT_SET_DIGESTS = {
     ("catalog:D,10", 2): ("4434faeeed9ec4845e86d86fbd731dc77328eac148f8160b87dbb7d4861da5d2",
-                          "41e975d586b338f3b4c657a750f2614961056fa949b238d682eb0bef563c8fb6"),
+                          "41e975d586b338f3b4c657a750f2614961056fa949b238d682eb0bef563c8fb6",
+                          "fcb806964b77ca3781aa282220786cd568df54b4ad7570ef42a84d035a2c051c",
+                          "30dae2431ce295677c9f130676e55ec69550ed5a3daad6f5a0601bcedbec6b11"),
     ("catalog:A4", 3): ("8f63f3f17f129ded7c2fa69534fc6fa757b7155183b5fa1cf973d2b031b59fc5",
-                        "590f89e46f453c17d1d2325a1bf5c6d3d9d1a376924ff2edbfa1d141029fd155"),
+                        "590f89e46f453c17d1d2325a1bf5c6d3d9d1a376924ff2edbfa1d141029fd155",
+                        "8ab3edd0e853e6fb8b61c2512bf2eeb4f6dff9a4a24f5398c9c9b41aec05cef7",
+                        "c0e166fe9d4c601fd2b819a5dd4b305ec10c66845d5d04a02158e7b22f24d3da"),
+    ("catalog:D,6", 3): ("d7a1db3cb4b15435762e1f6e4c56f5f388e5d75869507e2b93c1b50fc580743e",
+                         "f3863f125742223202dafedb8e1b642b971ba985608df0660d251b2a2138982d",
+                         "4b0b7091e037783d5373eface148614df8e8d4a667ca15a087caac086e3215ad",
+                         "512a6e723a31f9c06e8f8ec04ea60fc2148ee10b5c148e364898176bf6ee7613"),
+    ("prod:catalog:S3|catalog:C,3", 2): (
+        "6554951dc3d8f4d76149a5fb64576a6495c19e7d8573ba603a34aa3aaaf4e5d2",
+        "0adeff06c6bb6cb940820b159acfdf42e9dff556fc8b781b3d03f0bcc27fed55",
+        "330be31711ed8d2ac812f1630783c94fd90e5dc9b69301f690c3bd0e6de7c7fc",
+        "b1d4a3f7b92ccf2f8cd242a8c097c0eb05b7f38555fd8f714684d2a36d9eafb1"),
+    ("catalog:D,4", 7): ("33344b679aaa8064e34cc538f6b1899ed466f5e09bafb671fc4a6846a90c8d41",
+                         "919fb94dc3513ff1f75214f5552bae7e8902b2216680477138447a5e4bd45304",
+                         "3c5b3299f101552e7bf12b79f6ba397e45d8284bfaa123f2bf01644ce8a9ee3b",
+                         "e32e42195e1867f4b13b4e499918154b089d54b6c1546b87e222d6753a9d682d"),
+    # the enumeration's tiles widen to int16 at p = 67, where 2(p - 1) > 127; at
+    # p = 97 a unit of one block plus one of the other passes 127 too
+    ("catalog:C,3", 97): ("e83a865987584a89727dfb634b9a27a5556ebf61d770e3a5fe38b8aeb4210575",
+                          "008bfaded903b0fedc049cd945c449539f7ec1d1f416304911e648dbc2e44244",
+                          "1db2f5f7a2ae09c47e79857a9c93962bb83d21bf88a17ab1cf5db6a3db85a4d4",
+                          "3e4b4f6288daaeaaa2626ebda12e90c3d4015048dcf465c76a17b199faab4195"),
+    # four blocks, whose units sum past 127 before the tile reduces them
+    ("prod:catalog:C,2|catalog:C,2", 53): (
+        "c7e304c90fc4d1a862152d6b6321b79c905d9d2b50981c57fa2820c9ba8701b9",
+        "2cef434f435260957105a60efb86746b00e1d1512f747356653c697545cd8f5b",
+        "8b95f850017cf0289b7aa1d75f751d9dc4acc6bc55d19fa0e91bc5c2fdbf8193",
+        "a952d716a6fa22f582002d95ccd49908bd72ddabce3ab2e71b217fd669552b1b"),
+    ("catalog:C,3", 67): ("52db842cfa74a0e9b5b71e27740191b855bbb9ff7752dc801a9689a5ef3c60ed",
+                          "d246cdc0244f2cbcf864fcd3d0daa542cbfe869cc05f38ec67f612ec8e0af4a3",
+                          "1324c0c7d6cd3f149fb51428e8554e3729fc96e5c37c95dbdaa8d9f23b5e0ef8",
+                          "f54b25980c38b0d57f6ed3781f5fdaf28d962027ed92d63e9cfccce1c8379e35"),
 }
 
 
@@ -447,7 +480,24 @@ def test_unit_sets_are_pinned(spec, p):
     Vs = m.filter_unitary(V)
     digests = tuple(hashlib.sha256(U.vectors.astype(np.int64).tobytes()).hexdigest()
                     for U in (V, Vs))
+    digests += tuple(hashlib.sha256(U._codes.tobytes()).hexdigest() for U in (V, Vs))
+    assert V._codes.dtype == Vs._codes.dtype == np.int64
     assert digests == _UNIT_SET_DIGESTS[spec, p]
+
+
+@pytest.mark.parametrize("spec,p", [("catalog:D,6", 3), ("prod:catalog:S3|catalog:C,3", 2)])
+def test_enumeration_with_python_int_weights_gives_the_same_units(monkeypatch, spec, p):
+    # codes are Python ints once n log2 p >= 62, but no such V can be enumerated:
+    # it has p^(n-1) >= 2^31 members, so the object weights are forced here
+    A = alg(spec, p)
+    V = m.enumerate_units(A)
+    weights = un._code_weights
+    monkeypatch.setattr(un, "_code_weights", lambda n, p: weights(n, p).astype(object))
+    W = m.enumerate_units(A)
+    assert W._codes.dtype == object and (W._codes == V._codes).all()
+    assert W.vectors.dtype == V.vectors.dtype and (W.vectors == V.vectors).all()
+    Ws = m.filter_unitary(W)
+    assert (Ws.vectors == m.filter_unitary(V).vectors).all()
 
 
 @pytest.mark.parametrize("spec,p,dtype", [
