@@ -192,13 +192,14 @@ def _parse_leaf(body: str, offset: int) -> GroupSpec:
 
 
 def spec_to_text(spec: GroupSpec) -> str:
-    """Canonical printer; parse_group_spec round-trips through it.  A product
-    nested in MAX_PROD_DEPTH others raises InvalidSpec, as in build_group."""
+    """Canonical printer; parse_group_spec round-trips through it.  A spec
+    field or product depth that build_group refuses raises InvalidSpec."""
     return _spec_text(spec, 0)
 
 
 def _spec_text(spec: GroupSpec, depth: int) -> str:
     """spec_to_text of spec, which is nested in depth products."""
+    _check_node(spec)
     if spec.kind == "catalog":
         if spec.param is not None:
             return f"catalog:{spec.name},{spec.param}"
@@ -206,12 +207,10 @@ def _spec_text(spec: GroupSpec, depth: int) -> str:
     if spec.kind == "perm":
         _check_permutations(spec.generators)
         return "perm:" + ";".join(_perm_to_cycles(g) for g in spec.generators)
-    if spec.kind == "prod":
-        if depth == MAX_PROD_DEPTH:
-            raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep")
-        left, right = spec.factors[0], spec.factors[1]
-        return f"prod:{_spec_text(left, depth + 1)}|{_spec_text(right, depth + 1)}"
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    if depth == MAX_PROD_DEPTH:
+        raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep")
+    left, right = spec.factors
+    return f"prod:{_spec_text(left, depth + 1)}|{_spec_text(right, depth + 1)}"
 
 
 def _perm_to_cycles(perm: tuple[int, ...], points=None) -> str:
@@ -418,21 +417,14 @@ def _build(spec: GroupSpec, cap: int, depth: int,
     """build_group of spec, which is nested in depth products, and how deep
     products nest in spec itself.  built maps the id of each product built
     so far in this build_group call to its group and that nesting."""
+    _check_node(spec)
     if spec.kind == "perm":
         return perm_closure(spec.generators, cap), 0
     if spec.kind == "catalog":
         n = spec.param
-        if spec.name not in _CATALOG:
-            raise InvalidSpec(f"unknown catalog name {spec.name!r}")
-        takes_param, order_of, construct_of = _CATALOG[spec.name]
-        if takes_param and not (_is_int(n) and n >= 1):
-            raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
-        if not takes_param and n is not None:
-            raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
+        _, order_of, construct_of = _CATALOG[spec.name]
         order, construct, height = order_of(n), lambda: construct_of(n), 0
-    elif spec.kind == "prod":
-        if len(spec.factors) != 2 or not all(isinstance(f, GroupSpec) for f in spec.factors):
-            raise InvalidSpec(f"a product takes two GroupSpec factors, got {spec.factors!r}")
+    else:
         group, height = built.get(id(spec), (None, 1))  # not built yet: at least 1 deep
         if depth + height > MAX_PROD_DEPTH:
             raise InvalidSpec(f"products nest more than {MAX_PROD_DEPTH} deep")
@@ -442,14 +434,31 @@ def _build(spec: GroupSpec, cap: int, depth: int,
             _build(factor, cap, depth + 1, built) for factor in spec.factors)
         order, construct = left.order * right.order, lambda: direct_product(left, right)
         height = 1 + max(left_height, right_height)
-    else:
-        raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
     if order > cap:
         raise ClosureExceedsCap(f"{_cap_text(spec, built, set())} has order {order} > cap {cap}")
     group = construct()
     if spec.kind == "prod":
         built[id(spec)] = group, height
     return group, height
+
+
+def _check_node(spec: GroupSpec) -> None:
+    """Raises InvalidSpec unless spec's kind is known and its catalog or product
+    fields are as build_group requires; generators are checked where read."""
+    if spec.kind == "catalog":
+        n = spec.param
+        if spec.name not in _CATALOG:
+            raise InvalidSpec(f"unknown catalog name {spec.name!r}")
+        takes_param = _CATALOG[spec.name][0]
+        if takes_param and not (_is_int(n) and n >= 1):
+            raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
+        if not takes_param and n is not None:
+            raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
+    elif spec.kind == "prod":
+        if len(spec.factors) != 2 or not all(isinstance(f, GroupSpec) for f in spec.factors):
+            raise InvalidSpec(f"a product takes two GroupSpec factors, got {spec.factors!r}")
+    elif spec.kind != "perm":
+        raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
 
 
 def _cap_text(spec: GroupSpec, built: dict[int, tuple[FiniteGroup, int]], shown: set[int]) -> str:

@@ -10,6 +10,7 @@ non-modular group algebra, taken block by block.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -416,58 +417,51 @@ def _block_statuses(algebra: GroupAlgebra, blocks: list[tuple[np.ndarray, np.nda
     return VStatus("non_nilpotent", witness=witness), vstar
 
 
-def _over_cap(e: BudgetExceeded) -> VStatus:
-    return VStatus("skipped", reason=f"enumeration budget exceeded (needs {e.required})")
-
-
 def verify_equivalence(G: gr.FiniteGroup, p: int, budgets: Budgets = Budgets(),
                        spec_text: str = "") -> EquivalenceVerdict:
     """Pit the fast criterion against brute force on one (group, prime) pair.
 
     An abelian or non-nilpotent G decides both statuses from its own table
-    (_status_from_group), whatever the budgets.  A nilpotent non-abelian G
-    needs its unit groups.  Where p divides |G|, V and V* are enumerated
-    when p^(|G|-1) fits under enumeration_cap, and the series decides them.
-    Where it does not, FG is semisimple and the statuses are decided block
-    by block, with no enumeration (_block_statuses): exact, since V and V*
-    are the products of the unit groups of the blocks.  V and V* are also
-    enumerated at p = 2 when O_2(G) != 1, for their orders, since |V*| has
-    no law there.  Every other entry, and a modular one whose enumeration
-    the cap skips, takes both orders from the block laws (block_units), in
-    the same block pass as a block-decided status, where they apply and
-    sum_B p^dim(B) fits under the same cap.  All failure modes land in
-    skipped statuses; a skipped status never makes the verdict inconsistent.
+    (_status_from_group), whatever the budgets.  Each entry then takes one
+    leg.  V and V* are enumerated when a nilpotent non-abelian G is modular,
+    for the series to decide them, and at p = 2 when O_2(G) != 1, for their
+    orders, since |V*| has no law there.  Every other entry takes its orders
+    from the block laws (block_units), and a non-modular nilpotent
+    non-abelian G its statuses too, block by block (_block_statuses): FG is
+    then semisimple, and V and V* are the products of the unit groups of
+    its blocks.  A leg that needs more than enumeration_cap candidates,
+    p^(|G|-1) or sum_B p^dim(B), skips the statuses it would decide; an
+    enumeration over the cap still takes the orders from the block laws,
+    where they apply and fit under it.  A skipped status never makes the
+    verdict inconsistent.
     """
     algebra = GroupAlgebra(G, p)
     criterion = group_criterion(G, p)
-    from_g = _status_from_group(algebra)
-    v_status = vstar_status = from_g
+    v_status = vstar_status = _status_from_group(algebra)
     v_order = vstar_order = None
     has_law = p > 2 or algebra._p_core().order == 1  # where block_units counts both
-    by_blocks = from_g is None and not algebra.is_modular
-    enumerated = not by_blocks and (from_g is None or not has_law)
+    enumerated = not has_law or (v_status is None and algebra.is_modular)
+    cap = budgets.enumeration_cap
     try:
         if enumerated:
-            V = enumerate_units(algebra, cap=budgets.enumeration_cap)
+            V = enumerate_units(algebra, cap=cap)
             Vstar = filter_unitary(V)
             v_order, vstar_order = len(V), len(Vstar)
-    except BudgetExceeded as e:
-        enumerated = False
-        if from_g is None:
-            v_status = vstar_status = _over_cap(e)
-    else:
-        if enumerated and from_g is None:
-            v_status = _nilpotency_status(V, budgets)
-            vstar_status = _nilpotency_status(Vstar, budgets)
-    if not enumerated and has_law:
-        try:
-            v_order, vstar_order, blocks = block_units(algebra, cap=budgets.enumeration_cap)
-        except BudgetExceeded as e:  # the orders stay unknown
-            if by_blocks:
-                v_status = vstar_status = _over_cap(e)
+            if v_status is None:
+                v_status = _nilpotency_status(V, budgets)
+                vstar_status = _nilpotency_status(Vstar, budgets)
         else:
-            if by_blocks:
+            v_order, vstar_order, blocks = block_units(algebra, cap=cap)
+            if v_status is None:
                 v_status, vstar_status = _block_statuses(algebra, blocks, budgets)
+    except BudgetExceeded as e:
+        if v_status is None:
+            v_status = vstar_status = VStatus(
+                "skipped", reason=f"enumeration budget exceeded (needs {e.required})")
+        if enumerated and has_law:
+            with suppress(BudgetExceeded):  # over the cap too, the orders stay unknown
+                v_order, vstar_order, _ = block_units(algebra, cap=cap)
+        enumerated = False
 
     compared = (v_status, vstar_status) if algebra.is_modular else (v_status,)
     consistent = all(status.skipped or (status.kind == "nilpotent") == criterion

@@ -29,17 +29,18 @@ position order: each term is the normal closure of the commutators of the
 last term's generators with S (_normal_closure).  Its closures grow one
 generator at a time by right cosets, one product per new member (_Closure).
 non_engel_scan (the lex-first pair) and find_non_engel_pair (seeded pairs)
-run batches of Engel orbits through groups.first_non_engel, which also runs
-G's own: each until it reaches 1 or, by Brent's rule, comes back to the
-state it saved after steps 1, 2, 4, ..., so a pair is decided exactly in
-constant state.  The verdict needs these three only when G is nilpotent and
+share one loop (_first_non_engel_pair), which runs their batches of Engel
+orbits through groups.first_non_engel, which also runs G's own: each until
+it reaches 1 or, by Brent's rule, comes back to the state it saved after
+steps 1, 2, 4, ..., so a pair is decided exactly in constant state.  The verdict needs these three only when G is nilpotent and
 not abelian, on V and V* or on the unit groups of the blocks: G is a
 subgroup of V* and V, so an abelian G makes them abelian, and a non-Engel
 pair of G's own table proves them non-nilpotent.
 All three move through U by batched products, each checked to be a member,
 with independent batches fused into one _products call, and form their
-commutators by one kernel (_commutators); inverses solve x y = 1 in one
-batched elimination (_inverses), except that the series takes those of its
+commutators by one kernel (_commutators); inverses solve x y = 1 in
+batched eliminations (_inverses): the lex scan solves every member's once,
+the seeded search each batch's, and the series takes those of its
 commutators from the same products.  closure_subgroup closes generators
 under products alone (u^-1 is a power of u), one breadth-first level per
 multiply, with its members kept as sorted codes; as_abstract_group turns a
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -298,10 +299,9 @@ def _units_of_block(algebra: GroupAlgebra, rows: np.ndarray, pivots: np.ndarray)
 
 
 def _image_units(algebra: GroupAlgebra, cap: int | None = None
-                 ) -> tuple[gr.Subgroup, GroupAlgebra, np.ndarray,
-                            list[tuple[np.ndarray, np.ndarray]]]:
-    """V's image in FQ, Q = G/O_p(G): O_p(G), the algebra FQ, the coset of
-    each element of G, and for each block B of FQ (unit_blocks, with its
+                 ) -> tuple[GroupAlgebra, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """V's image in FQ, Q = G/O_p(G): the algebra FQ, the coset of each
+    element of G, and for each block B of FQ (unit_blocks, with its
     cap) the pair of its idempotent f and its units x with aug(x) = aug(f),
     as vectors of FQ.
 
@@ -313,13 +313,12 @@ def _image_units(algebra: GroupAlgebra, cap: int | None = None
     augmentation 1 are one in each scalar class, |U(B)| / (p - 1).
     """
     p = algebra.p
-    core = algebra._p_core()
-    Q, coset = gr.quotient(core)
+    Q, coset = gr.quotient(algebra._p_core())
     QA = GroupAlgebra(Q, p)
     blocks = [(b.idempotent,
                b.units[b.units.sum(axis=1, dtype=np.int64) % p == b.idempotent.sum() % p])
               for b in unit_blocks(QA, cap=cap)]
-    return core, QA, coset, blocks
+    return QA, coset, blocks
 
 
 def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
@@ -353,7 +352,7 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     if required > cap:
         raise BudgetExceeded(
             f"enumeration needs {required} candidates, cap is {cap}", required)
-    _, QA, coset, blocks = _image_units(algebra)
+    QA, coset, blocks = _image_units(algebra)
     m = QA.dim
     reps = np.unique(coset, return_index=True)[1]  # the least member of each coset
     free = np.setdiff1d(np.arange(n), reps)
@@ -432,8 +431,8 @@ def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
     at p = 2 when O_2(G) != 1, where |V*| has no such law.
     """
     G, p = algebra.group, algebra.p
-    core, QA, _, blocks = _image_units(algebra, cap)
-    if p == 2 and core.order > 1:
+    QA, _, blocks = _image_units(algebra, cap)
+    if p == 2 and algebra._p_core().order > 1:
         raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
     Q = QA.group
     shifted = [((u + (QA._one_vec - f)) % p).astype(u.dtype) for f, u in blocks]
@@ -443,11 +442,6 @@ def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
     vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(
         int(np.count_nonzero(mask)) for mask in unitary)
     return v_order, vstar_order, list(zip(shifted, unitary))
-
-
-def unit_orders(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP) -> tuple[int, int]:
-    """|V| and |V*| by the block laws (block_units), with its conditions."""
-    return block_units(algebra, cap)[:2]
 
 
 def _unitary_rows(algebra: GroupAlgebra, rows: np.ndarray) -> np.ndarray:
@@ -710,6 +704,20 @@ def _first_non_engel(U: UnitGroup, x: np.ndarray, y: np.ndarray, x_inv: np.ndarr
     return gr.first_non_engel(np.stack([x, x_inv]), U.one_position, step)
 
 
+def _first_non_engel_pair(U: UnitGroup, count: int, pairs: Callable, inverse: Callable
+                          ) -> tuple[AlgebraElement, AlgebraElement] | None:
+    """The first of the pairs (x, y) = pairs(k), k = 0..count-1, of positions in
+    U whose Engel orbit never reaches 1, or None: _first_non_engel on
+    _ENGEL_BATCH pairs at a time, with their inverses' positions inverse(a)."""
+    for lo in range(0, count, _ENGEL_BATCH):
+        x, y = pairs(np.arange(lo, min(lo + _ENGEL_BATCH, count)))
+        x_inv, y_inv = np.split(inverse(np.concatenate([x, y])), 2)
+        k = _first_non_engel(U, x, y, x_inv, y_inv)
+        if k < x.size:
+            return U.element(int(x[k])), U.element(int(y[k]))
+    return None
+
+
 def non_engel_scan(U: UnitGroup) -> tuple[AlgebraElement, AlgebraElement] | None:
     """The first pair (x, y) of positions in row-major order whose orbit
     z <- (z, y) from z = x never reaches 1: the first pair engel_test calls
@@ -720,12 +728,7 @@ def non_engel_scan(U: UnitGroup) -> tuple[AlgebraElement, AlgebraElement] | None
     """
     m = len(U)
     inv = _inverses(U, np.arange(m))
-    for lo in range(0, m * m, _ENGEL_BATCH):
-        x, y = np.divmod(np.arange(lo, min(lo + _ENGEL_BATCH, m * m)), m)
-        k = _first_non_engel(U, x, y, inv[x], inv[y])
-        if k < x.size:
-            return U.element(int(x[k])), U.element(int(y[k]))
-    return None
+    return _first_non_engel_pair(U, m * m, lambda k: np.divmod(k, m), lambda a: inv[a])
 
 
 def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0
@@ -733,17 +736,11 @@ def find_non_engel_pair(U: UnitGroup, budget: int = ENGEL_BUDGET, seed: int = 0
     """Seeded random search for a pair witnessing non-nilpotency.
 
     Draws ``budget`` pairs (x, y) uniformly from U and returns the first whose
-    Engel orbit never reaches 1, with inverses from _inverses; each drawn pair
-    is decided exactly.  None means that no drawn pair is non-Engel; it is not
-    a proof that every pair is Engel.
+    Engel orbit never reaches 1, with the inverses of each batch from
+    _inverses; each drawn pair is decided exactly.  None means that no drawn
+    pair is non-Engel; it is not a proof that every pair is Engel.
     """
     rng = random.Random(seed)
     draws = np.array([rng.randrange(len(U)) for _ in range(2 * budget)], dtype=np.int64)
     pairs = draws.reshape(-1, 2)  # drawn x, then y, for each attempt
-    for lo in range(0, budget, _ENGEL_BATCH):
-        x, y = pairs[lo:lo + _ENGEL_BATCH].T
-        x_inv, y_inv = np.split(_inverses(U, np.concatenate([x, y])), 2)
-        k = _first_non_engel(U, x, y, x_inv, y_inv)
-        if k < x.size:
-            return U.element(int(x[k])), U.element(int(y[k]))
-    return None
+    return _first_non_engel_pair(U, budget, lambda k: pairs[k].T, lambda a: _inverses(U, a))

@@ -168,6 +168,26 @@ def test_hand_built_spec_with_a_bad_field_is_an_invalid_spec(spec, monkeypatch):
             spec_to_text(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    GroupSpec("group"),
+    GroupSpec("prod", factors=(_C2,)),
+    GroupSpec("prod", factors=(_C2, "catalog:C,2")),
+    GroupSpec("catalog", name="Z", param=9),
+    GroupSpec("catalog", name="C"),
+    GroupSpec("catalog", name="D", param=-2),
+    GroupSpec("catalog", name="Q8", param=3),
+], ids=["unknown-kind", "prod-one", "prod-text-factor", "unknown-name", "C-no-param",
+        "D-negative", "Q8-param"])
+def test_spec_to_text_refuses_what_build_group_refuses(spec):
+    # printed, each would be text that parse_group_spec refuses, or no text
+    with pytest.raises(InvalidSpec):
+        m.build_group(spec)
+    with pytest.raises(InvalidSpec):
+        spec_to_text(spec)
+    with pytest.raises(InvalidSpec):  # nested in a product too
+        spec_to_text(GroupSpec("prod", factors=(_C2, spec)))
+
+
 def test_hand_built_spec_takes_numpy_integers():
     assert m.build_group(GroupSpec("catalog", name="D", param=np.int64(3))).order == 6
     assert m.build_group(GroupSpec("perm", generators=(tuple(np.array([1, 2, 0])),))).order == 3

@@ -237,6 +237,17 @@ def test_small_cap_marks_skipped():
     assert report.passed  # skipped entries stay honest but do not fail the run
 
 
+def test_a_skipped_status_prints_its_reason():
+    # V of D8@2 has 2^15 members, above abstract_cap: a 2-group, skipped
+    report = run_catalog(RunConfig(specs=("catalog:D,8",), primes=(2,)))
+    text = emit_report(report, "text").decode().splitlines()
+    assert text[2] == (
+        "[D8, p=2] criterion=T V=skipped(order p^k above abstract_cap: a p-group, so "
+        "nilpotent; class not computed) V*=nilpotent(class=3,order=4096) consistent")
+    csv = emit_report(report, "csv").decode().splitlines()
+    assert csv[1] == 'D8,"catalog:D,8",2,True,True,32768,skipped,,4096,nilpotent,3,True'
+
+
 def test_json_emission_stable_bytes(small_report):
     assert emit_report(small_report, "json") == emit_report(small_report, "json")
 

@@ -544,6 +544,19 @@ def test_verify_equivalence_skips_explicitly_over_the_enumeration_cap():
     assert v.v_order is None and v.consistent
 
 
+@pytest.mark.parametrize("spec,required", [
+    ("catalog:D,4", 3 ** 4 + 4 * 3),  # non-modular: the block pass, M_2(F_3) and four F_3
+    ("prod:catalog:D,4|catalog:C,3", 3 ** 23),  # modular: the enumeration, then the laws
+], ids=["D4", "D4xC3"])
+def test_a_leg_over_the_enumeration_cap_skips_both_statuses(spec, required):
+    # the block laws are over the cap too, so no order is known
+    v = m.verify_equivalence(group(spec), 3, Budgets(enumeration_cap=10))
+    reason = f"enumeration budget exceeded (needs {required})"
+    assert v.v_status == v.vstar_status == VStatus("skipped", reason=reason)
+    assert v.v_order is None and v.vstar_order is None
+    assert v.consistent and not v.enumerated
+
+
 @pytest.mark.parametrize("spec,orders", [
     ("prod:catalog:D,4|catalog:C,3", (16_529_940_864, 419_904)),
     ("prod:catalog:Q8|catalog:C,3", (16_529_940_864, 1_259_712)),

@@ -254,7 +254,7 @@ _O2_TRIVIAL = ["catalog:S3", "catalog:C,3", "prod:catalog:C,3|catalog:C,3",
 def test_unit_count_laws_match_enumeration(spec, p):
     A = alg(spec, p)
     V = m.enumerate_units(A)
-    assert un.unit_orders(A) == (len(V), len(m.filter_unitary(V)))
+    assert un.block_units(A)[:2] == (len(V), len(m.filter_unitary(V)))
 
 
 @pytest.mark.parametrize("spec,p,orders", [
@@ -265,7 +265,7 @@ def test_unit_count_laws_above_the_enumeration_cap(spec, p, orders):
     A = alg(spec, p)
     with pytest.raises(BudgetExceeded):
         m.enumerate_units(A)
-    assert un.unit_orders(A) == orders
+    assert un.block_units(A)[:2] == orders
 
 
 def test_unit_count_laws_refuse_blocks_above_the_cap_before_any_mask(monkeypatch):
@@ -275,7 +275,7 @@ def test_unit_count_laws_refuse_blocks_above_the_cap_before_any_mask(monkeypatch
 
     monkeypatch.setattr(un, "batch_invertible_mask", refuse)
     with pytest.raises(BudgetExceeded) as err:
-        un.unit_orders(alg("catalog:A4", 5))
+        un.block_units(alg("catalog:A4", 5))
     assert err.value.required == 5 ** 9 + 5 ** 2 + 5
     v = m.verify_equivalence(m.build_group(m.parse_group_spec("catalog:A4")), 5)
     assert v.v_order is None and v.vstar_order is None and not v.enumerated
@@ -286,8 +286,8 @@ def test_unit_count_laws_need_an_odd_prime():
     # or p = 2 with O_2(G) = 1: D6 and A4 have a normal 2-subgroup, S3 has none
     for spec in ("catalog:D,6", "catalog:A4"):
         with pytest.raises(PreconditionViolated):
-            un.unit_orders(alg(spec, 2))
-    assert un.unit_orders(alg("catalog:S3", 2)) == (12, 12)
+            un.block_units(alg(spec, 2))
+    assert un.block_units(alg("catalog:S3", 2))[:2] == (12, 12)
 
 
 def test_batch_invertibility_matches_per_element_inverse():
@@ -649,10 +649,10 @@ def test_filter_unitary_row_blocks_do_not_change_result(monkeypatch):
 
 @pytest.mark.parametrize("spec,p,orders", [("catalog:S3", 5, (1920, 24)),
                                             ("catalog:A4", 3, (101088, 144))])
-def test_unit_orders_row_blocks_do_not_change_result(monkeypatch, spec, p, orders):
-    # unit_orders and filter_unitary share one chunked unitarity loop
+def test_block_units_row_blocks_do_not_change_result(monkeypatch, spec, p, orders):
+    # block_units and filter_unitary share one chunked unitarity loop
     monkeypatch.setattr(un, "_CHUNK", 7)
-    assert un.unit_orders(alg(spec, p)) == orders
+    assert un.block_units(alg(spec, p))[:2] == orders
 
 
 def test_filter_unitary_f3s3_is_embedded_group_only():
