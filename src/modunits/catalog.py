@@ -398,7 +398,8 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     most cap; raises ClosureExceedsCap otherwise.  A hand-built spec is
     checked in the fields its kind reads, before any table: InvalidSpec for
     an unknown spec kind or catalog name, a C or D parameter that is not an
-    integer >= 1 (a bool is refused), a parameter on a fixed name, a product
+    integer from 1 to MAX_PERM_POINT, the bound parse_group_spec reads (a
+    bool is refused), a parameter on a fixed name, a product
     without exactly two GroupSpec factors, and generators that are not
     permutations of one common degree (perm_closure).  A product nested in
     MAX_PROD_DEPTH others raises InvalidSpec before it builds a factor.
@@ -452,6 +453,8 @@ def _check_node(spec: GroupSpec) -> None:
         takes_param = _CATALOG[spec.name][0]
         if takes_param and not (_is_int(n) and n >= 1):
             raise InvalidSpec(f"catalog family {spec.name!r} takes an integer >= 1, got {n!r}")
+        if takes_param and n > MAX_PERM_POINT:  # the bound parse_group_spec reads
+            raise InvalidSpec(f"parameter above {MAX_PERM_POINT}")
         if not takes_param and n is not None:
             raise InvalidSpec(f"catalog family {spec.name!r} takes no parameter")
     elif spec.kind == "prod":

@@ -11,8 +11,8 @@ one unit of each block with the augmentation of its idempotent, and
 _image_units is the one place that derives it.  enumerate_units lifts it:
 V(FG) is the union of the preimages of those sums under the coset-sum map,
 whose kernel is nilpotent, built as mixed-radix codes that a UnitGroup
-sorts, decodes once into narrow rows and keeps.  filter_unitary carves out
-the units fixed into inverses by the classical involution.  For odd p, and
+sorts, decodes once into narrow columns and keeps.  filter_unitary carves
+out the units fixed into inverses by the classical involution.  For odd p, and
 for p = 2 when O_2(G) = 1, block_units counts |V| and |V*| from the same
 image by the block laws, without building either group, and gives each
 block's unit group U(B) and unitary group U*(B) as the units x + 1 - f_B
@@ -48,6 +48,15 @@ unit set into a Cayley-table group.
 
 Those constructors yield groups, so a UnitGroup is not checked when built;
 closure is proven by the product-table loop _product_rows.
+
+A UnitGroup keeps its members group axis first, as one read-only
+C-contiguous (n, |U|) array, UnitGroup.columns, because the work on them is
+columnar: _decode writes each digit into one contiguous stretch of its row;
+_unitary_rows, _products and _product_rows take the columns they need
+straight to unitary_mask and multiply, whose first axis is the group, and
+_inverses gathers its regular matrices batch-last, as batch_solve lays them
+out, with no transposed copy.  UnitGroup.vectors is the same array as rows,
+the view columns.T, for callers that read one member at a time.
 """
 
 from __future__ import annotations
@@ -76,16 +85,19 @@ _ENGEL_BATCH = 200  # pairs per batch of the Engel searches; ENGEL_BUDGET is two
 class UnitGroup:
     """An explicit finite set of units, stored lexicographically sorted.
 
-    ``vectors`` is a read-only array of residues in int_dtype(p - 1), int8
-    for p <= 128, so arithmetic on it must cast first: ``V.vectors + p``
-    wraps in int8 once p >= 64.  Members are looked up by their mixed-radix
-    codes sum_i v_i p^(n-1-i) in one sorted code array: int64 when
-    n log2 p < 62, Python ints otherwise.  Rows in strictly increasing
-    order are kept as given, with no copy when already in the residue
-    dtype; others are sorted by code and decoded from the sorted codes.  A
-    set built as codes takes the same step (_from_codes: enumerate_units,
-    closure_subgroup), or keeps its sorted codes with their rows
-    (filter_unitary), so no code is computed twice.
+    ``columns`` is a read-only, C-contiguous (n, |U|) array of residues in
+    int_dtype(p - 1), int8 for p <= 128: column j is the member at position
+    j, group axis first, which is the layout multiply, unitary_mask and
+    _decode read and write.  ``vectors`` is the same array as (|U|, n) rows,
+    the view columns.T, for callers that want one member per row.
+    Arithmetic on either must cast first: ``V.vectors + p`` wraps in int8
+    once p >= 64.  Members are looked up by their mixed-radix codes
+    sum_i v_i p^(n-1-i) in one sorted code array: int64 when n log2 p < 62,
+    Python ints otherwise.  Rows in strictly increasing order are
+    transposed into columns once; others are sorted by code and decoded from
+    the sorted codes.  A set built as codes takes the same step
+    (_from_codes: enumerate_units, closure_subgroup), or keeps its sorted
+    codes with their columns (filter_unitary), so no code is computed twice.
     Construction checks only that the vectors are distinct and contain 1.
     Closure is proven exhaustively from the product table, by
     as_abstract_group and by verify_closure.
@@ -98,38 +110,41 @@ class UnitGroup:
                 vectors.size and (vectors.min() < 0 or vectors.max() >= p)):
             vectors = residues(vectors, p, int_dtype(p - 1))
         codes = _codes(vectors, _code_weights(n, p))
-        self._keep(algebra, codes, vectors if (codes[1:] > codes[:-1]).all() else None)
+        self._keep(algebra, codes, np.ascontiguousarray(vectors.T)
+                   if (codes[1:] > codes[:-1]).all() else None)
 
     @classmethod
     def _from_codes(cls, algebra: GroupAlgebra, codes: np.ndarray,
-                    vectors: np.ndarray | None = None) -> "UnitGroup":
+                    columns: np.ndarray | None = None) -> "UnitGroup":
         """The unit group whose members have the mixed-radix codes ``codes``:
-        strictly increasing with their rows ``vectors``, or in any order."""
+        strictly increasing with their C-contiguous columns ``columns``, or in
+        any order."""
         U = cls.__new__(cls)
-        U._keep(algebra, codes, vectors)
+        U._keep(algebra, codes, columns)
         return U
 
-    def _keep(self, algebra: GroupAlgebra, codes: np.ndarray, vectors: np.ndarray | None
+    def _keep(self, algebra: GroupAlgebra, codes: np.ndarray, columns: np.ndarray | None
               ) -> None:
-        """Keep the codes and their rows; without rows, sort the codes in place,
-        refuse a repeated one and decode them."""
-        if vectors is None:
+        """Keep the codes and their columns; without columns, sort the codes in
+        place, refuse a repeated one and decode them."""
+        if columns is None:
             codes.sort()
             if not (codes[1:] > codes[:-1]).all():
                 raise ValueError("unit set contains duplicates")
-            vectors = _decode(codes, algebra.dim, algebra.p)
+            columns = _decode(codes, algebra.dim, algebra.p)
         self.algebra = algebra
         self._weights = _code_weights(algebra.dim, algebra.p)
         self._codes = codes
-        self.vectors = vectors
-        self.vectors.setflags(write=False)
+        columns.setflags(write=False)
+        self.columns = columns
+        self.vectors = columns.T
         pos = self.position_of_vector(algebra._one_vec) if codes.size else -1
         if pos < 0:
             raise ValueError("unit set does not contain 1")
         self.one_position = pos
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return self.columns.shape[1]
 
     def element(self, i: int) -> AlgebraElement:
         """The member at position i; raises ValueError outside [0, |U|), so
@@ -137,7 +152,7 @@ class UnitGroup:
         last member."""
         if not 0 <= i < len(self):
             raise ValueError(f"position {i} out of range for {len(self)} units")
-        return AlgebraElement(self.algebra, self.vectors[i].astype(np.int64))
+        return AlgebraElement(self.algebra, self.columns[:, i].astype(np.int64))
 
     def __iter__(self) -> Iterator[AlgebraElement]:
         for i in range(len(self)):
@@ -180,7 +195,7 @@ def _product_rows(U: UnitGroup) -> Iterator[np.ndarray]:
     closed under products is two-sided (ab = bc = 1 gives a = abc = c), so a
     set whose rows all pass is a group.
     """
-    members = np.ascontiguousarray(U.vectors.T)  # group axis first, for multiply
+    members = U.columns
     for i in range(len(U)):
         pos = U.positions_of(U.algebra.multiply(members[:, i, None], members).T)
         if (pos < 0).any():
@@ -205,21 +220,22 @@ def _codes(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _decode(codes: np.ndarray, n: int, p: int) -> np.ndarray:
-    """The rows in int_dtype(p - 1) whose codes, each below p^n, are
-    ``codes``: column 0 holds the most significant base-p digit, so the rows
-    of [p^j, 2p^j) are the vectors whose first nonzero coordinate, in column
-    n-1-j, is 1, one per scalar class (unit_blocks).  One digit at a time
-    from the least significant, _CHUNK rows at a time; numpy vectorises
+    """The C-contiguous (n, k) columns in int_dtype(p - 1) whose codes, each
+    below p^n, are ``codes``: row 0 holds the most significant base-p digit,
+    so the columns of [p^j, 2p^j) are the vectors whose first nonzero
+    coordinate, at n-1-j, is 1, one per scalar class (unit_blocks).  One
+    digit at a time from the least significant, _CHUNK codes at a time, each
+    digit written into one contiguous stretch of its row; numpy vectorises
     floor division by a scalar but not the remainder, so the digit is
     x - (x // p) * p.  The digits are taken in int32 when n log2 p < 31,
     where every code fits, and in the codes' own type otherwise."""
     narrow = n * np.log2(p) < 31
-    out = np.empty((len(codes), n), dtype=int_dtype(p - 1))
+    out = np.empty((n, len(codes)), dtype=int_dtype(p - 1))
     for lo in range(0, len(codes), _CHUNK):
         x = codes[lo:lo + _CHUNK].astype(np.int32) if narrow else codes[lo:lo + _CHUNK]
         for i in range(n - 1, -1, -1):
             q = x // p
-            out[lo:lo + _CHUNK, i] = x - q * p
+            out[i, lo:lo + _CHUNK] = x - q * p
             x = q
     return out
 
@@ -292,7 +308,7 @@ def _units_of_block(algebra: GroupAlgebra, rows: np.ndarray, pivots: np.ndarray)
     lam = np.arange(1, p, dtype=work_dtype(p))[:, None, None]
     parts = []
     for lo in range(0, reps.size, _CHUNK):
-        x = mod_p(_decode(reps[lo:lo + _CHUNK], d, p) @ rows, p).astype(int_dtype(p - 1))
+        x = mod_p(_decode(reps[lo:lo + _CHUNK], d, p).T @ rows, p).astype(int_dtype(p - 1))
         x = x[batch_invertible_mask(x[:, on_block], p)]
         parts.append(mod_p(lam * x, p).astype(int_dtype(p - 1)).reshape(-1, x.shape[1]))
     return np.concatenate(parts)
@@ -368,9 +384,9 @@ def enumerate_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP,
     i_step = max(1, _CHUNK // d_step)
     for d_lo in range(0, n_free, d_step):
         digits = _decode(np.arange(d_lo, min(d_lo + d_step, n_free)), free.size, p)
-        free_codes = _codes(digits, weights[free])
+        free_codes = _codes(digits.T, weights[free])
         # -S mod p, where S is the sum of the free digits in each coset, coset-major
-        neg_sums = mod_p(-(in_coset @ digits.T), p).astype(narrow)
+        neg_sums = mod_p(-(in_coset @ digits), p).astype(narrow)
         for i_lo in range(0, n_image, i_step):
             idx = np.arange(i_lo, min(i_lo + i_step, n_image), dtype=np.int64)
             image = np.zeros((idx.size, m, 1), dtype=narrow)
@@ -436,7 +452,7 @@ def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
         raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
     Q = QA.group
     shifted = [((u + (QA._one_vec - f)) % p).astype(u.dtype) for f, u in blocks]
-    unitary = np.split(_unitary_rows(QA, np.concatenate(shifted)),
+    unitary = np.split(_unitary_rows(QA, np.concatenate(shifted).T),
                        np.cumsum([len(u) for u in shifted[:-1]]))
     v_order = p ** (G.order - Q.order) * math.prod(len(u) for u in shifted)
     vstar_order = p ** (_skew_dim(G) - _skew_dim(Q)) * math.prod(
@@ -444,21 +460,23 @@ def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
     return v_order, vstar_order, list(zip(shifted, unitary))
 
 
-def _unitary_rows(algebra: GroupAlgebra, rows: np.ndarray) -> np.ndarray:
-    """algebra.unitary_mask of each row of rows, tested in blocks of _CHUNK
-    rows, which bounds the temporaries.  Each block goes in as a transposed
-    view, which unitary_mask copies once, into C-contiguous columns."""
-    mask = np.empty(len(rows), dtype=bool)
-    for lo in range(0, len(rows), _CHUNK):
-        mask[lo:lo + _CHUNK] = algebra.unitary_mask(rows[lo:lo + _CHUNK].T)
+def _unitary_rows(algebra: GroupAlgebra, columns: np.ndarray) -> np.ndarray:
+    """algebra.unitary_mask of each column of the (n, k) array columns,
+    tested in blocks of _CHUNK columns, which bounds the temporaries.
+    unitary_mask copies each block once, into its narrow type."""
+    mask = np.empty(columns.shape[1], dtype=bool)
+    for lo in range(0, columns.shape[1], _CHUNK):
+        mask[lo:lo + _CHUNK] = algebra.unitary_mask(columns[:, lo:lo + _CHUNK])
     return mask
 
 
 def filter_unitary(V: UnitGroup, seed: int = 0) -> UnitGroup:
     """The members with u* u = 1 (_unitary_rows), a subgroup of V.  Members of V
     are normalized, so augmentation needs no test.  ``seed`` is unused."""
-    mask = _unitary_rows(V.algebra, V.vectors)
-    return UnitGroup._from_codes(V.algebra, V._codes[mask], V.vectors[mask])
+    mask = _unitary_rows(V.algebra, V.columns)
+    # np.compress keeps the columns C-contiguous; columns[:, mask] does not
+    return UnitGroup._from_codes(V.algebra, V._codes[mask],
+                                 np.compress(mask, V.columns, axis=1))
 
 
 def closure_subgroup(units: Iterable[AlgebraElement],
@@ -485,7 +503,7 @@ def closure_subgroup(units: Iterable[AlgebraElement],
     weights = _code_weights(n, p)
     seen = level = _codes(alg._one_vec[None, :], weights)
     while level.size:
-        prod = alg.multiply(_decode(level, n, p).T[:, :, None], right)
+        prod = alg.multiply(_decode(level, n, p)[:, :, None], right)
         codes = np.unique(_codes(prod.reshape(n, -1).T, weights))
         at = np.minimum(np.searchsorted(seen, codes), seen.size - 1)  # seen holds 1
         level = codes[seen[at] != codes]
@@ -520,8 +538,9 @@ def _products(U: UnitGroup, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     out = np.empty(a.shape, dtype=np.int64)
     for lo in range(0, a.size, _CHUNK):
-        prod = U.algebra.multiply(U.vectors[a[lo:lo + _CHUNK]].T,
-                                  U.vectors[b[lo:lo + _CHUNK]].T)
+        # np.take keeps the gathered columns C-contiguous; columns[:, idx] does not
+        prod = U.algebra.multiply(np.take(U.columns, a[lo:lo + _CHUNK], axis=1),
+                                  np.take(U.columns, b[lo:lo + _CHUNK], axis=1))
         pos = U.positions_of(prod.T)
         if (pos < 0).any():
             raise ValueError("unit set not closed under multiplication")
@@ -545,7 +564,9 @@ def _inverses(U: UnitGroup, a: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape, dtype=np.int64)
     step = max(1, _CHUNK // A.dim)
     for lo in range(0, a.size, step):
-        mask, y = batch_solve(U.vectors[a[lo:lo + step]][:, A.div], A.p, A._one_vec)
+        # [i, j, k] = x_k[div[i, j]]: batch_solve's own batch-last layout, as a view
+        mats = np.take(U.columns, a[lo:lo + step], axis=1)[A.div].transpose(2, 0, 1)
+        mask, y = batch_solve(mats, A.p, A._one_vec)
         out[lo:lo + step] = pos = U.positions_of(y)
         if not mask.all() or (pos < 0).any():
             raise ValueError("unit set not closed under inverses")

@@ -191,7 +191,7 @@ def test_spec_to_text_refuses_what_build_group_refuses(spec):
 def test_hand_built_spec_takes_numpy_integers():
     assert m.build_group(GroupSpec("catalog", name="D", param=np.int64(3))).order == 6
     assert m.build_group(GroupSpec("perm", generators=(tuple(np.array([1, 2, 0])),))).order == 3
-    with pytest.raises(ClosureExceedsCap):  # 2 * n wraps in int64
+    with pytest.raises(InvalidSpec, match="above 4096"):  # 2 * n would wrap in int64
         m.build_group(GroupSpec("catalog", name="D", param=np.int64(2**62)))
 
 
@@ -315,6 +315,18 @@ def test_catalog_parameters_read_like_cycle_points():
     assert m.parse_group_spec("catalog:D0012") == GroupSpec("catalog", name="D", param=12)
     with pytest.raises(InvalidSpec, match="parameter above 4096"):
         m.parse_group_spec("catalog:C,4097")
+
+
+@pytest.mark.parametrize("name", ["C", "D"])
+def test_hand_built_catalog_parameters_share_the_parsers_bound(name):
+    # parse_group_spec refuses catalog:C,5000, so build_group and spec_to_text do too
+    big = GroupSpec("catalog", name=name, param=5000)
+    for refuse in (lambda: m.build_group(big, cap=6000), lambda: spec_to_text(big),
+                   lambda: spec_to_text(GroupSpec("prod", factors=(_C2, big)))):
+        with pytest.raises(InvalidSpec, match="parameter above 4096"):
+            refuse()
+    top = GroupSpec("catalog", name=name, param=cat.MAX_PERM_POINT)
+    assert m.parse_group_spec(spec_to_text(top)) == top
 
 
 def _left_nested(depth, leaf="catalog:C,1"):

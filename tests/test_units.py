@@ -542,6 +542,40 @@ def test_unit_group_sorts_shuffled_rows(spec, p):
         un.UnitGroup(A, np.vstack([shuffled, shuffled[3]]))
 
 
+def _unitary_by_product(A, rows):
+    """The rows w with w* w = 1, from the whole product: w* reads w at g^-1."""
+    cols = rows.T.astype(np.int64)
+    mask = np.concatenate([
+        (A.multiply(cols[A.group.inv, lo:lo + un._CHUNK], cols[:, lo:lo + un._CHUNK])
+         == A._one_vec[:, None]).all(axis=0) for lo in range(0, len(rows), un._CHUNK)])
+    return rows[mask]
+
+
+@pytest.mark.parametrize("spec,p", [("catalog:D,10", 2), ("catalog:A4", 3), ("catalog:D,4", 7),
+                                    ("prod:catalog:S3|catalog:C,3", 2)])
+def test_unit_groups_keep_their_members_as_read_only_columns(spec, p):
+    A = alg(spec, p)
+    ref = np.asarray(_reference_units(A).vectors)
+    V = m.enumerate_units(A)
+    shuffled = ref[np.random.default_rng(3).permutation(len(ref))]
+    groups = {  # each unit group with the rows, in lexicographic order, it must hold
+        "enumerate_units": (V, ref),
+        "filter_unitary": (m.filter_unitary(V), _unitary_by_product(A, ref)),
+        # the group elements: the normalized units with one nonzero coefficient
+        "closure_subgroup": (m.closure_subgroup([A.embed(g) for g in A.group.elements()]),
+                             ref[np.count_nonzero(ref, axis=1) == 1]),
+        "sorted rows": (un.UnitGroup(A, ref.copy()), ref),
+        "shuffled rows": (un.UnitGroup(A, shuffled), ref),
+    }
+    for name, (U, rows) in groups.items():
+        assert U.columns.flags.c_contiguous, name
+        assert U.columns.shape == (A.dim, len(U)), name
+        assert not U.columns.flags.writeable, name
+        assert U.vectors.shape == U.columns.T.shape and (U.vectors == U.columns.T).all(), name
+        assert np.shares_memory(U.vectors, U.columns), name
+        assert U.columns.dtype == rows.dtype and (U.vectors == rows).all(), name
+
+
 @pytest.mark.parametrize("p,n", [(2, 30), (2, 31), (2, 32), (3, 19), (3, 20)])
 def test_decode_round_trips_codes_either_side_of_the_int32_boundary(p, n):
     # digits in int32 below n log2 p = 31, in the codes' int64 above
@@ -550,11 +584,11 @@ def test_decode_round_trips_codes_either_side_of_the_int32_boundary(p, n):
     codes = np.concatenate([np.array([0, 1, p - 1, p, 2**31 - 1, 2**31, top - 2, top - 1]),
                             rng.integers(0, top, 4096)])
     codes = codes[codes < top]
-    rows = un._decode(codes, n, p)
-    assert rows.dtype == np.int8
-    assert (un._codes(rows, un._code_weights(n, p)) == codes).all()
-    digits = codes[:, None] // p ** np.arange(n - 1, -1, -1, dtype=np.int64) % p  # in int64
-    assert (rows == digits).all()
+    columns = un._decode(codes, n, p)
+    assert columns.shape == (n, codes.size) and columns.dtype == np.int8
+    assert (un._codes(columns.T, un._code_weights(n, p)) == codes).all()
+    digits = codes // p ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None] % p  # in int64
+    assert (columns == digits).all()
 
 
 @pytest.mark.parametrize("spec,p", [("catalog:D,10", 2), ("catalog:A4", 3), ("catalog:D,8", 2)])
