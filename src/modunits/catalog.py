@@ -364,7 +364,7 @@ def perm_closure(generators: tuple[tuple[int, ...], ...], cap: int, name: str = 
     return _perm_table_group(name or f"perm<{len(seen)}>", list(seen), moved)
 
 
-def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGroup:
+def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     """Direct product with element indices a*|B| + b."""
     na, nb = A.order, B.order
     ia = np.repeat(np.arange(na), nb)
@@ -372,7 +372,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup, name: str = "") -> FiniteGrou
     mul = (A.mul[np.ix_(ia, ia)] * nb + B.mul[np.ix_(ib, ib)]).astype(np.int32)
     labels = [f"({A.labels[a]},{B.labels[b]})" for a in range(na) for b in range(nb)]
     ident = A.identity * nb + B.identity
-    return FiniteGroup(name or f"{A.name}x{B.name}", mul, identity=ident, labels=labels)
+    return FiniteGroup(f"{A.name}x{B.name}", mul, identity=ident, labels=labels)
 
 
 # catalog name -> (whether it takes a parameter n, order(n), constructor(n));

@@ -26,7 +26,6 @@ from .report import (
     parse_config_file,
     parse_primes,
     run_catalog,
-    run_single,
     _run_witnesses,
     _witness_dict,
 )
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             config = _config_from_args(args)
             _check_input(args.spec, args.p, config)
-            report = run_single(args.spec, args.p, config)
+            report = run_catalog(replace(config, specs=(args.spec,), primes=(args.p,)))
             return _emit_and_exit(report, args)
         if args.command == "catalog":
             if args.config:
@@ -137,12 +136,10 @@ def main(argv=None) -> int:
             return _emit_and_exit(report, args)
         if args.command == "witness":
             return _cmd_witness(args)
-        if args.command == "enumerate-units":
-            return _cmd_enumerate(args)
+        return _cmd_enumerate(args)  # the subparsers are required, so it is enumerate-units
     except ModunitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def _check_input(spec_text: str, p: int, config: RunConfig) -> None:

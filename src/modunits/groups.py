@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,9 @@ from .errors import NotPrime
 
 NOT_NILPOTENT = None  # what nilpotency_class returns for a group that is not nilpotent
 
-_PAIRS_PER_BLOCK = 1 << 16  # pairs per block of non_engel_pair, rounded to whole rows
+# pairs per block of non_engel_pair and of _pairwise_commutators, rounded to
+# whole rows: it bounds every (rows x |G|) temporary in this module
+_PAIRS_PER_BLOCK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -106,11 +108,6 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def conjugate(self, x: int, h: int) -> int:
-        """h^-1 x h."""
-        m = self.mul
-        return int(m[m[self.inv[h], x], h])
-
     def check_axioms(self) -> None:
         """Exhaustive associativity check; O(order^3), intended for order <= 64."""
         m = self.mul
@@ -122,7 +119,8 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of ``parent`` given by its sorted member indices."""
+    """A subgroup of ``parent`` given by its member indices, in any iterable:
+    they are kept sorted, as Python ints."""
 
     parent: FiniteGroup
     members: tuple[int, ...] = field(default=())
@@ -135,16 +133,16 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return int(x) in set(self.members)
+        return int(x) in self.members
 
     def is_trivial(self) -> bool:
         return self.members == (self.parent.identity,)
 
     def is_normal(self) -> bool:
-        """Conjugation-closed in the parent (exhaustive)."""
+        """Conjugation-closed in the parent: every h^-1 x h, in one gather."""
         G = self.parent
-        mem = set(self.members)
-        return all(G.conjugate(x, h) in mem for x in self.members for h in G.elements())
+        conj = G.mul[G.mul[G.inv[:, None], list(self.members)], np.arange(G.order)[:, None]]
+        return bool(np.isin(conj, self.members).all())
 
     def verify_closed(self) -> None:
         G = self.parent
@@ -157,15 +155,6 @@ class Subgroup:
             for b in self.members:
                 if int(G.mul[a, b]) not in mem:
                     raise ValueError("subgroup not closed under multiplication")
-
-
-GroupLike = Union[FiniteGroup, Subgroup]
-
-
-def _parent_and_members(G: GroupLike) -> tuple[FiniteGroup, np.ndarray]:
-    if isinstance(G, Subgroup):
-        return G.parent, np.asarray(G.members, dtype=np.int32)
-    return G, np.arange(G.order, dtype=np.int32)
 
 
 def element_order(G: FiniteGroup, x: int) -> int:
@@ -259,13 +248,13 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = list(gens)
     if not gens:
         raise ValueError("generator set must be nonempty")
-    return Subgroup(G, tuple(int(x) for x in _closure(G, gens)))
+    return Subgroup(G, _closure(G, gens))
 
 
 def _pairwise_commutators(G: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # blockwise to keep the (|xs|, |ys|) intermediates small
     m = G.mul
-    step = max(1, 4_000_000 // max(1, ys.size))
+    step = max(1, _PAIRS_PER_BLOCK // ys.size)
     chunks = []
     for lo in range(0, xs.size, step):
         xb = xs[lo:lo + step]
@@ -280,21 +269,18 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators."""
     all_idx = np.arange(G.order, dtype=np.int32)
     gens = _pairwise_commutators(G, all_idx, all_idx)
-    return Subgroup(G, tuple(int(x) for x in _closure(G, gens)))
+    return Subgroup(G, _closure(G, gens))
 
 
-def center(G: GroupLike) -> Subgroup:
-    """All elements commuting with everything (within the given group or subgroup)."""
-    parent, mem = _parent_and_members(G)
-    block = parent.mul[np.ix_(mem, mem)]
-    mask = (block == block.T).all(axis=1)
-    return Subgroup(parent, tuple(int(x) for x in mem[mask]))
+def center(G: FiniteGroup) -> Subgroup:
+    """All elements of G commuting with everything in G."""
+    return Subgroup(G, np.nonzero((G.mul == G.mul.T).all(axis=1))[0])
 
 
 def centralizer(G: FiniteGroup, g: int) -> Subgroup:
     """All x with xg = gx."""
     mask = G.mul[:, g] == G.mul[g, :]
-    return Subgroup(G, tuple(int(x) for x in np.nonzero(mask)[0]))
+    return Subgroup(G, np.nonzero(mask)[0])
 
 
 def central_order_p_elements(G: FiniteGroup, p: int) -> list[int]:
@@ -303,28 +289,24 @@ def central_order_p_elements(G: FiniteGroup, p: int) -> list[int]:
     return [c for c in center(G).members if element_order(G, c) == p]
 
 
-def lower_central_series(G: GroupLike) -> list[Subgroup]:
-    """gamma_1 >= gamma_2 >= ... until the series stabilizes.
+def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
+    """gamma_1 = G >= gamma_2 >= ... until the series stabilizes.
 
     gamma_{i+1} is generated by the commutators (x, y) with x in gamma_i and
-    y in the whole group; normality of the terms is a consequence, not an
-    input assumption.
+    y in G; normality of the terms is a consequence, not an input assumption.
     """
-    parent, mem = _parent_and_members(G)
-    series = [Subgroup(parent, tuple(int(x) for x in mem))]
-    cur = mem
+    every = np.arange(G.order, dtype=np.int32)
+    series, cur = [Subgroup(G, every)], every
     while True:
-        gens = _pairwise_commutators(parent, cur, mem)
-        # commutators of members stay inside the subgroup, so closure does too
-        nxt = _closure(parent, gens)
-        series.append(Subgroup(parent, tuple(int(x) for x in nxt)))
+        nxt = _closure(G, _pairwise_commutators(G, cur, every))
+        series.append(Subgroup(G, nxt))
         if nxt.size == cur.size or nxt.size == 1:
             return series
         cur = nxt
 
 
-def nilpotency_class(G: GroupLike) -> int | None:
-    """Least c with gamma_{c+1} trivial, or None (NOT_NILPOTENT) when the
+def nilpotency_class(G: FiniteGroup) -> int | None:
+    """Least c with gamma_{c+1}(G) trivial, or None (NOT_NILPOTENT) when the
     series stalls above 1."""
     series = lower_central_series(G)
     for i, term in enumerate(series):
@@ -340,7 +322,7 @@ def p_part(n: int, p: int) -> int:
     return math.gcd(n, p ** n.bit_length())
 
 
-def is_p_group(H: GroupLike, p: int) -> bool:
+def is_p_group(H: FiniteGroup | Subgroup, p: int) -> bool:
     """True iff the order is a power of p (order 1 counts), that is, its own
     p_part."""
     _require_prime(p)
@@ -359,7 +341,7 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     _require_prime(p)
     q = p_part(G.order, p)
     if q == G.order:
-        return Subgroup(G, tuple(G.elements()))
+        return Subgroup(G, G.elements())
     return Subgroup(G, tuple(x for x in G.elements() if G.power(x, q) == G.identity
                              and is_p_group(normal_closure(G, x), p)))
 

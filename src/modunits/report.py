@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -292,12 +292,6 @@ def run_catalog(config: RunConfig) -> VerificationReport:
             report.timings_s.append(time.perf_counter() - started)
             index += 1
     return report
-
-
-def run_single(spec_text: str, p: int, config: RunConfig) -> VerificationReport:
-    """One-entry variant used by the `verify` CLI subcommand."""
-    single = replace(config, specs=(spec_text,), primes=(p,))
-    return run_catalog(single)
 
 
 # ---------------------------------------------------------------------------

@@ -442,14 +442,15 @@ def block_units(algebra: GroupAlgebra, cap: int = ENUMERATION_CAP
     N*_B is counted on the units x_B + 1 - f_B of all blocks in one pass of
     _unitary_rows.  Since x_B (1 - f_B) = 0, (x + 1 - f_B)(y + 1 - f_B) =
     xy + 1 - f_B, so the map x -> x + 1 - f_B is an isomorphism from the
-    units of B onto a group of units of FQ.  Raises BudgetExceeded when
-    sum_B p^dim(B) > cap, before any elimination, and PreconditionViolated
-    at p = 2 when O_2(G) != 1, where |V*| has no such law.
+    units of B onto a group of units of FQ.  Raises PreconditionViolated at
+    p = 2 when O_2(G) != 1, where |V*| has no such law, before it builds any
+    block, and BudgetExceeded when sum_B p^dim(B) > cap, before any
+    elimination.
     """
     G, p = algebra.group, algebra.p
-    QA, _, blocks = _image_units(algebra, cap)
     if p == 2 and algebra._p_core().order > 1:
         raise PreconditionViolated("at p = 2 the unit count laws need O_2(G) = 1")
+    QA, _, blocks = _image_units(algebra, cap)
     Q = QA.group
     shifted = [((u + (QA._one_vec - f)) % p).astype(u.dtype) for f, u in blocks]
     unitary = np.split(_unitary_rows(QA, np.concatenate(shifted).T),

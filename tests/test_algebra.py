@@ -138,6 +138,14 @@ def test_pairs_above_the_gather_cap_take_the_loop_and_match_the_oracle(p):
         assert (algebra.multiply(a, b) == pairs).all()
 
 
+def test_int_dtype_refuses_a_bound_past_int64():
+    from modunits._gflinalg import int_dtype
+
+    assert int_dtype(2**63 - 1) is np.int64
+    with pytest.raises(OverflowError):
+        int_dtype(2**63)
+
+
 # the primes either side of each step of the kernel's integer type at |G| = 4,
 # where it accumulates sums of up to 4*(p-1)^2
 @pytest.mark.parametrize("p,dtype", [

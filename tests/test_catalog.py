@@ -105,6 +105,21 @@ def test_invalid_spec_reports_position():
     assert err.value.position >= 11
 
 
+@pytest.mark.parametrize("bad,message,position", [
+    ("catalog:C,2|catalog:C,3", "'|' outside a product", 11),
+    ("perm:1 2", "expected '\\('", 5),
+    ("perm:;(1 2)", "empty permutation", 5),
+])
+def test_invalid_spec_names_its_fault_and_position(bad, message, position):
+    with pytest.raises(InvalidSpec, match=message) as err:
+        m.parse_group_spec(bad)
+    assert err.value.position == position
+
+
+def test_spaces_between_cycles_are_ignored():
+    assert m.parse_group_spec("perm:(1 2) (3 4)") == m.parse_group_spec("perm:(1 2)(3 4)")
+
+
 def test_perm_point_bound_is_checked_before_building_the_permutation():
     with pytest.raises(InvalidSpec, match="above 4096") as err:
         m.parse_group_spec("perm:(1 2);(1 100000000)")  # would be a 10^8-entry list

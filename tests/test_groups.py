@@ -42,6 +42,27 @@ def test_rejects_non_group_table():
         m.FiniteGroup("bad", [[1, 0], [0, 1]], identity=0)
 
 
+@pytest.mark.parametrize("table,kwargs,message", [
+    ([[0, 1]], {}, "must be square"),
+    (np.zeros((0, 0), dtype=int), {}, "must be nonempty"),
+    ([[0]], {"identity": 1}, "identity index 1 out of range"),
+    ([[0, 1], [0, 1]], {}, "some column of mul is not a permutation"),
+    ([[0]], {"labels": ["a", "b"]}, "labels length does not match order"),
+])
+def test_rejects_a_table_that_is_not_a_group_table(table, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        m.FiniteGroup("bad", table, **kwargs)
+
+
+def test_check_axioms_rejects_a_loop():
+    # a Latin square with a two-sided identity and inverses, but (1*1)*2 = 2
+    # and 1*(1*2) = 1*3 = 4
+    loop = m.FiniteGroup("L5", [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                                [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    with pytest.raises(ValueError, match="not associative"):
+        loop.check_axioms()
+
+
 # ---------------------------------------------------------------------------
 # element order
 
@@ -213,12 +234,6 @@ def test_nilpotency_class_s3_not_nilpotent():
 def test_not_nilpotent_is_falsy_singleton():
     assert not NOT_NILPOTENT
     assert m.nilpotency_class(GROUPS["A4"]) is NOT_NILPOTENT
-
-
-def test_nilpotency_class_of_subgroup():
-    S3 = GROUPS["S3"]
-    H = m.subgroup_generated(S3, [find_label(S3, "(1 2 3)")])
-    assert m.nilpotency_class(H) == 1
 
 
 def _non_engel_pair_reference(G):

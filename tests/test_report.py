@@ -18,7 +18,6 @@ from modunits.report import (
     emit_report,
     parse_config_file,
     run_catalog,
-    run_single,
 )
 
 SMALL = RunConfig(specs=("catalog:C,2", "catalog:S3"), primes=(2,))
@@ -250,6 +249,8 @@ def test_a_skipped_status_prints_its_reason():
 
 def test_json_emission_stable_bytes(small_report):
     assert emit_report(small_report, "json") == emit_report(small_report, "json")
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        emit_report(small_report, "xml")
 
 
 def test_json_schema_fields(small_report):
@@ -331,8 +332,12 @@ def test_reports_do_not_depend_on_the_wall_clock(monkeypatch):
         assert emit_report(jumpy, fmt) == emit_report(steady, fmt)
 
 
-def test_run_single():
-    report = run_single("catalog:D,4", 2, RunConfig())
+def _run_one(spec_text, p):
+    return run_catalog(RunConfig(specs=(spec_text,), primes=(p,)))
+
+
+def test_run_catalog_on_one_entry():
+    report = _run_one("catalog:D,4", 2)
     assert len(report.verdicts) == 1
     assert report.verdicts[0].group_name == "D4"
     assert report.passed
@@ -436,13 +441,13 @@ def test_cli_bad_flag_value_exits_2(capsys, argv, message):
 
 
 def test_prime_past_the_int64_bound_fails_the_entry_and_exits_2(capsys):
-    report = run_single("catalog:C,4", 2147483647, RunConfig())
+    report = _run_one("catalog:C,4", 2147483647)
     assert not report.passed
     assert report.verdicts[0].v_status.reason.startswith(
         "entry failed: GF(2147483647)[C4]: |G|*(p-1)^2 must stay below 2^63")
     assert "ring_associativity" not in report.properties
     # refused before a primality test, which would take ~10^10 steps here
-    huge = run_single("catalog:C,4", 10**20 + 39, RunConfig())
+    huge = _run_one("catalog:C,4", 10**20 + 39)
     assert huge.verdicts[0].v_status.reason.startswith("entry failed: GF(100000000000000000039)")
     rc = cli.main(["enumerate-units", "--spec", "catalog:C,4", "--p", "2147483647"])
     captured = capsys.readouterr()
@@ -465,7 +470,7 @@ def test_cli_verify_bad_prime_exits_2(capsys, p, message):
 
 
 def test_prime_just_below_the_int64_bound_passes():
-    report = run_single("catalog:C,4", 1518500213, RunConfig())
+    report = _run_one("catalog:C,4", 1518500213)
     assert report.passed
     assert report.properties["ring_associativity"] == [20, 0]
 

@@ -159,6 +159,9 @@ def test_witness_char2_guards():
     with pytest.raises(PreconditionViolated, match="central"):
         A2 = alg("catalog:D,4", 2)
         m.witness_char2(A2, 0, A2.group.labels.index("r"))
+    with pytest.raises(PreconditionViolated, match="c must have order 2"):
+        A2 = alg("catalog:D,4", 2)
+        th.char2_witnesses(A2, [0], A2.group.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +184,10 @@ def test_witness_dihedral_guards():
         m.witness_dihedral(A2, G2.labels.index("s"), G2.labels.index("rs"),
                            G2.labels.index("r2"))
     z = S3xC3.labels.index("((1 2 3),e)")
-    with pytest.raises(PreconditionViolated, match="order 2"):
+    with pytest.raises(PreconditionViolated, match="a must have order 2"):
         m.witness_dihedral(F3_S3xC3, z, INVOLUTIONS[0], CENTRALS[0])
+    with pytest.raises(PreconditionViolated, match="b must have order 2"):
+        m.witness_dihedral(F3_S3xC3, INVOLUTIONS[0], z, CENTRALS[0])
 
 
 def _dihedral_triples(G, p):
@@ -471,8 +476,11 @@ def test_centralizer_power_property_requires_criterion():
 
 
 def _subgroup_criterion(G, H, p):
-    """The criterion evaluated on a subgroup via its own commutators."""
-    if m.nilpotency_class(H) is m.NOT_NILPOTENT:
+    """The criterion evaluated on a subgroup via its own table and commutators."""
+    members = np.asarray(H.members)
+    table = np.searchsorted(members, G.mul[np.ix_(members, members)])
+    own = m.FiniteGroup("H", table, identity=H.members.index(G.identity))
+    if m.nilpotency_class(own) is m.NOT_NILPOTENT:
         return False
     comms = {m.commutator(G, x, y) for x in H.members for y in H.members}
     return m.is_p_group(m.subgroup_generated(G, comms), p)

@@ -290,6 +290,16 @@ def test_unit_count_laws_need_an_odd_prime():
     assert un.block_units(alg("catalog:S3", 2))[:2] == (12, 12)
 
 
+def test_unit_count_laws_refuse_p_2_before_building_a_block(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unit_blocks ran")
+
+    monkeypatch.setattr(un, "unit_blocks", refuse)
+    for spec in ("catalog:A4", "catalog:C,4"):
+        with pytest.raises(PreconditionViolated):
+            un.block_units(alg(spec, 2))
+
+
 def test_batch_invertibility_matches_per_element_inverse():
     # the enumeration hot path (batched elimination) and try_inverse must
     # classify every aug-1 candidate identically
@@ -750,6 +760,21 @@ def test_closure_rejects_non_unit():
     A = alg("catalog:C,2", 2)
     with pytest.raises(NotAUnit):
         m.closure_subgroup([A.one() + A.embed(1)])
+
+
+def test_closure_and_engel_test_reject_a_normalized_zero_divisor():
+    A = alg("catalog:C,2", 3)
+    x = 2 * A.one() + 2 * A.embed(1)  # 2(1 + g), and (1 + g)(1 - g) = 0
+    assert x.augmentation() == 1
+    with pytest.raises(NotAUnit, match="is not a unit"):
+        m.closure_subgroup([x])
+    with pytest.raises(NotAUnit, match="y is not a unit"):
+        m.engel_test(A.one(), x)
+
+
+def test_closure_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generating unit"):
+        m.closure_subgroup([])
 
 
 def test_closure_rejects_non_normalized():
